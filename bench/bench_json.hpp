@@ -3,9 +3,9 @@
  * Shared `--json` support for the google-benchmark binaries: a console
  * reporter that additionally collects name -> ns/iter, and the common
  * main() body that parses `--json PATH` / `--json=PATH` before handing
- * the rest of argv to benchmark::Initialize. Used by micro_kernels and
- * micro_transport so both emit the flat {"name": ns, ...} format that
- * bench/compare_bench.py consumes.
+ * the rest of argv to benchmark::Initialize. Used by micro_kernels to
+ * emit the flat {"name": ns, ...} format that bench/compare_bench.py
+ * consumes.
  *
  * `--simd=BACKEND` asserts which SIMD backend the binary was compiled
  * with (scalar | sse2 | avx2) and prefixes every JSON key with

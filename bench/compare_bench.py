@@ -7,9 +7,9 @@ Usage:
     compare_bench.py OLD.json NEW.json --require-speedup KERNEL:FACTOR
 
 Each file maps benchmark name -> ns/iter (the format written by
-`micro_kernels --json out.json` and `micro_transport --json out.json`).
-The positional form compares one pair; --pair may be repeated to check
-several baselines in a single run (e.g. kernels and transport). A pair
+`micro_kernels --json out.json`). The positional form compares one
+pair; --pair may be repeated to check several baselines in a single run
+(e.g. the serial and kernel-threaded kernel runs). A pair
 fails when any benchmark present in BOTH of its files is more than PCT
 percent slower in CURRENT than in BASELINE (per-pair PCT, else
 --threshold, default 25). Names present in only one file are reported

@@ -45,7 +45,7 @@ OffloadedVioPlugin::publishBreakerTransition(TimePoint now)
     if (state == lastState_)
         return;
     lastState_ = state;
-    auto ev = healthWriter_.make();
+    auto ev = makeEvent<HealthEvent>();
     ev->time = now;
     ev->task = name();
     ev->detail = CircuitBreaker::stateName(state);
@@ -71,7 +71,7 @@ OffloadedVioPlugin::publishLocalPose(
     if (!fallback_.initialized())
         return;
     const ImuState state = fallback_.state();
-    auto out = slowPoseWriter_.make();
+    auto out = makeEvent<PoseEvent>();
     out->time = cam->time;
     out->state = state;
     out->parents = {cam->trace};
@@ -153,7 +153,7 @@ OffloadedVioPlugin::submitToEdge(
         cam->time + fromSeconds(config_.deadline_slo_ms / 1000.0);
     req.bytes = frame_bytes;
 
-    auto out = slowPoseWriter_.make();
+    auto out = makeEvent<PoseEvent>();
     out->time = cam->time;
     out->state = state;
     out->parents = {cam->trace};
@@ -264,7 +264,7 @@ OffloadedVioPlugin::iterate(TimePoint now)
         }
         publishBreakerTransition(now);
 
-        auto out = slowPoseWriter_.make();
+        auto out = makeEvent<PoseEvent>();
         out->time = cam->time;
         out->state = state;
         // The pose is released in a *later* invocation than the one

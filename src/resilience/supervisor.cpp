@@ -133,7 +133,7 @@ void
 Supervisor::publish(HealthKind kind, const std::string &task,
                     std::string detail, TimePoint now)
 {
-    auto event = health_.make();
+    auto event = makeEvent<HealthEvent>();
     event->time = now;
     event->kind = kind;
     event->task = task;

@@ -7,164 +7,34 @@
 namespace illixr {
 
 // ---------------------------------------------------------------------------
-// LatestSlots: pin-claim protected latest-value slots.
-//
-// One atomic word per slot carries both roles: the low bits count
-// readers currently copying the slot's shared_ptr, the high bit
-// (kWriterBit) is the writer's exclusive claim. Because every crossing
-// operation is an RMW on that same word, coherence totally orders them
-// — either the writer's claim-CAS observes a reader's pin (and fails,
-// sending the writer to the next slot), or the reader's pin-increment
-// observes the claim bit (and backs off) — with no cross-variable
-// fencing. All synchronization is acquire/release on the pin word:
-// the writer's plain shared_ptr store is ordered by its claim
-// (acquire) and release (release-RMW); a reader's copy is ordered by
-// its pin (acquire, reading from the writer's release).
-//
-// A pinned slot is never overwritten, so the value a reader copies is
-// kept alive by the slot itself for the whole copy; it is always the
-// value the cursor advertised or a newer one (slots are reused in
-// publish order), which is exactly latest() semantics.
+// SyncReader: every field is guarded by the owning topic's mutex.
 // ---------------------------------------------------------------------------
-
-void
-LatestSlots::store(EventPtr event, std::uint64_t publish_count)
-{
-    for (std::size_t probe = 0; probe < kSlots; ++probe) {
-        const std::size_t idx =
-            static_cast<std::size_t>((publish_count + probe) % kSlots);
-        Slot &s = slots_[idx];
-        std::uint32_t expected = 0;
-        if (!s.pins.compare_exchange_strong(expected, kWriterBit,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-            continue; // A reader is mid-copy here; try the next slot.
-        s.value = std::move(event);
-        s.pins.fetch_sub(kWriterBit, std::memory_order_release);
-        cursor_.store((publish_count << kIndexBits) | idx,
-                      std::memory_order_release);
-        return;
-    }
-
-    // Pathological: kSlots readers all stalled mid-copy at once. Fall
-    // back to a mutex-guarded side slot so the publisher still never
-    // waits on any individual reader.
-    {
-        std::lock_guard<std::mutex> lock(fallback_mutex_);
-        fallback_ = std::move(event);
-    }
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    cursor_.store((publish_count << kIndexBits) | kFallbackIndex,
-                  std::memory_order_release);
-}
-
-EventPtr
-LatestSlots::load() const
-{
-    for (;;) {
-        const std::uint64_t c = cursor_.load(std::memory_order_acquire);
-        if (c == 0)
-            return nullptr;
-        const std::uint64_t idx = c & kIndexMask;
-        if (idx == kFallbackIndex) {
-            std::lock_guard<std::mutex> lock(fallback_mutex_);
-            return fallback_;
-        }
-        const Slot &s = slots_[idx];
-        if (s.pins.fetch_add(1, std::memory_order_acquire) &
-            kWriterBit) {
-            // The writer claimed this slot between the cursor read
-            // and the pin; a newer cursor is already (or about to be)
-            // published, so restart from it.
-            s.pins.fetch_sub(1, std::memory_order_relaxed);
-            retries_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        EventPtr e = s.value;
-        s.pins.fetch_sub(1, std::memory_order_release);
-        return e;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SyncReader: bounded ring with per-cell sequence validation.
-//
-// The producer side (push) runs under the topic publish lock, so there
-// is exactly one producer; the consumer side (popCell) is CAS-based
-// because the producer also acts as a consumer when it evicts the
-// oldest event on overflow, and may race the reader doing so.
-// ---------------------------------------------------------------------------
-
-void
-SyncReader::init(std::size_t capacity)
-{
-    std::size_t cap = 1;
-    while (cap < capacity)
-        cap <<= 1;
-    cells_ = std::vector<Cell>(cap);
-    for (std::size_t i = 0; i < cap; ++i)
-        cells_[i].seq.store(i, std::memory_order_relaxed);
-    mask_ = cap - 1;
-}
-
-std::size_t
-SyncReader::push(const EventPtr &event)
-{
-    std::size_t evictions = 0;
-    for (;;) {
-        const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        Cell &cell = cells_[t & mask_];
-        if (cell.seq.load(std::memory_order_acquire) == t) {
-            cell.value = event;
-            cell.seq.store(t + 1, std::memory_order_release);
-            tail_.store(t + 1, std::memory_order_release);
-            return evictions;
-        }
-        // Ring full: evict the oldest queued event so the survivors
-        // are always the newest `capacity()` events, exactly like the
-        // historical deque policy. The consumer may drain the cell
-        // first, in which case the retry simply finds room.
-        EventPtr victim;
-        if (popCell(victim)) {
-            ++evictions;
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-}
 
 bool
-SyncReader::popCell(EventPtr &out)
+SyncReader::push(const EventPtr &event)
 {
-    for (;;) {
-        std::uint64_t h = head_.load(std::memory_order_relaxed);
-        Cell &cell = cells_[h & mask_];
-        const std::uint64_t s = cell.seq.load(std::memory_order_acquire);
-        const std::int64_t diff =
-            static_cast<std::int64_t>(s) - static_cast<std::int64_t>(h + 1);
-        if (diff < 0)
-            return false; // seq == head: cell not yet produced — empty.
-        if (diff == 0) {
-            if (head_.compare_exchange_weak(h, h + 1,
-                                            std::memory_order_relaxed)) {
-                out = std::move(cell.value);
-                // Recycle the cell for the producer one lap ahead
-                // (position h + capacity expects seq == h + capacity).
-                cell.seq.store(h + mask_ + 1, std::memory_order_release);
-                return true;
-            }
-            continue; // Lost the CAS to the other dequeuer; retry.
-        }
-        // diff > 0: another dequeuer already claimed this cell; retry
-        // from the advanced head.
+    // Full: evict the oldest so the survivors are always the newest
+    // `capacity_` events.
+    const bool evict = queue_.size() >= capacity_;
+    if (evict) {
+        queue_.pop_front();
+        ++dropped_;
     }
+    queue_.push_back(event);
+    return evict;
 }
 
 EventPtr
 SyncReader::pop()
 {
     EventPtr e;
-    if (!popCell(e))
-        return nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (queue_.empty())
+            return nullptr;
+        e = std::move(queue_.front());
+        queue_.pop_front();
+    }
     // Reading an event inside an executor invocation marks it as a
     // causal input of whatever the invocation publishes.
     TraceContext::noteConsumed(e->trace);
@@ -172,31 +42,17 @@ SyncReader::pop()
 }
 
 std::size_t
-SyncReader::popAll(std::vector<EventPtr> &out)
-{
-    std::size_t n = 0;
-    EventPtr e;
-    while (popCell(e)) {
-        TraceContext::noteConsumed(e->trace);
-        out.push_back(std::move(e));
-        ++n;
-    }
-    return n;
-}
-
-std::size_t
 SyncReader::pending() const
 {
-    const std::uint64_t t = tail_.load(std::memory_order_acquire);
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    return t > h ? static_cast<std::size_t>(t - h) : 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return queue_.size();
 }
 
 std::size_t
 SyncReader::dropped() const
 {
-    return static_cast<std::size_t>(
-        dropped_.load(std::memory_order_acquire));
+    std::lock_guard<std::mutex> lock(mutex_);
+    return dropped_;
 }
 
 // ---------------------------------------------------------------------------
@@ -215,8 +71,6 @@ Switchboard::topicForUntyped(const std::string &topic)
         t->index = static_cast<std::uint32_t>(by_index_.size());
         t->sink = sink_;
         t->hook = hook_;
-        t->pool_chunk = pool_chunk_events_;
-        t->metrics = metrics_;
         wireTopicMetricsLocked(*t);
     }
     return t;
@@ -244,9 +98,10 @@ Switchboard::attachSyncReader(const TopicPtr &t, std::size_t capacity)
     // the returned shared_ptr, whose deleter detaches the raw entry
     // under the topic mutex before deleting. publish therefore
     // iterates plain pointers — no per-reader weak_ptr lock, and the
-    // detach serializes against any in-flight publish.
-    SyncReader *raw = new SyncReader();
-    raw->init(capacity == 0 ? 1 : capacity);
+    // detach serializes against any in-flight publish. The deleter's
+    // copy of the topic keeps the mutex the reader locks alive.
+    SyncReader *raw = new SyncReader(
+        t->mutex, capacity == 0 ? kDefaultReaderCapacity : capacity);
     std::shared_ptr<SyncReader> reader(raw, [t](SyncReader *r) {
         {
             std::lock_guard<std::mutex> lock(t->mutex);
@@ -260,27 +115,17 @@ Switchboard::attachSyncReader(const TopicPtr &t, std::size_t capacity)
     return reader;
 }
 
-std::size_t
-Switchboard::effectiveCapacity(std::size_t requested) const
+EventPtr
+Switchboard::latestOf(const TopicState &t)
 {
-    if (requested != 0)
-        return requested;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return default_ring_capacity_;
-}
-
-std::shared_ptr<EventPoolArena>
-Switchboard::poolForTopic(const TopicPtr &t)
-{
-    std::lock_guard<std::mutex> lock(t->mutex);
-    if (!t->pool) {
-        t->pool = EventPoolArena::create(t->pool_chunk);
-        if (t->metrics)
-            t->pool->setCounters(
-                &t->metrics->counter("sb.pool." + t->name + ".hits"),
-                &t->metrics->counter("sb.pool." + t->name + ".misses"));
+    EventPtr e;
+    {
+        std::lock_guard<std::mutex> lock(t.mutex);
+        e = t.latest;
     }
-    return t->pool;
+    if (e)
+        TraceContext::noteConsumed(e->trace);
+    return e;
 }
 
 void
@@ -328,25 +173,19 @@ Switchboard::publishToTopic(const TopicPtr &t, EventPtr event)
         // Fan out to the synchronous readers (detach-on-destroy keeps
         // every entry live; see attachSyncReader).
         for (SyncReader *reader : t->readers) {
-            const std::size_t drops = reader->push(event);
-            if (drops) {
+            if (reader->push(event)) {
                 if (t->m_drops)
-                    t->m_drops->add(drops);
+                    t->m_drops->add(1);
                 if (t->m_reader_dropped)
-                    t->m_reader_dropped->add(drops);
+                    t->m_reader_dropped->add(1);
                 if (sink)
                     sink->recordSkip(t->name, TraceContext::now(),
                                      SkipCause::QueueDrop);
             }
         }
 
-        // Store into the latest-value slots last: this is the
-        // event's final use here, so the slot adopts our reference
-        // instead of paying a refcount round trip. (Ordering against
-        // the ring pushes is unobservable — everything above runs
-        // under the topic mutex and the sink records nothing here.)
         event_time = event->time;
-        t->latest.store(std::move(event), t->publish_count);
+        t->latest = std::move(event);
 
         // Snapshot live listeners; they run after the lock drops so a
         // listener may publish, subscribe, or wake a worker pool
@@ -450,7 +289,6 @@ Switchboard::setMetrics(MetricsRegistry *metrics)
     metrics_ = metrics;
     for (auto &[name, topic] : topics_) {
         std::lock_guard<std::mutex> tlock(topic->mutex);
-        topic->metrics = metrics;
         wireTopicMetricsLocked(*topic);
     }
 }
@@ -464,112 +302,17 @@ Switchboard::wireTopicMetricsLocked(TopicState &t) const
         t.m_publishes = nullptr;
         t.m_drops = nullptr;
         t.m_reader_dropped = nullptr;
-        if (t.pool)
-            t.pool->setCounters(nullptr, nullptr);
         return;
     }
     t.m_publishes =
         &metrics_->counter("sb.topic." + t.name + ".publishes");
     t.m_drops = &metrics_->counter("sb.topic." + t.name + ".drops");
     t.m_reader_dropped = &metrics_->counter("sb.reader.dropped");
-    if (t.pool)
-        t.pool->setCounters(
-            &metrics_->counter("sb.pool." + t.name + ".hits"),
-            &metrics_->counter("sb.pool." + t.name + ".misses"));
 }
 
 void
 Switchboard::flushMetrics()
 {
-    MetricsRegistry *m = nullptr;
-    std::vector<TopicPtr> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!metrics_)
-            return;
-        m = metrics_;
-        snapshot.reserve(topics_.size());
-        for (const auto &[name, topic] : topics_)
-            snapshot.push_back(topic);
-    }
-    for (const TopicPtr &t : snapshot) {
-        m->gauge("sb.topic." + t->name + ".latest_retries")
-            .set(static_cast<double>(t->latest.retries()));
-        m->gauge("sb.topic." + t->name + ".latest_fallbacks")
-            .set(static_cast<double>(t->latest.fallbacks()));
-        std::shared_ptr<EventPoolArena> pool;
-        {
-            std::lock_guard<std::mutex> tlock(t->mutex);
-            pool = t->pool;
-        }
-        if (pool) {
-            m->gauge("sb.pool." + t->name + ".live")
-                .set(static_cast<double>(pool->live()));
-            m->gauge("sb.pool." + t->name + ".hit_rate")
-                .set(pool->hitRate());
-        }
-    }
-}
-
-void
-Switchboard::setDefaultRingCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    default_ring_capacity_ = capacity == 0 ? 1024 : capacity;
-}
-
-void
-Switchboard::setPoolChunkEvents(std::size_t events)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    pool_chunk_events_ = events == 0 ? 64 : events;
-    for (auto &[name, topic] : topics_) {
-        std::lock_guard<std::mutex> tlock(topic->mutex);
-        if (!topic->pool)
-            topic->pool_chunk = pool_chunk_events_;
-    }
-}
-
-Switchboard::PoolStats
-Switchboard::poolStats(const std::string &topic) const
-{
-    PoolStats stats;
-    TopicPtr t;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = topics_.find(topic);
-        if (it == topics_.end())
-            return stats;
-        t = it->second;
-    }
-    std::shared_ptr<EventPoolArena> pool;
-    {
-        std::lock_guard<std::mutex> lock(t->mutex);
-        pool = t->pool;
-    }
-    if (pool) {
-        stats.hits = pool->hits();
-        stats.misses = pool->misses();
-        stats.live = pool->live();
-        stats.hit_rate = pool->hitRate();
-    }
-    return stats;
-}
-
-std::uint64_t
-Switchboard::latestRetries() const
-{
-    std::vector<TopicPtr> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        snapshot.reserve(topics_.size());
-        for (const auto &[name, topic] : topics_)
-            snapshot.push_back(topic);
-    }
-    std::uint64_t total = 0;
-    for (const TopicPtr &t : snapshot)
-        total += t->latest.retries();
-    return total;
 }
 
 void

@@ -19,28 +19,14 @@
  * remaining string-keyed entry point (it observes a topic without
  * locking its type).
  *
- * ## Zero-copy data plane (DESIGN.md §7)
+ * ## Transport (DESIGN.md §7)
  *
- * Publishers serialize per topic (one short mutex), but readers never
- * take any lock:
- *
- *  - `AsyncReader::latest()` reads a *seqlock-protected slot ring*:
- *    the topic's newest event lives in one of kLatestSlots slots
- *    published through a versioned cursor word. Readers pin a slot
- *    (one atomic increment), validate its version, copy the
- *    shared_ptr, and unpin; a publisher never waits on readers — it
- *    claims the next unpinned slot, so a stalled reader can hold at
- *    most one stale slot, never the topic.
- *
- *  - Each `SyncReader` is a fixed-capacity power-of-two ring with
- *    per-cell sequence validation (single producer — the serialized
- *    publisher — and its consumer; the producer additionally acts as
- *    consumer when evicting). Overflow evicts the *oldest* queued
- *    event, exactly like the historical deque, and every eviction is
- *    counted in `dropped()` and the `sb.reader.dropped` metric.
- *
- *  - Events come from per-topic slab pools (`Writer<T>::make()`), so
- *    steady-state publish→read performs zero heap allocations.
+ * Each topic is one mutex guarding its newest event, its counters and
+ * one bounded queue per synchronous reader. Publish, `latest()`,
+ * `pop()` and reader detach all take that lock and nothing else, so
+ * there is no lock order to get wrong; listeners run after it drops.
+ * A full queue evicts its *oldest* event, counted in `dropped()` and
+ * the `sb.reader.dropped` metric.
  *
  * ## Lineage
  *
@@ -55,12 +41,12 @@
 #pragma once
 
 #include "foundation/time.hpp"
-#include "runtime/event_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_id.hpp"
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -97,80 +83,13 @@ struct Event
 using EventPtr = std::shared_ptr<const Event>;
 
 /**
- * The seqlock-protected latest-value slots of one topic. Writers are
- * already serialized (topic publish lock); readers are lock-free and
- * never block the writer. See DESIGN.md §7 for the protocol proof
- * sketch.
- */
-class LatestSlots
-{
-  public:
-    /** Publisher side; must be called under the topic publish lock.
-     *  Takes the event by value so the caller's last use can move. */
-    void store(EventPtr event, std::uint64_t publish_count);
-
-    /** Reader side: lock-free snapshot of the newest value. */
-    EventPtr load() const;
-
-    /** Reader validation retries (contention signal). */
-    std::uint64_t
-    retries() const
-    {
-        return retries_.load(std::memory_order_relaxed);
-    }
-
-    /** Publishes that found every slot pinned (pathological). */
-    std::uint64_t
-    fallbacks() const
-    {
-        return fallbacks_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    /** 8 slots ride out 7 concurrently stalled readers per topic. */
-    static constexpr std::size_t kSlots = 8;
-    static constexpr std::uint64_t kIndexBits = 4;
-    static constexpr std::uint64_t kIndexMask = (1u << kIndexBits) - 1;
-    static constexpr std::uint64_t kFallbackIndex = kSlots;
-
-    /** High bit of pins: the writer's exclusive claim. */
-    static constexpr std::uint32_t kWriterBit = 0x80000000u;
-
-    struct Slot
-    {
-        /**
-         * Reader pin count, with kWriterBit doubling as the writer's
-         * claim. Every crossing access is an RMW on this one word, so
-         * plain acquire/release coherence already totally orders the
-         * claim against every pin — no cross-variable fencing needed.
-         */
-        mutable std::atomic<std::uint32_t> pins{0};
-        /** Guarded by the pins protocol. */
-        EventPtr value;
-    };
-
-    /** (publish_count << kIndexBits) | slot_index; 0 = never stored. */
-    std::atomic<std::uint64_t> cursor_{0};
-    Slot slots_[kSlots];
-
-    /** Cold path: taken only when all kSlots are pinned at once. */
-    mutable std::mutex fallback_mutex_;
-    EventPtr fallback_;
-
-    mutable std::atomic<std::uint64_t> retries_{0};
-    std::atomic<std::uint64_t> fallbacks_{0};
-};
-
-/**
  * A synchronous reader: sees every event published after its
- * creation, in order, through a fixed-capacity ring.
+ * creation, in order, through a bounded queue guarded by its topic's
+ * mutex.
  *
- * The ring holds exactly `capacity` events (requested capacities are
- * rounded up to a power of two). When a publish finds it full, the
- * *oldest* queued event is evicted and counted in dropped() — the
- * survivors are always the newest `capacity` events. pop()/popAll()
- * are lock-free against the publisher; use one popping thread per
- * reader (one reader handle per plugin, the repo-wide convention).
+ * The queue holds at most `capacity` events. When a publish finds it
+ * full, the *oldest* queued event is evicted and counted in dropped()
+ * — the survivors are always the newest `capacity` events.
  */
 class SyncReader
 {
@@ -178,50 +97,31 @@ class SyncReader
     /** Pop the oldest unread event; nullptr when drained. */
     EventPtr pop();
 
-    /**
-     * Batch drain: append every currently queued event, in order, to
-     * @p out. Returns the number drained. One loop acquire per event,
-     * no per-event wakeup churn.
-     */
-    std::size_t popAll(std::vector<EventPtr> &out);
-
     /** Events currently queued. */
     std::size_t pending() const;
 
     /**
-     * Number of events evicted due to ring overflow. Eviction always
+     * Number of events evicted due to queue overflow. Eviction always
      * removes the *oldest* queued event (newest events survive).
      */
     std::size_t dropped() const;
 
-    /** Power-of-two ring capacity actually in effect. */
-    std::size_t capacity() const { return mask_ + 1; }
-
   private:
     friend class Switchboard;
 
-    struct Cell
+    SyncReader(std::mutex &topic_mutex, std::size_t capacity)
+        : mutex_(topic_mutex), capacity_(capacity)
     {
-        std::atomic<std::uint64_t> seq{0};
-        EventPtr value;
-    };
+    }
 
-    void init(std::size_t capacity);
+    /** Publisher side; caller holds the topic mutex. Returns true
+     *  when the push evicted the oldest queued event. */
+    bool push(const EventPtr &event);
 
-    /**
-     * Producer side (serialized by the topic publish lock). Returns
-     * the number of evictions performed (0 or 1).
-     */
-    std::size_t push(const EventPtr &event);
-
-    /** Shared dequeue step for pop()/popAll()/producer eviction. */
-    bool popCell(EventPtr &out);
-
-    std::vector<Cell> cells_;
-    std::size_t mask_ = 0;
-    std::atomic<std::uint64_t> head_{0}; ///< Consumer cursor.
-    std::atomic<std::uint64_t> tail_{0}; ///< Producer cursor.
-    std::atomic<std::uint64_t> dropped_{0};
+    std::mutex &mutex_; ///< The owning topic's mutex.
+    const std::size_t capacity_;
+    std::deque<EventPtr> queue_;
+    std::size_t dropped_ = 0;
 };
 
 /** Callback fired after a publish completes on a topic. */
@@ -259,10 +159,10 @@ class Switchboard
     {
         std::string name;
         std::uint32_t index = 0; ///< 1-based interned source id.
-        /** Serializes publishers and topic wiring; readers never
-         *  take it on the data path. */
+        /** The topic's one lock: guards every field below except
+         *  listener_exceptions, and every attached SyncReader. */
         mutable std::mutex mutex;
-        LatestSlots latest;
+        EventPtr latest;
         std::uint64_t publish_count = 0;
         std::uint64_t publish_attempts = 0; ///< Includes dropped ones.
         std::type_index type = std::type_index(typeid(void));
@@ -276,13 +176,6 @@ class Switchboard
         std::shared_ptr<TraceSink> sink;
         PublishHookHandle hook;
         std::atomic<std::size_t> listener_exceptions{0};
-
-        /** Slab pool shared by this topic's Writer<T>::make() calls.
-         *  Created lazily on the first make(); pool_chunk/metrics are
-         *  copied here so the creation site needs only the topic. */
-        std::shared_ptr<EventPoolArena> pool;
-        std::size_t pool_chunk = 64;
-        MetricsRegistry *metrics = nullptr;
 
         /** Cached metric handles (null until a registry attaches). */
         Counter *m_publishes = nullptr;
@@ -308,21 +201,6 @@ class Switchboard
             Switchboard::publishToTopic(topic_, std::move(event));
         }
 
-        /**
-         * Allocate an event from the topic's slab pool: after warmup
-         * a freelist pop, zero heap allocations. The event recycles
-         * into the pool when its last reader drops it.
-         */
-        template <typename... Args>
-        std::shared_ptr<T>
-        make(Args &&...args)
-        {
-            if (!pool_)
-                pool_ = Switchboard::poolForTopic(topic_);
-            return std::allocate_shared<T>(
-                PoolAllocator<T>(pool_.get()), std::forward<Args>(args)...);
-        }
-
         /** TraceId of the most recent put() on this topic. */
         TraceId
         lastId() const
@@ -339,14 +217,11 @@ class Switchboard
         friend class Switchboard;
         explicit Writer(TopicPtr topic) : topic_(std::move(topic)) {}
         TopicPtr topic_;
-        std::shared_ptr<EventPoolArena> pool_;
     };
 
     /**
      * Typed latest-value handle ("asynchronous read" in §II-B): no
-     * queue, no history, just the newest event. latest() is lock-free
-     * (seqlock slot read) and never blocks or is blocked by a
-     * publisher.
+     * queue, no history, just the newest event.
      */
     template <typename T> class AsyncReader
     {
@@ -356,10 +231,8 @@ class Switchboard
         std::shared_ptr<const T>
         latest() const
         {
-            EventPtr e = topic_->latest.load();
-            if (e)
-                TraceContext::noteConsumed(e->trace);
-            return std::static_pointer_cast<const T>(e);
+            return std::static_pointer_cast<const T>(
+                Switchboard::latestOf(*topic_));
         }
 
         explicit operator bool() const { return topic_ != nullptr; }
@@ -371,7 +244,7 @@ class Switchboard
     };
 
     /**
-     * Typed every-event handle: a bounded ring that sees each value
+     * Typed every-event handle: a bounded queue that sees each value
      * published after creation, in order, plus a latest() peek.
      */
     template <typename T> class Reader
@@ -386,8 +259,7 @@ class Switchboard
             return std::static_pointer_cast<const T>(sync_->pop());
         }
 
-        /** Batch drain of everything queued, in order. Allocation-free
-         *  once @p out has warmed up its capacity. */
+        /** Batch drain of everything queued, in order. */
         std::size_t
         popAll(std::vector<std::shared_ptr<const T>> &out)
         {
@@ -440,17 +312,19 @@ class Switchboard
         return AsyncReader<T>(topicFor(topic, typeid(T)));
     }
 
+    /** Queue bound of a reader created with capacity 0. */
+    static constexpr std::size_t kDefaultReaderCapacity = 1024;
+
     /**
-     * Create a typed every-event reader on @p topic. @p capacity 0
-     * uses the switchboard default (1024 unless reconfigured); other
-     * values round up to a power of two.
+     * Create a typed every-event reader on @p topic whose queue holds
+     * at most @p capacity events (0 = kDefaultReaderCapacity).
      */
     template <typename T>
     Reader<T>
     reader(const std::string &topic, std::size_t capacity = 0)
     {
         TopicPtr t = topicFor(topic, typeid(T));
-        return Reader<T>(t, attachSyncReader(t, effectiveCapacity(capacity)));
+        return Reader<T>(t, attachSyncReader(t, capacity));
     }
 
     // ---- introspection / wiring ----
@@ -472,19 +346,16 @@ class Switchboard
 
     /**
      * Attach a metrics registry: per-topic `sb.topic.<name>.*`
-     * counters, pool `sb.pool.<name>.*` counters, and the global
-     * `sb.reader.dropped` counter land there. null detaches (handles
-     * are re-resolved, so per-run registries never dangle).
+     * counters and the global `sb.reader.dropped` counter land there.
+     * null detaches (handles are re-resolved, so per-run registries
+     * never dangle).
      */
     void setMetrics(MetricsRegistry *metrics);
 
     /**
-     * Mirror accumulated transport gauges (`sb.topic.<name>.latest_*`
-     * seqlock contention, `sb.pool.<name>.live`/`.hit_rate`) into the
-     * attached registry. Counters update live; gauges are sampled
-     * here because the reader fast path must stay store-free. Each
-     * session calls this before handing off its registry; harmless
-     * without one.
+     * Does nothing: every switchboard metric is a live counter, so
+     * there are no sampled gauges to mirror before a registry is
+     * handed off. Kept for callers that flush before hand-off.
      */
     void flushMetrics();
 
@@ -494,34 +365,6 @@ class Switchboard
      * nullptr detaches.
      */
     void setPublishHook(PublishHookHandle hook);
-
-    /**
-     * Default SyncReader ring capacity used when reader()/subscribe()
-     * are called with capacity 0 (initially 1024; rounded up to a
-     * power of two). `ILLIXR_SB_RING_CAP` reaches here through
-     * IntegratedConfig.
-     */
-    void setDefaultRingCapacity(std::size_t capacity);
-
-    /**
-     * Events per initial slab-pool chunk for topics whose pool is
-     * created after this call (initially 64). `ILLIXR_SB_POOL_CHUNK`
-     * reaches here through IntegratedConfig.
-     */
-    void setPoolChunkEvents(std::size_t events);
-
-    /** Aggregate pool statistics of one topic (zeros if no pool). */
-    struct PoolStats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t live = 0;
-        double hit_rate = 0.0;
-    };
-    PoolStats poolStats(const std::string &topic) const;
-
-    /** Seqlock reader retries across all topics (contention). */
-    std::uint64_t latestRetries() const;
 
     /**
      * Publish attempts ever made on a topic, including ones a hook
@@ -566,10 +409,8 @@ class Switchboard
                               std::shared_ptr<const T>(std::move(event))));
     }
 
-    /** Lazily create (or fetch) the topic's slab-pool arena. */
-    static std::shared_ptr<EventPoolArena> poolForTopic(const TopicPtr &t);
-
-    std::size_t effectiveCapacity(std::size_t requested) const;
+    /** The topic's newest event, noted as consumed (AsyncReader). */
+    static EventPtr latestOf(const TopicState &t);
 
     /** Resolve per-topic counters from the attached registry. */
     void wireTopicMetricsLocked(TopicState &t) const;
@@ -580,12 +421,9 @@ class Switchboard
     std::shared_ptr<TraceSink> sink_;
     PublishHookHandle hook_;
     MetricsRegistry *metrics_ = nullptr;
-    std::size_t default_ring_capacity_ = 1024;
-    std::size_t pool_chunk_events_ = 64;
 };
 
-/** Convenience: make a shared event of type T (heap-allocated; hot
- *  paths should prefer Writer<T>::make() for pooled events). */
+/** Make a shared event of type T: the one way events are allocated. */
 template <typename T, typename... Args>
 std::shared_ptr<T>
 makeEvent(Args &&...args)

@@ -1,7 +1,6 @@
 #include "xr/illixr_system.hpp"
 
 #include "xr/plugins.hpp"
-#include "xr/session.hpp"
 
 namespace illixr {
 
@@ -32,26 +31,6 @@ const char *
 executorKindName(ExecutorKind kind)
 {
     return kind == ExecutorKind::Pool ? "pool" : "sim";
-}
-
-bool
-applyExecutorEnv(IntegratedConfig &config)
-{
-    // Deprecated wrapper: the canonical parser lives on SessionConfig.
-    SessionConfig session_config(config);
-    const bool ok = session_config.applyEnv();
-    config = static_cast<const IntegratedConfig &>(session_config);
-    return ok;
-}
-
-bool
-parseExecutorFlag(const std::string &arg, IntegratedConfig &config)
-{
-    // Deprecated wrapper: the canonical parser lives on SessionConfig.
-    SessionConfig session_config(config);
-    const bool ok = session_config.parseFlag(arg);
-    config = static_cast<const IntegratedConfig &>(session_config);
-    return ok;
 }
 
 std::unique_ptr<ResilienceContext>

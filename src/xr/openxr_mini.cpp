@@ -56,7 +56,7 @@ XrSession::locateViews(TimePoint display_time) const
 void
 XrSession::endFrame(StereoFrame frame, TimePoint now)
 {
-    auto event = submittedWriter_.make();
+    auto event = makeEvent<StereoFrameEvent>();
     event->time = now;
     event->frame = std::move(frame);
     submittedWriter_.put(std::move(event));

@@ -51,7 +51,7 @@ CameraPlugin::iterate(TimePoint now)
             ++next_;
             continue;
         }
-        auto event = cameraWriter_.make();
+        auto event = makeEvent<CameraFrameEvent>();
         event->time = src.time;
         event->sequence = src.sequence;
         // Camera processing cost: the SDK's rectification pass is
@@ -79,7 +79,7 @@ ImuPlugin::iterate(TimePoint now)
 {
     while (next_ < data_->imu_samples.size() &&
            data_->imu_samples[next_].time <= now + kMicrosecond) {
-        auto event = imuWriter_.make();
+        auto event = makeEvent<ImuEvent>();
         event->time = data_->imu_samples[next_].time;
         event->sample = data_->imu_samples[next_];
         imuWriter_.put(std::move(event));
@@ -131,7 +131,7 @@ VioPlugin::iterate(TimePoint now)
     while (auto cam = cameraReader_.pop()) {
         const ImuState &state = vio_->processFrame(
             cam->time, std::shared_ptr<const ImageF>(cam, &cam->image));
-        auto out = slowPoseWriter_.make();
+        auto out = makeEvent<PoseEvent>();
         out->time = cam->time;
         out->state = state;
         slowPoseWriter_.put(std::move(out));
@@ -168,7 +168,7 @@ IntegratorPlugin::iterate(TimePoint now)
         integrator_->addSample(imu->sample);
     if (!integrator_->initialized())
         return;
-    auto out = fastPoseWriter_.make();
+    auto out = makeEvent<PoseEvent>();
     out->time = now;
     out->state = integrator_->state();
     fastPoseWriter_.put(std::move(out));
@@ -302,7 +302,7 @@ TimewarpPlugin::iterate(TimePoint now)
         (now - submitted->time) / vsync_period);
     lastSubmittedTime_ = submitted->time;
     staleStreak_ = age_intervals;
-    auto feedback = qoeWriter_.make();
+    auto feedback = makeEvent<QoeFeedbackEvent>();
     feedback->time = now;
     feedback->stale_intervals = std::max(0, age_intervals - 1);
     qoeWriter_.put(std::move(feedback));
@@ -316,7 +316,7 @@ TimewarpPlugin::iterate(TimePoint now)
     }
     imuAges_.push_back(imu_age_ms);
 
-    auto out = displayWriter_.make();
+    auto out = makeEvent<DisplayFrameEvent>();
     out->time = now;
     out->imu_age_ms = imu_age_ms;
     out->left = warp_.reproject(submitted->frame.left,
@@ -368,7 +368,7 @@ AudioEncoderPlugin::iterate(TimePoint now)
         return;
     }
     for (int i = 0; i < coalesce; ++i) {
-        auto event = soundfieldWriter_.make(tuning_.audio_block);
+        auto event = makeEvent<SoundfieldEvent>(tuning_.audio_block);
         event->time = now;
         event->block_index = block_;
         event->field = encoder_.encodeBlock(block_);
@@ -403,7 +403,7 @@ AudioPlaybackPlugin::iterate(TimePoint now)
         head = fast->state.orientation;
     const StereoBlock block = playback_.processBlock(field->field, head);
 
-    auto out = stereoWriter_.make();
+    auto out = makeEvent<StereoAudioEvent>();
     out->time = now;
     out->left = block.left;
     out->right = block.right;

@@ -86,18 +86,6 @@ SessionConfig::applyEnv()
             return false;
         }
     }
-    if (const char *v = std::getenv("ILLIXR_SB_RING_CAP")) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        sb_ring_capacity = n;
-    }
-    if (const char *v = std::getenv("ILLIXR_SB_POOL_CHUNK")) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        sb_pool_chunk = n;
-    }
     if (const char *v = std::getenv("ILLIXR_EDGE"))
         edge.enabled = std::string(v) != "0";
     if (const char *v = std::getenv("ILLIXR_EDGE_LINK")) {
@@ -183,20 +171,6 @@ SessionConfig::parseFlag(const std::string &arg)
     if (arg == "--resilience") {
         resilience.supervise = true;
         resilience.degrade = true;
-        return true;
-    }
-    if (value("--sb-ring-cap=", v)) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        sb_ring_capacity = n;
-        return true;
-    }
-    if (value("--sb-pool-chunk=", v)) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        sb_pool_chunk = n;
         return true;
     }
     if (arg == "--edge") {
@@ -296,11 +270,10 @@ SessionConfig::fromEnvAndArgs(int argc, const char *const *argv)
         // an "unparsed" passthrough: --seed=banana must not leak into
         // the tool's own flag handling looking legitimate.
         static const char *const kOwned[] = {
-            "--executor=",    "--workers=",      "--kernel-threads=",
-            "--seed=",        "--fault-plan=",   "--scenario=",
-            "--sb-ring-cap=", "--sb-pool-chunk=", "--edge-link=",
-            "--edge-slo-ms=", "--edge-batch=",   "--tail-threshold-ms=",
-            "--tail-ring="};
+            "--executor=",  "--workers=",     "--kernel-threads=",
+            "--seed=",      "--fault-plan=",  "--scenario=",
+            "--edge-link=", "--edge-slo-ms=", "--edge-batch=",
+            "--tail-threshold-ms=", "--tail-ring="};
         bool owned = false;
         for (const char *prefix : kOwned)
             owned = owned || arg.rfind(prefix, 0) == 0;
@@ -457,10 +430,6 @@ Session::runBody()
         // --- Services ---
         Phonebook phonebook;
         auto switchboard = std::make_shared<Switchboard>();
-        if (config.sb_ring_capacity > 0)
-            switchboard->setDefaultRingCapacity(config.sb_ring_capacity);
-        if (config.sb_pool_chunk > 0)
-            switchboard->setPoolChunkEvents(config.sb_pool_chunk);
         phonebook.registerService(switchboard);
 
         auto metrics = std::make_shared<MetricsRegistry>();
@@ -636,9 +605,6 @@ Session::runBody()
             sink->setTailMonitor(nullptr, "");
             result.tail = tail;
         }
-        // Sample the transport gauges (seqlock contention, pool
-        // occupancy) into this session's registry before hand-off.
-        switchboard->flushMetrics();
         result.metrics = metrics;
         const double cpu_util =
             pool ? pool->cpuUtilization() : sim->cpuUtilization();

@@ -98,7 +98,7 @@ class ProducerPlugin : public Plugin
     void
     iterate(TimePoint) override
     {
-        auto e = writer_.make();
+        auto e = makeEvent<IntEvent>();
         e->value = count.fetch_add(1);
         writer_.put(std::move(e));
     }
@@ -293,7 +293,7 @@ TEST(PoolExecutorTest, TopicDrivenWakeupAndCoalescing)
     // invocation count is in [1, 10] but every event is consumed.
     auto writer = sb.writer<IntEvent>("t");
     for (int i = 0; i < 10; ++i)
-        writer.put(writer.make());
+        writer.put(makeEvent<IntEvent>());
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (consumer.consumed.load() < 10 &&

@@ -286,9 +286,9 @@ TEST(FaultInjectorTest, PublishHookDropsEverythingAtRateOne)
     sb.setPublishHook(injector.makePublishHook());
     auto writer = sb.writer<ValueEvent>("t");
     for (int i = 0; i < 10; ++i)
-        writer.put(writer.make());
+        writer.put(makeEvent<ValueEvent>());
     auto other = sb.writer<ValueEvent>("other");
-    other.put(other.make()); // Out of scope.
+    other.put(makeEvent<ValueEvent>()); // Out of scope.
 
     EXPECT_EQ(sb.publishCount("t"), 0u);
     EXPECT_EQ(sb.publishAttempts("t"), 10u);
@@ -311,7 +311,7 @@ TEST(FaultInjectorTest, PublishHookCorruptsInPlaceDeterministically)
         Switchboard sb;
         sb.setPublishHook(injector.makePublishHook());
         auto writer = sb.writer<ValueEvent>("t");
-        auto ev = writer.make();
+        auto ev = makeEvent<ValueEvent>();
         ev->value = -1;
         writer.put(std::move(ev));
         (void)trial;

@@ -389,9 +389,53 @@ TEST(SwitchboardTest, TypedHandlesInteroperateWithUntypedIntern)
     EXPECT_EQ(hits, 2);
 }
 
+TEST(SwitchboardTest, ListenerMayReadItsTopicAndPublishElsewhere)
+{
+    // latest() and pop() take the topic mutex, and listeners run after
+    // publish releases it: a listener on "a" may read "a" both ways
+    // and publish on "b" (how a displayed frame gets timestamped)
+    // without deadlocking, and it sees the event that woke it.
+    Switchboard sb;
+    auto writer_a = sb.writer<IntEvent>("a");
+    auto peek_a = sb.asyncReader<IntEvent>("a");
+    auto reader_a = sb.reader<IntEvent>("a");
+    auto writer_b = sb.writer<IntEvent>("b");
+    auto reader_b = sb.reader<IntEvent>("b");
+
+    std::vector<int> latest_seen, popped_seen;
+    auto handle = sb.onPublish("a", [&](const std::string &) {
+        auto latest = peek_a.latest();
+        auto popped = reader_a.pop();
+        ASSERT_NE(latest, nullptr);
+        ASSERT_NE(popped, nullptr);
+        latest_seen.push_back(latest->value);
+        popped_seen.push_back(popped->value);
+        auto echo = makeEvent<IntEvent>();
+        echo->value = latest->value;
+        writer_b.put(std::move(echo));
+    });
+
+    for (int i = 0; i < 3; ++i) {
+        auto e = makeEvent<IntEvent>();
+        e->value = i;
+        writer_a.put(std::move(e));
+    }
+
+    const std::vector<int> want = {0, 1, 2};
+    EXPECT_EQ(latest_seen, want);
+    EXPECT_EQ(popped_seen, want);
+    EXPECT_EQ(reader_a.pending(), 0u);
+    EXPECT_EQ(sb.publishCount("b"), 3u);
+    for (int v : want) {
+        auto e = reader_b.pop();
+        ASSERT_NE(e, nullptr);
+        EXPECT_EQ(e->value, v);
+    }
+}
+
 TEST(SwitchboardTest, SyncReaderEvictsOldestAndCountsDropsMetric)
 {
-    // Documented overflow policy: a full ring evicts the OLDEST
+    // Documented overflow policy: a full queue evicts the OLDEST
     // queued event so the survivors are always the newest `capacity`
     // events, and every eviction is visible both on the handle
     // (dropped()) and in the aggregate sb.reader.dropped counter.
@@ -402,7 +446,7 @@ TEST(SwitchboardTest, SyncReaderEvictsOldestAndCountsDropsMetric)
     auto reader = sb.reader<IntEvent>("t", 4);
 
     for (int i = 0; i < 10; ++i) {
-        auto e = writer.make();
+        auto e = makeEvent<IntEvent>();
         e->value = i;
         writer.put(std::move(e));
     }
@@ -477,7 +521,6 @@ TEST(SwitchboardTest, DeprecatedStringShimsAreGone)
     writer.put(makeEvent<IntEvent>());
     (void)peek.latest();
     (void)reader.pop();
-    sb.flushMetrics();
     for (const MetricRow &row : metrics.snapshotRows())
         EXPECT_EQ(row.name.rfind("sb.deprecated.", 0), std::string::npos)
             << "unexpected deprecated-shim counter: " << row.name;
@@ -486,27 +529,30 @@ TEST(SwitchboardTest, DeprecatedStringShimsAreGone)
     EXPECT_FALSE(metrics.hasCounter("sb.deprecated.subscribe"));
 }
 
-TEST(SwitchboardTest, PooledEventsOutliveTheSwitchboard)
+TEST(SwitchboardTest, EventsOutliveTheSwitchboard)
 {
-    // Slab-pooled events hold an intrusive reference on their arena:
-    // a consumer may keep an event after the switchboard (and with it
-    // the pool handle) is gone, and the payload must stay valid until
-    // the last reference dies.
+    // A consumer may keep an event after the switchboard (and every
+    // topic, reader and queue with it) is gone; the payload must stay
+    // valid until the last reference dies.
     std::shared_ptr<const IntEvent> survivor;
+    std::shared_ptr<const IntEvent> queued;
     {
         Switchboard sb;
         auto writer = sb.writer<IntEvent>("t");
         auto peek = sb.asyncReader<IntEvent>("t");
-        auto e = writer.make();
+        auto reader = sb.reader<IntEvent>("t", 4);
+        auto e = makeEvent<IntEvent>();
         e->value = 41;
         writer.put(std::move(e));
-        // Churn the pool so recycling is exercised before teardown.
+        queued = reader.pop();
+        // Churn the topic so evictions and latest-value replacement
+        // release references before teardown.
         for (int i = 0; i < 100; ++i) {
-            auto f = writer.make();
+            auto f = makeEvent<IntEvent>();
             f->value = i;
             writer.put(std::move(f));
         }
-        auto g = writer.make();
+        auto g = makeEvent<IntEvent>();
         g->value = 42;
         writer.put(std::move(g));
         survivor = peek.latest();
@@ -514,6 +560,9 @@ TEST(SwitchboardTest, PooledEventsOutliveTheSwitchboard)
     ASSERT_NE(survivor, nullptr);
     EXPECT_EQ(survivor->value, 42);
     EXPECT_TRUE(survivor->trace.valid());
+    ASSERT_NE(queued, nullptr);
+    EXPECT_EQ(queued->value, 41);
+    EXPECT_EQ(queued->trace.sequence, 1u);
 }
 
 /** Plugin that logs its lifecycle transitions into a shared journal. */

@@ -259,19 +259,5 @@ TEST(SessionConfigTest, MalformedEnvIsAnError)
     EXPECT_FALSE(parse.error.empty());
 }
 
-TEST(SessionConfigTest, DeprecatedWrappersStillWork)
-{
-    // applyExecutorEnv()/parseExecutorFlag() are thin wrappers over
-    // SessionConfig and must keep the old semantics.
-    IntegratedConfig cfg;
-    EXPECT_TRUE(parseExecutorFlag("--seed=42", cfg));
-    EXPECT_EQ(cfg.seed, 42u);
-    EXPECT_FALSE(parseExecutorFlag("--not-a-config-flag", cfg));
-
-    ScopedEnv seed("ILLIXR_SEED", "7");
-    EXPECT_TRUE(applyExecutorEnv(cfg));
-    EXPECT_EQ(cfg.seed, 7u);
-}
-
 } // namespace
 } // namespace illixr

@@ -193,13 +193,11 @@ TEST(SwitchboardStressTest, ConcurrentHandleCreation)
     EXPECT_EQ(sb.topicNames().size(), 4u);
 }
 
-TEST(SwitchboardStressTest, SeqlockSpinnersNeverBlockPublisher)
+TEST(SwitchboardStressTest, LatestNeverGoesBackwards)
 {
     // 1 writer + N async readers spinning latest() as fast as they
-    // can. The slot protocol must (a) never tear an event (every
-    // observation is fully stamped with a monotone sequence) and
-    // (b) never wedge the publisher even when every slot is being
-    // pinned continuously.
+    // can. Every observation must be a fully stamped event whose
+    // sequence never goes backwards, and the publisher must finish.
     constexpr int kSpinners = 3;
     constexpr int kPublishes = 20000;
 
@@ -227,7 +225,7 @@ TEST(SwitchboardStressTest, SeqlockSpinnersNeverBlockPublisher)
     }
 
     for (int i = 0; i < kPublishes; ++i) {
-        auto e = writer.make();
+        auto e = makeEvent<IntEvent>();
         e->value = i + 1; // Matches the 1-based topic sequence.
         writer.put(std::move(e));
     }
@@ -237,12 +235,12 @@ TEST(SwitchboardStressTest, SeqlockSpinnersNeverBlockPublisher)
     EXPECT_EQ(sb.publishCount("t"), static_cast<std::size_t>(kPublishes));
 }
 
-TEST(SwitchboardStressTest, RingWraparoundUnderOverflow)
+TEST(SwitchboardStressTest, OverflowWhileDrainingKeepsOrderAndAccounting)
 {
-    // Tiny ring, fast writer, slow batch consumer: the ring wraps
-    // thousands of times and constantly evicts. Every event is either
-    // drained or counted dropped, and drained events arrive strictly
-    // in publish order even across wrap/evict races.
+    // Tiny queue, fast writer, slow batch consumer: the queue is full
+    // almost every publish and constantly evicts. Every event is
+    // either drained or counted dropped, and drained events arrive
+    // strictly in publish order even while evictions race the drain.
     constexpr int kPublishes = 50000;
     constexpr std::size_t kCapacity = 8;
 
@@ -251,7 +249,7 @@ TEST(SwitchboardStressTest, RingWraparoundUnderOverflow)
     std::thread writer([&sb] {
         auto w = sb.writer<IntEvent>("t");
         for (int i = 0; i < kPublishes; ++i)
-            w.put(w.make());
+            w.put(makeEvent<IntEvent>());
     });
 
     std::size_t popped = 0;
@@ -276,59 +274,6 @@ TEST(SwitchboardStressTest, RingWraparoundUnderOverflow)
     EXPECT_EQ(popped + reader.dropped(),
               static_cast<std::size_t>(kPublishes));
     EXPECT_EQ(reader.pending(), 0u);
-}
-
-TEST(SwitchboardStressTest, PoolRecycleUnderRead)
-{
-    // Readers hold pooled events while the writer keeps publishing —
-    // which recycles slab nodes as fast as references die. An event a
-    // reader still holds must never be recycled under it: its payload
-    // stays bit-stable no matter how many later events reuse the pool.
-    constexpr int kPublishes = 20000;
-
-    Switchboard sb;
-    auto reader = sb.reader<IntEvent>("t", 64);
-    auto peek = sb.asyncReader<IntEvent>("t");
-    std::atomic<bool> done{false};
-
-    std::thread holder([&peek, &done] {
-        while (!done.load(std::memory_order_relaxed)) {
-            auto held = peek.latest();
-            if (!held) {
-                std::this_thread::yield();
-                continue;
-            }
-            const int v = held->value;
-            const std::uint64_t s = held->trace.sequence;
-            // Spin a little while the writer recycles other nodes.
-            for (int i = 0; i < 64; ++i)
-                std::this_thread::yield();
-            EXPECT_EQ(held->value, v);
-            EXPECT_EQ(held->trace.sequence, s);
-        }
-    });
-
-    std::thread drainer([&reader, &done] {
-        std::vector<std::shared_ptr<const IntEvent>> batch;
-        while (!done.load(std::memory_order_relaxed)) {
-            batch.clear();
-            reader.popAll(batch);
-            for (const auto &e : batch)
-                EXPECT_EQ(e->value, static_cast<int>(e->trace.sequence));
-            std::this_thread::yield();
-        }
-    });
-
-    auto writer = sb.writer<IntEvent>("t");
-    for (int i = 0; i < kPublishes; ++i) {
-        auto e = writer.make();
-        e->value = i + 1;
-        writer.put(std::move(e));
-    }
-    done.store(true);
-    holder.join();
-    drainer.join();
-    EXPECT_EQ(sb.publishCount("t"), static_cast<std::size_t>(kPublishes));
 }
 
 } // namespace
