@@ -13,9 +13,9 @@
  *
  * Flags: `--executor=sim|pool`, `--workers=N`, `--deterministic`,
  * `--seed=N` select the executor of the integrated runs; `--live`
- * instead runs a wall-clock aggregate-throughput comparison of the
- * thread-per-plugin RtExecutor against the worker-pool PoolExecutor
- * on a synthetic three-pipeline workload.
+ * instead measures the live PoolExecutor's wall-clock aggregate
+ * throughput on a synthetic three-pipeline workload, and the
+ * camera-pipeline latency from inside pool tasks.
  */
 
 #include "bench_common.hpp"
@@ -23,7 +23,6 @@
 #include "foundation/profile.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/pool_executor.hpp"
-#include "runtime/rt_executor.hpp"
 #include "sensors/world.hpp"
 #include "slam/feature_tracker.hpp"
 
@@ -32,7 +31,7 @@ using namespace illixr::bench;
 
 namespace {
 
-/** Busy-spin plugin for the live executor comparison. */
+/** Busy-spin plugin for the live executor throughput run. */
 class SpinPlugin : public Plugin
 {
   public:
@@ -80,50 +79,34 @@ liveWorkload()
     return v;
 }
 
-double
-aggregateHz(ExecutorBase &executor,
-            std::vector<std::unique_ptr<SpinPlugin>> &plugins,
-            Duration wall)
-{
-    for (auto &p : plugins)
-        executor.addPlugin(p.get());
-    executor.run(wall);
-    std::size_t total = 0;
-    for (auto &p : plugins)
-        total += executor.stats(p->name()).invocations;
-    return static_cast<double>(total) / toSeconds(wall);
-}
-
 double cameraPipelineLatencyMs(std::size_t workers);
 
 int
-runLiveComparison(std::size_t workers)
+runLiveThroughput(std::size_t workers)
 {
-    banner("Live executor comparison: RtExecutor vs PoolExecutor",
-           "PoolExecutor tentpole acceptance (aggregate throughput)");
+    banner("Live executor throughput: PoolExecutor",
+           "wall-clock aggregate throughput of the live pool");
     const Duration wall = 2 * kSecond;
 
-    auto rt_plugins = liveWorkload();
-    RtExecutor rt;
-    const double rt_hz = aggregateHz(rt, rt_plugins, wall);
-
-    auto pool_plugins = liveWorkload();
+    auto plugins = liveWorkload();
     PoolExecutorConfig pool_cfg;
     pool_cfg.workers = workers;
     PoolExecutor pool(pool_cfg);
-    const double pool_hz = aggregateHz(pool, pool_plugins, wall);
+    for (auto &p : plugins)
+        pool.addPlugin(p.get());
+    pool.run(wall);
+    std::size_t total = 0;
+    for (auto &p : plugins)
+        total += pool.stats(p->name()).invocations;
 
     TextTable table;
     table.setHeader({"executor", "threads", "aggregate(Hz)"});
-    table.addRow({"rt (thread-per-plugin)",
-                  std::to_string(rt_plugins.size()),
-                  TextTable::num(rt_hz, 1)});
     table.addRow({"pool", std::to_string(workers),
-                  TextTable::num(pool_hz, 1)});
+                  TextTable::num(static_cast<double>(total) /
+                                     toSeconds(wall),
+                                 1)});
     std::printf("%s\n", table.render().c_str());
-    std::printf("pool/rt aggregate throughput: %.2fx (host cores: %u)\n",
-                rt_hz > 0.0 ? pool_hz / rt_hz : 0.0,
-                std::thread::hardware_concurrency());
+    std::printf("host cores: %u\n", std::thread::hardware_concurrency());
 
     // Camera-pipeline latency: the real pyramid + FAST + KLT chain
     // from inside pool tasks, at the configured kernel width.
@@ -135,7 +118,7 @@ runLiveComparison(std::size_t workers)
 }
 
 /**
- * Camera-pipeline plugin for the live comparison: runs the real
+ * Camera-pipeline plugin for the live run: runs the real
  * camera -> pyramid -> FAST/KLT tracker chain on synthetic frames
  * from inside a PoolExecutor task, so the kernel pool's
  * borrowed-worker path is what gets measured.
@@ -230,7 +213,7 @@ main(int argc, char **argv)
     if (opt.kernel_threads > 0)
         KernelPool::instance().setWidth(opt.kernel_threads);
     if (live)
-        return runLiveComparison(opt.pool_workers);
+        return runLiveThroughput(opt.pool_workers);
 
     banner("Figure 3: per-component frame rates",
            "Fig 3 (a)-(c), §IV-A1");

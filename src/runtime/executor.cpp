@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 namespace illixr {
 
@@ -16,17 +17,94 @@ TaskStats::achievedHz(Duration wall) const
     return static_cast<double>(invocations) / toSeconds(wall);
 }
 
-ExecutorBase::TaskMetrics
-ExecutorBase::internMetrics(const std::string &task)
+void
+ExecutorBase::registerSlot(TaskSlot &slot, Plugin *plugin, Duration period)
 {
-    TaskMetrics m;
-    if (!metrics_)
-        return m;
-    m.invocations = &metrics_->counter("task." + task + ".invocations");
-    m.skips = &metrics_->counter("task." + task + ".skips");
-    m.exceptions = &metrics_->counter("task." + task + ".exceptions");
-    m.exec_ms = &metrics_->histogram("task." + task + ".exec_ms");
-    return m;
+    slot.plugin = plugin;
+    slot.stats.name = plugin->name();
+    slot.stats.unit = plugin->execUnit();
+    slot.stats.period = period;
+    if (metrics_) {
+        const std::string prefix = "task." + slot.stats.name;
+        slot.metrics.invocations = &metrics_->counter(prefix + ".invocations");
+        slot.metrics.skips = &metrics_->counter(prefix + ".skips");
+        slot.metrics.exceptions = &metrics_->counter(prefix + ".exceptions");
+        slot.metrics.exec_ms = &metrics_->histogram(prefix + ".exec_ms");
+    }
+    slots_.push_back(&slot);
+}
+
+const TaskStats &
+ExecutorBase::stats(const std::string &name) const
+{
+    for (const TaskSlot *slot : slots_) {
+        if (slot->stats.name == name)
+            return slot->stats;
+    }
+    throw std::out_of_range("no such task: " + name);
+}
+
+std::vector<std::string>
+ExecutorBase::taskNames() const
+{
+    std::vector<std::string> names;
+    names.reserve(slots_.size());
+    for (const TaskSlot *slot : slots_)
+        names.push_back(slot->stats.name);
+    return names;
+}
+
+void
+ExecutorBase::recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
+                               const InvocationOutcome &out,
+                               std::uint64_t span_id, std::uint32_t worker)
+{
+    const double exec_ms = toMilliseconds(rec.virtual_duration);
+    TaskStats &stats = slot.stats;
+    stats.records.push_back(rec);
+    stats.exec_ms.add(exec_ms);
+    stats.busy += rec.virtual_duration;
+    ++stats.invocations;
+    if (out.exception)
+        ++stats.exceptions;
+
+    if (slot.metrics.invocations)
+        slot.metrics.invocations->add();
+    if (out.exception && slot.metrics.exceptions)
+        slot.metrics.exceptions->add();
+    if (slot.metrics.exec_ms)
+        slot.metrics.exec_ms->observe(exec_ms);
+
+    if (sink_) {
+        Span span;
+        span.task = stats.name;
+        span.unit = slot.plugin->execUnit();
+        span.arrival = rec.arrival;
+        span.start = rec.start;
+        span.completion = rec.completion;
+        span.host_seconds = rec.host_seconds;
+        span.id = span_id;
+        span.worker = worker;
+        sink_->recordSpan(std::move(span));
+    }
+}
+
+void
+ExecutorBase::recordSuppressed(TaskSlot &slot, TimePoint t)
+{
+    ++slot.stats.suppressed;
+    if (sink_)
+        sink_->recordSkip(slot.stats.name, t, SkipCause::Suppressed);
+}
+
+void
+ExecutorBase::recordOverrun(TaskSlot &slot, TimePoint t)
+{
+    ++slot.stats.skips;
+    if (slot.metrics.skips)
+        slot.metrics.skips->add();
+    if (sink_)
+        sink_->recordSkip(slot.stats.name, t, SkipCause::Overrun);
 }
 
 InvocationOutcome
@@ -114,8 +192,8 @@ ExecutorBase::startPlugins()
     started_ = true;
     static const Phonebook empty;
     const Phonebook &pb = phonebook_ ? *phonebook_ : empty;
-    for (Plugin *plugin : lifecycle_)
-        plugin->start(pb);
+    for (TaskSlot *slot : slots_)
+        slot->plugin->start(pb);
 }
 
 void
@@ -124,8 +202,8 @@ ExecutorBase::stopPlugins()
     if (!started_)
         return;
     started_ = false;
-    for (auto it = lifecycle_.rbegin(); it != lifecycle_.rend(); ++it)
-        (*it)->stop();
+    for (auto it = slots_.rbegin(); it != slots_.rend(); ++it)
+        (*it)->plugin->stop();
 }
 
 } // namespace illixr

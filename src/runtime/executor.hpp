@@ -2,15 +2,16 @@
  * @file
  * Executor: the one interface over both ways of running a plugin set
  * — the discrete-event SimScheduler (virtual timeline) and the
- * real-threaded RtExecutor (wall clock). Examples and benches program
+ * worker-pool PoolExecutor (wall clock live, or a seeded virtual
+ * timeline in deterministic mode). Examples and benches program
  * against this interface, so simulated and live execution are
  * swappable without divergent call sites.
  *
- * The base class also unifies the plugin lifecycle, which the two
- * executors previously half-duplicated (and half-skipped): run()
- * calls Plugin::start() in registration order before the first
- * iterate() and Plugin::stop() in reverse order after the last one,
- * on both timelines.
+ * The base class also unifies the plugin lifecycle and the per-task
+ * bookkeeping: run() calls Plugin::start() in registration order
+ * before the first iterate() and Plugin::stop() in reverse order
+ * after the last one, and every executor books each invocation,
+ * suppression and overrun through the same helpers.
  *
  * Instrumentation: an attached TraceSink receives one Span per
  * invocation (task, exec unit, arrival/start/completion, skip
@@ -135,16 +136,10 @@ class Executor
     virtual void addPlugin(Plugin *plugin) = 0;
 
     /**
-     * Register a vsync-aligned plugin (reprojection). Executors
-     * without late-latch scheduling run it as plain periodic at the
-     * vsync period.
+     * Register a vsync-aligned plugin (reprojection): each invocation
+     * is stamped with the vsync boundary it aims at.
      */
-    virtual void
-    addVsyncAlignedPlugin(Plugin *plugin, Duration vsync)
-    {
-        (void)vsync;
-        addPlugin(plugin);
-    }
+    virtual void addVsyncAlignedPlugin(Plugin *plugin, Duration vsync) = 0;
 
     /**
      * Run the plugin set for @p duration (virtual or wall time,
@@ -172,6 +167,9 @@ class Executor
 class ExecutorBase : public Executor
 {
   public:
+    const TaskStats &stats(const std::string &name) const override;
+    std::vector<std::string> taskNames() const override;
+
     void
     setTraceSink(std::shared_ptr<TraceSink> sink) override
     {
@@ -226,7 +224,20 @@ class ExecutorBase : public Executor
         Histogram *exec_ms = nullptr;
     };
 
-    TaskMetrics internMetrics(const std::string &task);
+    /** What every executor keeps per registered plugin. */
+    struct TaskSlot
+    {
+        Plugin *plugin = nullptr;
+        TaskStats stats;
+        TaskMetrics metrics;
+    };
+
+    /**
+     * Fill @p slot for @p plugin (stats identity, interned metrics)
+     * and enrol it for stats() lookup and the start/stop lifecycle.
+     * The slot must stay at a stable address for the executor's life.
+     */
+    void registerSlot(TaskSlot &slot, Plugin *plugin, Duration period);
 
     /**
      * The one way executors run iterate(): consults the interceptor,
@@ -239,8 +250,22 @@ class ExecutorBase : public Executor
     InvocationOutcome invokeGuarded(Plugin &plugin, std::uint64_t attempt,
                                     TimePoint now, std::uint64_t span_id);
 
-    /** Track a plugin for the shared start/stop lifecycle. */
-    void notePlugin(Plugin *plugin) { lifecycle_.push_back(plugin); }
+    /**
+     * Book one invocation that was not suppressed: TaskStats (record,
+     * exec time, busy, invocations, exceptions), the per-task metrics
+     * and a Span. The caller builds @p rec on its own timeline;
+     * @p worker is the 1-based pool worker (0 = none). Callers that
+     * run workers concurrently hold their scheduling lock.
+     */
+    void recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
+                          const InvocationOutcome &out,
+                          std::uint64_t span_id, std::uint32_t worker);
+
+    /** Book an invocation the interceptor held back, at time @p t. */
+    void recordSuppressed(TaskSlot &slot, TimePoint t);
+
+    /** Book an arrival dropped because the task was still busy. */
+    void recordOverrun(TaskSlot &slot, TimePoint t);
 
     /** Plugin::start() in registration order (idempotent per run). */
     void startPlugins();
@@ -250,8 +275,8 @@ class ExecutorBase : public Executor
 
     /**
      * Block for @p duration, or until requestStop() — the wall-clock
-     * executors' run() bodies sleep through this so an eviction never
-     * has to wait out the configured duration.
+     * run() body sleeps through this so an eviction never has to wait
+     * out the configured duration.
      */
     void interruptibleSleep(Duration duration);
 
@@ -262,7 +287,7 @@ class ExecutorBase : public Executor
     std::atomic<bool> stop_requested_{false};
 
   private:
-    std::vector<Plugin *> lifecycle_;
+    std::vector<TaskSlot *> slots_; ///< Registration order.
     bool started_ = false;
     std::mutex stop_request_mutex_;
     std::condition_variable stop_request_cv_;

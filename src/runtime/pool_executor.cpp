@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 
 namespace illixr {
 
@@ -63,16 +62,11 @@ PoolExecutor::addEntry(Plugin *plugin, PipelineLane lane, Duration period,
                        bool vsync_aligned, Duration vsync)
 {
     auto entry = std::make_unique<Entry>();
-    entry->plugin = plugin;
     entry->lane = lane;
     entry->period = period;
     entry->vsync_aligned = vsync_aligned;
     entry->vsync = vsync;
-    entry->stats.name = plugin->name();
-    entry->stats.unit = plugin->execUnit();
-    entry->stats.period = period;
-    entry->metrics = internMetrics(entry->stats.name);
-    notePlugin(plugin);
+    registerSlot(*entry, plugin, period);
     entries_.push_back(std::move(entry));
 }
 
@@ -148,16 +142,7 @@ PoolExecutor::start()
         return;
     startPlugins();
     epoch_ = std::chrono::steady_clock::now();
-    if (metrics_) {
-        for (int lane = 0; lane < 3; ++lane)
-            laneDepth_[lane] = &metrics_->gauge(
-                std::string("pool.lane.") +
-                laneName(static_cast<PipelineLane>(lane)) + ".queue_depth");
-        workerInvocations_.clear();
-        for (std::size_t w = 0; w < config_.workers; ++w)
-            workerInvocations_.push_back(&metrics_->counter(
-                "pool.worker." + std::to_string(w + 1) + ".invocations"));
-    }
+    internPoolMetrics();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         busyCpu_ = 0;
@@ -248,77 +233,33 @@ PoolExecutor::updateQueueGauges(TimePoint now)
 }
 
 void
-PoolExecutor::executeLive(Entry &entry, std::size_t worker_index,
-                          TimePoint release, TimePoint now)
+PoolExecutor::internPoolMetrics()
 {
-    const std::uint64_t span_id = sink_ ? sink_->nextSpanId() : 0;
-    std::uint64_t attempt;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        attempt = ++entry.stats.attempts;
-    }
-    const InvocationOutcome out =
-        invokeGuarded(*entry.plugin, attempt, now, span_id);
-
-    if (out.suppressed) {
-        if (sink_)
-            sink_->recordSkip(entry.stats.name, now,
-                              SkipCause::Suppressed);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++entry.stats.suppressed;
+    if (!metrics_)
         return;
-    }
-    // Injected stalls hang the worker (bounded) so the occupancy is
-    // real contention for the pool, like an actual hang would be.
-    if (out.extra > 0)
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            std::min<Duration>(out.extra, 100 * kMillisecond)));
-    const TimePoint done = wallNs();
+    for (int lane = 0; lane < 3; ++lane)
+        laneDepth_[lane] = &metrics_->gauge(
+            std::string("pool.lane.") +
+            laneName(static_cast<PipelineLane>(lane)) + ".queue_depth");
+    workerInvocations_.clear();
+    for (std::size_t w = 0; w < config_.workers; ++w)
+        workerInvocations_.push_back(&metrics_->counter(
+            "pool.worker." + std::to_string(w + 1) + ".invocations"));
+}
 
-    entry.iterations.fetch_add(1);
-    if (entry.metrics.invocations)
-        entry.metrics.invocations->add();
-    if (out.exception && entry.metrics.exceptions)
-        entry.metrics.exceptions->add();
-    if (entry.metrics.exec_ms)
-        entry.metrics.exec_ms->observe(toMilliseconds(done - now));
-    if (worker_index < workerInvocations_.size() &&
-        workerInvocations_[worker_index])
-        workerInvocations_[worker_index]->add();
-    if (sink_) {
-        Span span;
-        span.task = entry.stats.name;
-        span.unit = entry.plugin->execUnit();
-        span.arrival = release;
-        span.start = now;
-        span.completion = done;
-        span.host_seconds = out.host_seconds;
-        span.id = span_id;
-        span.worker = static_cast<std::uint32_t>(worker_index + 1);
-        sink_->recordSpan(std::move(span));
-    }
-
-    InvocationRecord rec;
-    rec.arrival = release;
-    rec.start = now;
-    rec.virtual_duration = done - now;
-    rec.completion = done;
-    rec.host_seconds = out.host_seconds;
-    if (entry.vsync_aligned && entry.vsync > 0)
-        rec.target_vsync =
-            ((now + entry.vsync - 1) / entry.vsync) * entry.vsync;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry.stats.records.push_back(rec);
-    entry.stats.exec_ms.add(toMilliseconds(done - now));
-    entry.stats.busy += done - now;
-    ++entry.stats.invocations;
-    if (out.exception)
-        ++entry.stats.exceptions;
+void
+PoolExecutor::recordWorker(Entry &entry, const InvocationRecord &rec,
+                           const InvocationOutcome &out,
+                           std::uint64_t span_id, std::size_t w)
+{
+    recordInvocation(entry, rec, out, span_id,
+                     static_cast<std::uint32_t>(w + 1));
+    if (w < workerInvocations_.size())
+        workerInvocations_[w]->add();
     if (entry.plugin->execUnit() == ExecUnit::Cpu)
-        busyCpu_ += done - now;
+        busyCpu_ += rec.virtual_duration;
     else
-        busyGpu_ += done - now;
+        busyGpu_ += rec.virtual_duration;
 }
 
 void
@@ -354,10 +295,33 @@ PoolExecutor::workerMain(std::size_t worker_index)
         if (pickDue(now))
             cv_.notify_one();
 
+        const std::uint64_t span_id = sink_ ? sink_->nextSpanId() : 0;
+        const std::uint64_t attempt = ++entry->stats.attempts;
         lock.unlock();
-        executeLive(*entry, worker_index, release, now);
+        const InvocationOutcome out =
+            invokeGuarded(*entry->plugin, attempt, now, span_id);
+        // Injected stalls hang the worker (bounded) so the occupancy
+        // is real contention for the pool, like an actual hang.
+        if (!out.suppressed && out.extra > 0)
+            std::this_thread::sleep_for(std::chrono::nanoseconds(
+                std::min<Duration>(out.extra, 100 * kMillisecond)));
+        const TimePoint done = wallNs();
         lock.lock();
 
+        if (out.suppressed) {
+            recordSuppressed(*entry, now);
+        } else {
+            InvocationRecord rec;
+            rec.arrival = release;
+            rec.start = now;
+            rec.virtual_duration = done - now;
+            rec.completion = done;
+            rec.host_seconds = out.host_seconds;
+            if (entry->vsync_aligned && entry->vsync > 0)
+                rec.target_vsync =
+                    ((now + entry->vsync - 1) / entry->vsync) * entry->vsync;
+            recordWorker(*entry, rec, out, span_id, worker_index);
+        }
         entry->in_flight = false;
         if (entry->period > 0) {
             // Rate limit: exactly one invocation per period boundary.
@@ -370,12 +334,7 @@ PoolExecutor::workerMain(std::size_t worker_index)
                 if (skip || behind > kMaxCatchupPeriods) {
                     // Drop the missed boundaries and realign.
                     while (entry->next_release <= after) {
-                        ++entry->stats.skips;
-                        if (entry->metrics.skips)
-                            entry->metrics.skips->add();
-                        if (sink_)
-                            sink_->recordSkip(entry->stats.name, after,
-                                              SkipCause::Overrun);
+                        recordOverrun(*entry, after);
                         entry->next_release += entry->period;
                     }
                 }
@@ -404,56 +363,6 @@ PoolExecutor::modeledCost(const Entry &entry, std::size_t w)
                                    entry.plugin->execUnit());
 }
 
-InvocationOutcome
-PoolExecutor::handoff(Entry &entry, std::size_t w, TimePoint arrival,
-                      std::uint64_t attempt, std::uint64_t span_id)
-{
-    std::unique_lock<std::mutex> lock(handoffMutex_);
-    handoffEntry_ = &entry;
-    handoffWorker_ = w;
-    handoffArrival_ = arrival;
-    handoffAttempt_ = attempt;
-    handoffSpan_ = span_id;
-    handoffDone_ = false;
-    handoffCv_.notify_all();
-    handoffCv_.wait(lock, [this] { return handoffDone_; });
-    handoffEntry_ = nullptr;
-    return handoffOutcome_;
-}
-
-void
-PoolExecutor::virtualWorkerMain(std::size_t worker_index)
-{
-    std::unique_lock<std::mutex> lock(handoffMutex_);
-    for (;;) {
-        handoffCv_.wait(lock, [this, worker_index] {
-            return shutdownWorkers_ ||
-                   (handoffEntry_ && handoffWorker_ == worker_index &&
-                    !handoffDone_);
-        });
-        if (shutdownWorkers_)
-            return;
-        Entry &entry = *handoffEntry_;
-        const TimePoint arrival = handoffArrival_;
-        const std::uint64_t attempt = handoffAttempt_;
-        const std::uint64_t span_id = handoffSpan_;
-        lock.unlock();
-
-        // The guarded call runs here, on the worker thread, because
-        // TraceContext is thread-local and the interceptor must see
-        // the same thread the plugin publishes from. The barrier
-        // keeps it serialized, so interceptor decisions stay a pure
-        // function of (task, attempt).
-        const InvocationOutcome out =
-            invokeGuarded(*entry.plugin, attempt, arrival, span_id);
-
-        lock.lock();
-        handoffOutcome_ = out;
-        handoffDone_ = true;
-        handoffCv_.notify_all();
-    }
-}
-
 void
 PoolExecutor::runVirtual(Duration duration)
 {
@@ -466,16 +375,7 @@ PoolExecutor::runVirtual(Duration duration)
         entry->sim_queued = 0;
     }
 
-    if (metrics_) {
-        for (int lane = 0; lane < 3; ++lane)
-            laneDepth_[lane] = &metrics_->gauge(
-                std::string("pool.lane.") +
-                laneName(static_cast<PipelineLane>(lane)) + ".queue_depth");
-        workerInvocations_.clear();
-        for (std::size_t w = 0; w < config_.workers; ++w)
-            workerInvocations_.push_back(&metrics_->counter(
-                "pool.worker." + std::to_string(w + 1) + ".invocations"));
-    }
+    internPoolMetrics();
 
     // Seed one Rng stream per worker; identical seeds give identical
     // draws, making the whole timeline a pure function of the seed.
@@ -483,11 +383,6 @@ PoolExecutor::runVirtual(Duration duration)
     for (std::size_t w = 0; w < config_.workers; ++w)
         workerRng_.emplace_back(config_.seed * 0x9e3779b97f4a7c15ULL +
                                 w + 1);
-
-    shutdownWorkers_ = false;
-    std::vector<std::thread> workers;
-    for (std::size_t w = 0; w < config_.workers; ++w)
-        workers.emplace_back([this, w] { virtualWorkerMain(w); });
 
     std::priority_queue<SimEvent, std::vector<SimEvent>,
                         std::greater<SimEvent>>
@@ -516,22 +411,13 @@ PoolExecutor::runVirtual(Duration duration)
                             seq++, 0, task});
     };
 
-    auto recordOverrun = [this](Entry &entry, TimePoint t) {
-        ++entry.stats.skips;
-        if (entry.metrics.skips)
-            entry.metrics.skips->add();
-        if (sink_)
-            sink_->recordSkip(entry.stats.name, t, SkipCause::Overrun);
-    };
-
     // Admit one arrival to the ready queue, or drop it when the entry
     // is saturated: skip-on-overrun and event-driven entries coalesce
     // to one outstanding invocation; non-skip periodic entries may
     // queue a catch-up burst but never past kMaxCatchupPeriods (the
     // same bound live mode enforces — unbounded virtual catch-up was
     // tail_bench's post-stall drop-retry storm).
-    auto onArrival = [&ready, &seq, &recordOverrun,
-                      this](std::size_t task, TimePoint t) {
+    auto onArrival = [&ready, &seq, this](std::size_t task, TimePoint t) {
         Entry &entry = *entries_[task];
         const int backlog =
             entry.sim_queued + (entry.sim_running ? 1 : 0);
@@ -581,28 +467,22 @@ PoolExecutor::runVirtual(Duration duration)
             Entry &entry = *entries_[item.task];
             --entry.sim_queued;
 
+            // The invocation runs inline on this loop thread, one at a
+            // time, in (time, lane, seq) order: worker w is a logical
+            // worker that picks the Rng stream and tags the span.
             const std::uint64_t span_id =
                 sink_ ? sink_->nextSpanId() : 0;
             const std::uint64_t attempt = ++entry.stats.attempts;
             const InvocationOutcome out =
-                handoff(entry, w, now, attempt, span_id);
+                invokeGuarded(*entry.plugin, attempt, now, span_id);
 
             if (out.suppressed) {
                 // Held by the interceptor: no cost draw (the decision
                 // is deterministic, so the draw stream stays aligned
                 // across runs), no completion event, worker stays
                 // free.
-                ++entry.stats.suppressed;
-                if (sink_)
-                    sink_->recordSkip(entry.stats.name, now,
-                                      SkipCause::Suppressed);
+                recordSuppressed(entry, now);
             } else {
-                if (out.exception) {
-                    ++entry.stats.exceptions;
-                    if (entry.metrics.exceptions)
-                        entry.metrics.exceptions->add();
-                }
-
                 // Injected spikes/stalls stretch the *modeled* cost,
                 // so they land on the virtual timeline
                 // deterministically.
@@ -629,36 +509,7 @@ PoolExecutor::runVirtual(Duration duration)
                         ((item.arrival + entry.vsync - 1) /
                          entry.vsync) *
                         entry.vsync;
-                entry.stats.records.push_back(rec);
-                entry.stats.exec_ms.add(toMilliseconds(vdur));
-                entry.stats.busy += vdur;
-                ++entry.stats.invocations;
-                entry.iterations.fetch_add(1);
-                if (entry.plugin->execUnit() == ExecUnit::Cpu)
-                    busyCpu_ += vdur;
-                else
-                    busyGpu_ += vdur;
-
-                if (entry.metrics.invocations)
-                    entry.metrics.invocations->add();
-                if (entry.metrics.exec_ms)
-                    entry.metrics.exec_ms->observe(
-                        toMilliseconds(vdur));
-                if (workerInvocations_.size() > w &&
-                    workerInvocations_[w])
-                    workerInvocations_[w]->add();
-                if (sink_) {
-                    Span span;
-                    span.task = entry.stats.name;
-                    span.unit = entry.plugin->execUnit();
-                    span.arrival = item.arrival;
-                    span.start = now;
-                    span.completion = completion;
-                    span.host_seconds = out.host_seconds;
-                    span.id = span_id;
-                    span.worker = static_cast<std::uint32_t>(w + 1);
-                    sink_->recordSpan(std::move(span));
-                }
+                recordWorker(entry, rec, out, span_id, w);
             }
 
             // Topic wakeups raised by the invocation become ready
@@ -714,51 +565,10 @@ PoolExecutor::runVirtual(Duration duration)
     for (const ReadyItem &item : ready)
         --entries_[item.task]->sim_queued;
 
-    {
-        std::lock_guard<std::mutex> lock(handoffMutex_);
-        shutdownWorkers_ = true;
-    }
-    handoffCv_.notify_all();
-    for (std::thread &t : workers) {
-        if (t.joinable())
-            t.join();
-    }
     stopPlugins();
 }
 
 // ---------------------------------------------------------- stats
-
-std::size_t
-PoolExecutor::iterations(const std::string &name) const
-{
-    for (const auto &entry : entries_) {
-        if (entry->stats.name == name)
-            return entry->iterations.load();
-    }
-    return 0;
-}
-
-const TaskStats &
-PoolExecutor::stats(const std::string &name) const
-{
-    for (const auto &entry : entries_) {
-        if (entry->stats.name == name) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            return entry->stats;
-        }
-    }
-    throw std::out_of_range("no such task: " + name);
-}
-
-std::vector<std::string>
-PoolExecutor::taskNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(entries_.size());
-    for (const auto &entry : entries_)
-        names.push_back(entry->stats.name);
-    return names;
-}
 
 double
 PoolExecutor::cpuUtilization() const

@@ -1,8 +1,8 @@
 /**
  * @file
- * PoolExecutor: a fixed-size worker pool over the plugin set, the
- * third implementation of the Executor interface next to the
- * discrete-event SimScheduler and the thread-per-plugin RtExecutor.
+ * PoolExecutor: a fixed-size worker pool over the plugin set. It is
+ * the Executor implementation next to the discrete-event SimScheduler
+ * and the one engine that runs plugins on the wall clock.
  *
  * The pool runs the paper's three pipelines genuinely concurrently
  * (§III's per-stage variability only appears when stages contend),
@@ -22,13 +22,14 @@
  *  - topic-driven wakeups: event-driven plugins (period() <= 0) are
  *    subscribed to a switchboard topic and woken by its publishes,
  *    with bursts coalesced to one pending invocation ("latest wins");
- *  - a deterministic mode (virtual-clock barrier stepping): the run
- *    advances a virtual timeline event by event, invocations are
- *    handed to their assigned worker and barriered one at a time, and
+ *  - a deterministic mode (virtual-clock stepping): the run advances
+ *    a virtual timeline event by event, invocations run inline on the
+ *    calling thread one at a time in (time, lane, seq) order, and
  *    invocation costs are *modeled* — drawn from per-worker seeded
  *    Rng streams instead of measured host time — so two runs with the
- *    same seed produce byte-identical outputs (see DESIGN.md §4c for
- *    the determinism contract).
+ *    same seed produce byte-identical outputs. A worker is logical
+ *    there: it picks the Rng stream and tags the span (see DESIGN.md
+ *    §4c for the determinism contract).
  *
  * Instrumentation: every span carries the 1-based id of the worker
  * that executed it, and the pool exports per-lane ready-queue depth
@@ -73,7 +74,7 @@ PipelineLane laneForTask(const std::string &name);
 struct PoolExecutorConfig
 {
     std::size_t workers = 4;
-    /** Virtual-clock barrier stepping; runs are bit-reproducible. */
+    /** Virtual-clock stepping; runs are bit-reproducible. */
     bool deterministic = false;
     /** Seed of the per-worker Rng streams (deterministic mode). */
     std::uint64_t seed = 1;
@@ -128,12 +129,6 @@ class PoolExecutor : public ExecutorBase
 
     bool running() const { return running_.load(); }
 
-    /** Completed invocations of a plugin so far (live-readable). */
-    std::size_t iterations(const std::string &name) const;
-
-    const TaskStats &stats(const std::string &name) const override;
-    std::vector<std::string> taskNames() const override;
-
     const char *timeline() const override
     {
         return config_.deterministic ? "virtual" : "wall";
@@ -148,9 +143,8 @@ class PoolExecutor : public ExecutorBase
     double gpuUtilization() const;
 
   private:
-    struct Entry
+    struct Entry : TaskSlot
     {
-        Plugin *plugin = nullptr;
         PipelineLane lane = PipelineLane::Visual;
         Duration period = 0;      ///< <= 0 means event-driven.
         bool vsync_aligned = false;
@@ -165,9 +159,6 @@ class PoolExecutor : public ExecutorBase
         bool sim_running = false;
         int sim_queued = 0; ///< Ready-queue backlog of this entry.
 
-        std::atomic<std::size_t> iterations{0};
-        TaskStats stats;
-        TaskMetrics metrics;
         PublishListenerHandle listener;
     };
 
@@ -203,18 +194,17 @@ class PoolExecutor : public ExecutorBase
      *  only event-driven work remains. Caller holds mutex_. */
     TimePoint earliestRelease() const;
     void updateQueueGauges(TimePoint now);
-    void executeLive(Entry &entry, std::size_t worker_index,
-                     TimePoint release, TimePoint now);
+
+    /** Resolve the lane-depth gauges and per-worker counters. */
+    void internPoolMetrics();
+    /** recordInvocation() plus the pool's per-worker accounting for
+     *  worker @p w (0-based). Live mode: caller holds mutex_. */
+    void recordWorker(Entry &entry, const InvocationRecord &rec,
+                      const InvocationOutcome &out, std::uint64_t span_id,
+                      std::size_t w);
 
     // ---- deterministic mode ----
     void runVirtual(Duration duration);
-    void virtualWorkerMain(std::size_t worker_index);
-    /** Hand @p entry to worker @p w, barrier until the guarded
-     *  invocation returns on that worker's thread (the interceptor
-     *  and the plugin both run there, where TraceContext lives). */
-    InvocationOutcome handoff(Entry &entry, std::size_t w,
-                              TimePoint arrival, std::uint64_t attempt,
-                              std::uint64_t span_id);
     /** Modeled virtual cost of one invocation on worker @p w. */
     Duration modeledCost(const Entry &entry, std::size_t w);
 
@@ -230,21 +220,8 @@ class PoolExecutor : public ExecutorBase
     std::atomic<bool> running_{false};
     std::chrono::steady_clock::time_point epoch_;
 
-    // Deterministic-mode handoff slot (one in-flight task at a time;
-    // the barrier is what makes the interleaving reproducible).
-    std::mutex handoffMutex_;
-    std::condition_variable handoffCv_;
-    Entry *handoffEntry_ = nullptr;
-    std::size_t handoffWorker_ = 0;
-    TimePoint handoffArrival_ = 0;
-    std::uint64_t handoffAttempt_ = 0;
-    std::uint64_t handoffSpan_ = 0;
-    bool handoffDone_ = false;
-    InvocationOutcome handoffOutcome_;
-    bool shutdownWorkers_ = false;
-
     // Topic wakeups raised while a deterministic invocation runs;
-    // drained by the event loop after each barrier.
+    // drained by the event loop after each invocation.
     std::mutex simWakeupMutex_;
     std::vector<std::size_t> simWakeups_;
 

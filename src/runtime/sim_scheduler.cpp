@@ -3,8 +3,6 @@
 #include "foundation/profile.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
 
 namespace illixr {
 
@@ -17,29 +15,16 @@ SimScheduler::SimScheduler(const PlatformModel &platform)
 void
 SimScheduler::addPlugin(Plugin *plugin)
 {
-    Task t;
-    t.plugin = plugin;
-    t.stats.name = plugin->name();
-    t.stats.unit = plugin->execUnit();
-    t.stats.period = plugin->period();
-    t.metrics = internMetrics(t.stats.name);
-    notePlugin(plugin);
-    tasks_.push_back(std::move(t));
+    registerSlot(tasks_.emplace_back(), plugin, plugin->period());
 }
 
 void
 SimScheduler::addVsyncAlignedPlugin(Plugin *plugin, Duration vsync)
 {
-    Task t;
-    t.plugin = plugin;
-    t.stats.name = plugin->name();
-    t.stats.unit = plugin->execUnit();
-    t.stats.period = vsync;
+    Task &t = tasks_.emplace_back();
     t.vsync_aligned = true;
     t.vsync = vsync;
-    t.metrics = internMetrics(t.stats.name);
-    notePlugin(plugin);
-    tasks_.push_back(std::move(t));
+    registerSlot(t, plugin, vsync);
 }
 
 void
@@ -89,16 +74,8 @@ SimScheduler::dispatch(std::size_t task_index, TimePoint arrival)
         invokeGuarded(*task.plugin, attempt, arrival, span_id);
 
     if (out.suppressed) {
-        ++task.stats.suppressed;
-        if (sink_)
-            sink_->recordSkip(task.stats.name, arrival,
-                              SkipCause::Suppressed);
+        recordSuppressed(task, arrival);
         return;
-    }
-    if (out.exception) {
-        ++task.stats.exceptions;
-        if (task.metrics.exceptions)
-            task.metrics.exceptions->add();
     }
 
     const double host_seconds = std::max(1e-9, out.host_seconds);
@@ -126,27 +103,7 @@ SimScheduler::dispatch(std::size_t task_index, TimePoint arrival)
         rec.target_vsync =
             ((arrival + task.vsync - 1) / task.vsync) * task.vsync;
     }
-    task.stats.records.push_back(rec);
-    task.stats.exec_ms.add(toMilliseconds(vdur));
-    task.stats.busy += vdur;
-    ++task.stats.invocations;
-
-    if (task.metrics.invocations)
-        task.metrics.invocations->add();
-    if (task.metrics.exec_ms)
-        task.metrics.exec_ms->observe(toMilliseconds(vdur));
-
-    if (sink_) {
-        Span span;
-        span.task = task.stats.name;
-        span.unit = task.plugin->execUnit();
-        span.arrival = arrival;
-        span.start = start;
-        span.completion = completion;
-        span.host_seconds = host_seconds;
-        span.id = span_id;
-        sink_->recordSpan(std::move(span));
-    }
+    recordInvocation(task, rec, out, span_id, 0);
 
     // EMA of host duration drives the late-latch estimate.
     const double alpha = 0.2;
@@ -162,16 +119,10 @@ SimScheduler::run(Duration duration)
     startPlugins();
     runDuration_ = duration;
     now_ = 0;
-    // Seed arrivals.
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].vsync_aligned) {
-            // First dispatch aims at the first vsync; with no EMA yet
-            // it simply starts at 0.
-            scheduleArrival(i, 0);
-        } else {
-            scheduleArrival(i, 0);
-        }
-    }
+    // Seed arrivals; with no EMA yet a vsync-aligned task also
+    // starts at 0.
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+        scheduleArrival(i, 0);
 
     while (!queue_.empty()) {
         // Cooperative eviction (Session::stop()): wind down at the
@@ -191,16 +142,10 @@ SimScheduler::run(Duration duration)
         }
 
         // Arrival.
-        if (task.running && task.plugin->skipOnOverrun()) {
-            ++task.stats.skips;
-            if (task.metrics.skips)
-                task.metrics.skips->add();
-            if (sink_)
-                sink_->recordSkip(task.stats.name, ev.time,
-                                  SkipCause::Overrun);
-        } else {
+        if (task.running && task.plugin->skipOnOverrun())
+            recordOverrun(task, ev.time);
+        else
             dispatch(ev.task, ev.time);
-        }
 
         // Schedule the next arrival.
         if (task.vsync_aligned) {
@@ -222,26 +167,6 @@ SimScheduler::run(Duration duration)
     }
     now_ = duration;
     stopPlugins();
-}
-
-const TaskStats &
-SimScheduler::stats(const std::string &name) const
-{
-    for (const Task &t : tasks_) {
-        if (t.stats.name == name)
-            return t.stats;
-    }
-    throw std::out_of_range("no such task: " + name);
-}
-
-std::vector<std::string>
-SimScheduler::taskNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(tasks_.size());
-    for (const Task &t : tasks_)
-        names.push_back(t.stats.name);
-    return names;
 }
 
 double

@@ -28,7 +28,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/plugin.hpp"
 
-#include <map>
+#include <deque>
 #include <memory>
 #include <queue>
 #include <string>
@@ -59,9 +59,6 @@ class SimScheduler : public ExecutorBase
     /** Current virtual time. */
     TimePoint now() const { return now_; }
 
-    const TaskStats &stats(const std::string &name) const override;
-    std::vector<std::string> taskNames() const override;
-
     const char *timeline() const override { return "virtual"; }
 
     /** Mean CPU hardware-thread utilization over the run, [0, 1]. */
@@ -73,11 +70,8 @@ class SimScheduler : public ExecutorBase
     const PlatformModel &platform() const { return platform_; }
 
   private:
-    struct Task
+    struct Task : TaskSlot
     {
-        Plugin *plugin = nullptr;
-        TaskStats stats;
-        TaskMetrics metrics;
         bool running = false;
         bool vsync_aligned = false;
         Duration vsync = 0;
@@ -106,7 +100,7 @@ class SimScheduler : public ExecutorBase
                               Duration duration);
 
     PlatformModel platform_;
-    std::vector<Task> tasks_;
+    std::deque<Task> tasks_; ///< Stable addresses for registerSlot().
     std::priority_queue<SimEvent, std::vector<SimEvent>,
                         std::greater<SimEvent>>
         queue_;

@@ -15,7 +15,8 @@
  *  - TraceSink: the append-only store of per-invocation spans (task,
  *    exec unit, arrival/start/completion, skip causes) and published-
  *    event records (id, parents, producing span). Both SimScheduler
- *    (virtual timeline) and RtExecutor (wall clock) feed it.
+ *    (virtual timeline) and PoolExecutor (wall clock, or virtual when
+ *    deterministic) feed it.
  *
  *  - Exporters: chrome://tracing JSON (spans as complete events, event
  *    edges as flow arrows) and a per-frame lineage CSV where every

@@ -171,15 +171,18 @@ TEST(PoolExecutorTest, LifecycleStartStopOrder)
     EXPECT_EQ(journal[journal.size() - 2], "b:stop");
     EXPECT_EQ(journal.back(), "a:stop");
     EXPECT_FALSE(pool.running());
+    EXPECT_STREQ(pool.timeline(), "wall");
 }
 
 TEST(PoolExecutorTest, StartStopIdempotentAndPrompt)
 {
     CountPlugin slow("slow", 10 * kSecond); // Parks workers mid-period.
+    CountPlugin busy("busy", kMillisecond);
     PoolExecutorConfig cfg;
     cfg.workers = 2;
     PoolExecutor pool(cfg);
     pool.addPlugin(&slow, PipelineLane::Visual);
+    pool.addPlugin(&busy, PipelineLane::Visual);
     pool.start();
     pool.start(); // Second start is a no-op.
     EXPECT_TRUE(pool.running());
@@ -194,6 +197,11 @@ TEST(PoolExecutorTest, StartStopIdempotentAndPrompt)
     // Workers were parked until t+10s; stop must not wait for that.
     EXPECT_LT(stop_ms, 2000);
     EXPECT_GE(slow.count.load(), 1); // The t=0 release ran.
+    // Stopped means stopped: counters do not advance afterwards.
+    const std::size_t after = pool.stats("busy").invocations;
+    EXPECT_GE(after, 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(pool.stats("busy").invocations, after);
 }
 
 TEST(PoolExecutorTest, PriorityLaneOrderingOnContention)

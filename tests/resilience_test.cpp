@@ -14,7 +14,6 @@
 #include "resilience/fault_injector.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/resilience.hpp"
-#include "runtime/rt_executor.hpp"
 #include "runtime/pool_executor.hpp"
 #include "runtime/sim_scheduler.hpp"
 #include "sensors/dataset.hpp"
@@ -372,18 +371,6 @@ TEST(FaultContainmentTest, SimSchedulerSurvivesThrowingPlugin)
     EXPECT_GT(good.count, 90);
     EXPECT_EQ(metrics.counter("task.bad.exceptions").value(),
               stats.exceptions);
-}
-
-TEST(FaultContainmentTest, RtExecutorSurvivesThrowingPlugin)
-{
-    ThrowingPlugin bad("bad", 5 * kMillisecond, 1); // Every call.
-    IdlePlugin good("good");
-    RtExecutor exec;
-    exec.addPlugin(&bad);
-    exec.addPlugin(&good);
-    exec.run(250 * kMillisecond);
-    EXPECT_GT(exec.stats("bad").exceptions, 5u);
-    EXPECT_GE(exec.iterations("good"), 5u);
 }
 
 TEST(FaultContainmentTest, PoolExecutorSurvivesThrowingPlugin)

@@ -3,22 +3,18 @@
  * Unit tests for the runtime core: phonebook, switchboard semantics
  * (sync vs async reads), plugin registry, the discrete-event
  * scheduler (periodicity, skip-on-overrun, contention, vsync
- * alignment), and the real-threaded executor.
+ * alignment), and the executor lifecycle.
  */
 
 #include "foundation/profile.hpp"
 #include "runtime/phonebook.hpp"
 #include "runtime/plugin.hpp"
-#include "runtime/rt_executor.hpp"
 #include "runtime/sim_scheduler.hpp"
 #include "runtime/switchboard.hpp"
 #include "trace/metrics_registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <type_traits>
 
 namespace illixr {
@@ -297,57 +293,6 @@ TEST(SimSchedulerTest, VsyncAlignedTaskTargetsVsync)
     EXPECT_GT(on_time, (stats.records.size() - 5) * 3 / 4);
 }
 
-TEST(RtExecutorTest, RunsPluginsLive)
-{
-    BurnPlugin fast("fast", 5 * kMillisecond, 10.0);
-    RtExecutor exec;
-    exec.addPlugin(&fast);
-    exec.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    exec.stop();
-    // ~24 iterations expected; allow generous slack for CI noise.
-    EXPECT_GE(exec.iterations("fast"), 8u);
-    EXPECT_LE(exec.iterations("fast"), 40u);
-    // The Executor-interface stats mirror the iteration counter.
-    EXPECT_EQ(exec.stats("fast").invocations, exec.iterations("fast"));
-    EXPECT_EQ(exec.taskNames().size(), 1u);
-    EXPECT_STREQ(exec.timeline(), "wall");
-}
-
-TEST(RtExecutorTest, StopCompletesPromptlyUnderLoad)
-{
-    // Regression: stop() used to let each plugin thread sleep out the
-    // remainder of its period before observing the flag, so a plugin
-    // with a long period stalled shutdown for up to that period (and
-    // a stop() racing a thread between its flag check and its sleep
-    // could miss the wakeup entirely). With the condition-variable
-    // handshake, stop() must return promptly even when one thread is
-    // parked 10 s into the future and others are busy iterating.
-    BurnPlugin parked("parked", 10 * kSecond, 1.0);
-    BurnPlugin busy_a("busy_a", kMillisecond, 200.0);
-    BurnPlugin busy_b("busy_b", kMillisecond, 200.0);
-    RtExecutor exec;
-    exec.addPlugin(&parked);
-    exec.addPlugin(&busy_a);
-    exec.addPlugin(&busy_b);
-    exec.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    const auto t0 = std::chrono::steady_clock::now();
-    exec.stop();
-    const auto stop_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    // Far below the parked plugin's 10 s period; generous for CI.
-    EXPECT_LT(stop_ms, 2000);
-    EXPECT_GE(exec.iterations("parked"), 1u); // The t=0 release ran.
-    EXPECT_GE(exec.iterations("busy_a"), 1u);
-    // Stopped means stopped: counters do not advance afterwards.
-    const std::size_t after = exec.iterations("busy_a");
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_EQ(exec.iterations("busy_a"), after);
-}
-
 TEST(SwitchboardTest, TypedHandlesRoundTrip)
 {
     Switchboard sb;
@@ -618,33 +563,6 @@ TEST(ExecutorLifecycleTest, SimSchedulerStartsAndStopsPlugins)
     EXPECT_EQ(journal[1], "b:start");
     EXPECT_EQ(journal[journal.size() - 2], "b:stop");
     EXPECT_EQ(journal.back(), "a:stop");
-}
-
-TEST(ExecutorLifecycleTest, RtExecutorRunIsStartSleepStop)
-{
-    std::vector<std::string> journal;
-    LifecyclePlugin a("a", &journal);
-    RtExecutor exec;
-    Executor &iface = exec; // The common interface drives both.
-    iface.addPlugin(&a);
-    iface.run(50 * kMillisecond);
-    ASSERT_GE(journal.size(), 3u);
-    EXPECT_EQ(journal.front(), "a:start");
-    EXPECT_EQ(journal[1], "a:first_iterate");
-    EXPECT_EQ(journal.back(), "a:stop");
-}
-
-TEST(ExecutorLifecycleTest, VsyncFallbackOnExecutorInterface)
-{
-    // Through the base interface, executors without late-latch
-    // scheduling treat vsync-aligned plugins as plain periodic.
-    std::vector<std::string> journal;
-    LifecyclePlugin a("a", &journal);
-    RtExecutor exec;
-    Executor &iface = exec;
-    iface.addVsyncAlignedPlugin(&a, periodFromHz(120.0));
-    iface.run(50 * kMillisecond);
-    EXPECT_GE(exec.iterations("a"), 1u);
 }
 
 } // namespace
