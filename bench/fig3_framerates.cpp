@@ -11,8 +11,9 @@
  * pipeline holds its target while the visual pipeline is severely
  * degraded.
  *
- * Flags: `--executor=sim|pool`, `--workers=N`, `--deterministic`,
- * `--seed=N` select the executor of the integrated runs; `--live`
+ * Flags: `--executor=sim|pool`, `--workers=N` (pool),
+ * `--deterministic` (sim: seeded modeled cost), `--seed=N` select the
+ * executor of the integrated runs; `--live`
  * instead measures the live PoolExecutor's wall-clock aggregate
  * throughput on a synthetic three-pipeline workload, and the
  * camera-pipeline latency from inside pool tasks.

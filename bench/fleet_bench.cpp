@@ -8,9 +8,9 @@
  * is per-session latency, so the fleet must report QoE per tenant,
  * not just totals.
  *
- *   fleet_bench --sessions=8 [--duration-ms=2000] [--deterministic]
+ *   fleet_bench --sessions=8 [--duration-ms=2000] [--json PATH]
  *               [--executor=sim|pool] [--workers=N] [--seed=N]
- *               [--json PATH]
+ *               [--deterministic]
  *
  * The ramp doubles from 1 up to --sessions (always ending exactly
  * there), one SessionManager round per rung with max_concurrent equal
@@ -18,10 +18,11 @@
  * concurrency. Each session gets its own seed (base + index). Under
  * the default sim executor the virtual schedule derives from measured
  * host cost, so per-session rates sag as rungs grow — that contention
- * curve IS the measurement. Under `--executor=pool --deterministic`
- * the modeled-cost virtual clock makes each session's results
- * byte-identical to a solo run of the same seed
- * (DeterminismTest.ConcurrentSessionsMatchSolo pins this).
+ * curve IS the measurement. With `--deterministic` the sim executor
+ * takes a seeded modeled cost instead, which makes each session's
+ * results byte-identical to a solo run of the same seed
+ * (DeterminismTest.ConcurrentSessionsMatchSolo pins this). The pool
+ * executor runs on the wall clock; `--workers=N` sizes it.
  */
 
 #include "bench_common.hpp"
@@ -208,7 +209,8 @@ main(int argc, char **argv)
                 stderr,
                 "unknown flag: %s\nusage: fleet_bench [--sessions=N] "
                 "[--duration-ms=M] [--json PATH] [--executor=sim|pool] "
-                "[--workers=N] [--deterministic] [--seed=N] [--edge] "
+                "[--workers=N (pool)] [--deterministic (sim)] "
+                "[--seed=N] [--edge] "
                 "[--edge-link=NAME] [--edge-slo-ms=MS] [--edge-batch=N]\n",
                 arg.c_str());
             return 2;

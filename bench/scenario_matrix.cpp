@@ -8,24 +8,25 @@
  * regression in ANY scenario cell fails the build, not just the
  * lab-walk average.
  *
- *   scenario_matrix [--scenarios=a,b,...] [--executors=sim,pool]
+ *   scenario_matrix [--scenarios=a,b,...] [--executors=sim,det]
  *                   [--widths=1,2] [--faults=clean,chaos]
  *                   [--duration-ms=1500] [--seed=N] [--json PATH]
  *
  * Scenario tokens are built-in family names ("circular",
  * "figure-eight", ...) or scenario file paths. Cells are keyed
- * `scn/<scenario>/<executor>/w<width>/<fault>/<metric>`.
+ * `scn/<scenario>/<executor>/w<width>/<fault>/<metric>`. Both
+ * executors are the SimScheduler: `sim` takes measured host cost,
+ * `det` the seeded modeled cost (`--deterministic`).
  *
  * Metric emission rules:
  *  - ate_cm / rte_cm: every cell (pose error against the scenario's
  *    exact analytic ground truth, sampled at the estimate's own
  *    timestamps so matching is exact).
- *  - mtp_p50_ms / mtp_p99_ms: deterministic-pool cells only. The sim
- *    executor's virtual schedule derives from measured host cost, so
- *    its MTP is machine-dependent and must not be gated.
+ *  - mtp_p50_ms / mtp_p99_ms: `det` cells only. The `sim` cells'
+ *    virtual schedule derives from measured host cost, so their MTP
+ *    is machine-dependent and must not be gated.
  *
- * The pool executor always runs in deterministic mode here: matrix
- * cells must be byte-reproducible run to run
+ * `det` cells are byte-reproducible run to run
  * (DeterminismTest.ScenarioRunsAreByteIdentical pins this).
  */
 
@@ -49,7 +50,7 @@ constexpr const char *kChaosPlan =
 struct CellSpec
 {
     Scenario scenario;
-    ExecutorKind executor = ExecutorKind::Sim;
+    bool deterministic = false; ///< `det` (seeded) vs `sim` (measured).
     std::size_t width = 1;
     bool chaos = false;
 };
@@ -58,7 +59,7 @@ std::string
 cellKey(const CellSpec &cell)
 {
     return "scn/" + cell.scenario.name + "/" +
-           executorKindName(cell.executor) + "/w" +
+           (cell.deterministic ? "det" : "sim") + "/w" +
            std::to_string(cell.width) + "/" +
            (cell.chaos ? "chaos" : "clean") + "/";
 }
@@ -68,12 +69,9 @@ runCell(const SessionConfig &base, const CellSpec &cell)
 {
     SessionConfig cfg = base;
     cfg.name = cellKey(cell);
-    cfg.executor = cell.executor;
+    cfg.executor = ExecutorKind::Sim;
+    cfg.deterministic = cell.deterministic;
     cfg.kernel_threads = cell.width;
-    if (cell.executor == ExecutorKind::Pool) {
-        cfg.deterministic = true;
-        cfg.pool_workers = 4;
-    }
     if (!cfg.applyScenario(cell.scenario)) {
         std::fprintf(stderr, "bad fault plan in scenario '%s'\n",
                      cell.scenario.name.c_str());
@@ -109,7 +107,7 @@ runCell(const SessionConfig &base, const CellSpec &cell)
     std::vector<std::pair<std::string, double>> metrics;
     metrics.emplace_back(key + "ate_cm", 100.0 * err.ate_rmse_m);
     metrics.emplace_back(key + "rte_cm", 100.0 * err.rte_rmse_m);
-    if (cell.executor == ExecutorKind::Pool) {
+    if (cell.deterministic) {
         metrics.emplace_back(key + "mtp_p50_ms",
                              r.mtp.latency_ms.percentile(50));
         metrics.emplace_back(key + "mtp_p99_ms",
@@ -173,7 +171,7 @@ main(int argc, char **argv)
     std::vector<std::string> scenario_specs = {
         "circular", "figure-eight", "rapid-rotation", "stop-and-stare",
         "occlusion-walk"};
-    std::vector<std::string> executor_names = {"sim", "pool"};
+    std::vector<std::string> executor_names = {"sim", "det"};
     std::vector<std::size_t> widths = {1, 2};
     std::vector<std::string> fault_names = {"clean", "chaos"};
     long duration_ms = 1500;
@@ -202,7 +200,7 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "unknown flag: %s\nusage: scenario_matrix "
-                "[--scenarios=a,b,...] [--executors=sim,pool] "
+                "[--scenarios=a,b,...] [--executors=sim,det] "
                 "[--widths=1,2] [--faults=clean,chaos] "
                 "[--duration-ms=M] [--seed=N] [--json PATH]\n",
                 arg.c_str());
@@ -223,15 +221,14 @@ main(int argc, char **argv)
         }
         scenarios.push_back(s);
     }
-    std::vector<ExecutorKind> executors;
+    std::vector<bool> executors; // true = det
     for (const std::string &name : executor_names) {
-        ExecutorKind kind;
-        if (!parseExecutorKind(name, kind)) {
+        if (name != "sim" && name != "det") {
             std::fprintf(stderr, "unknown executor '%s'\n",
                          name.c_str());
             return 2;
         }
-        executors.push_back(kind);
+        executors.push_back(name == "det");
     }
     std::vector<bool> faults;
     for (const std::string &name : fault_names) {
@@ -260,12 +257,12 @@ main(int argc, char **argv)
 
     std::vector<std::pair<std::string, double>> rows;
     for (const Scenario &scenario : scenarios) {
-        for (ExecutorKind executor : executors) {
+        for (bool deterministic : executors) {
             for (std::size_t width : widths) {
                 for (bool chaos : faults) {
                     CellSpec cell;
                     cell.scenario = scenario;
-                    cell.executor = executor;
+                    cell.deterministic = deterministic;
                     cell.width = width;
                     cell.chaos = chaos;
                     const auto metrics = runCell(base, cell);

@@ -24,13 +24,14 @@
  *   edge  — 2 edge-offloaded sessions (own server each, wifi6) under
  *           a mid-run link brownout (transport + breaker pressure)
  *
- * Runs on the deterministic virtual-clock pool by default, so every
- * emitted number — including the attribution tables — is a pure
- * function of (seed, config) and byte-identical across machines and
- * kernel widths (pinned by DeterminismTest.TailAttributionMatches
- * AcrossKernelWidths). --wall switches to live timing for measuring
- * real scheduler behaviour; those numbers are 1-core honest and NOT
- * comparable to the committed baselines.
+ * Runs on the seeded SimScheduler (virtual clock, modeled cost) by
+ * default, so every emitted number — including the attribution
+ * tables — is a pure function of (seed, config) and byte-identical
+ * across machines and kernel widths (pinned by DeterminismTest.
+ * TailAttributionMatchesAcrossKernelWidths). --wall switches to the
+ * live PoolExecutor for measuring real scheduler behaviour; those
+ * numbers are 1-core honest and NOT comparable to the committed
+ * baselines.
  *
  * --json emits flat lower-is-better keys for compare_bench.py
  * --require-max gates:
@@ -357,7 +358,7 @@ main(int argc, char **argv)
     }
 
     SessionConfig base = parse.config;
-    base.executor = ExecutorKind::Pool;
+    base.executor = wall ? ExecutorKind::Pool : ExecutorKind::Sim;
     base.deterministic = !wall;
     base.trace = true;
     base.tail.enabled = true;

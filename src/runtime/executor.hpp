@@ -1,11 +1,10 @@
 /**
  * @file
  * Executor: the one interface over both ways of running a plugin set
- * — the discrete-event SimScheduler (virtual timeline) and the
- * worker-pool PoolExecutor (wall clock live, or a seeded virtual
- * timeline in deterministic mode). Examples and benches program
- * against this interface, so simulated and live execution are
- * swappable without divergent call sites.
+ * — the discrete-event SimScheduler (virtual timeline, with measured
+ * or seeded cost) and the worker-pool PoolExecutor (wall clock).
+ * Examples and benches program against this interface, so simulated
+ * and live execution are swappable without divergent call sites.
  *
  * The base class also unifies the plugin lifecycle and the per-task
  * bookkeeping: run() calls Plugin::start() in registration order
@@ -69,6 +68,14 @@ struct TaskStats
     double achievedHz(Duration wall) const;
 };
 
+/**
+ * Backlog bound of a non-skip plugin (Plugin::skipOnOverrun() false):
+ * arrivals that find it busy may queue up to this many periods of
+ * catch-up work, counting the running invocation; any further arrival
+ * is booked as an overrun. Both engines enforce it.
+ */
+constexpr int kMaxCatchupPeriods = 8;
+
 /** The exception type thrown by injected crash faults. */
 struct InjectedFault : std::runtime_error
 {
@@ -107,8 +114,8 @@ struct InvocationOutcome
  * publishes does not inherit the invocation's lineage.
  *
  * Called from executor worker threads: implementations must be
- * thread-safe, and under the deterministic PoolExecutor must make
- * decisions that are pure functions of (task, attempt) — never of
+ * thread-safe, and under a seeded SimScheduler must make decisions
+ * that are pure functions of (task, attempt, virtual time) — never of
  * wall-clock time — to preserve the determinism contract.
  */
 class InvocationInterceptor

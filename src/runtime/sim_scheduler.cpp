@@ -6,8 +6,9 @@
 
 namespace illixr {
 
-SimScheduler::SimScheduler(const PlatformModel &platform)
-    : platform_(platform)
+SimScheduler::SimScheduler(const PlatformModel &platform,
+                           std::optional<std::uint64_t> seed)
+    : platform_(platform), seed_(seed)
 {
     cpuFreeAt_.assign(platform_.cpu_threads, 0);
 }
@@ -59,33 +60,38 @@ SimScheduler::acquireResource(ExecUnit unit, TimePoint earliest,
 }
 
 void
-SimScheduler::dispatch(std::size_t task_index, TimePoint arrival)
+SimScheduler::dispatch(std::size_t task_index, TimePoint arrival,
+                       TimePoint now)
 {
     Task &task = tasks_[task_index];
 
-    // Execute the plugin for real and measure its host cost. The
-    // invocation scope makes every switchboard read a causal input of
-    // every publish, all stamped with this span's id. The guarded
-    // call contains plugin exceptions and applies any interceptor
-    // decision (suppression, injected crash/stall/spike).
+    // Execute the plugin for real. The invocation scope makes every
+    // switchboard read a causal input of every publish, all stamped
+    // with this span's id. The guarded call contains plugin
+    // exceptions and applies any interceptor decision (suppression,
+    // injected crash/stall/spike).
     const std::uint64_t span_id = sink_ ? sink_->nextSpanId() : 0;
     const std::uint64_t attempt = ++task.stats.attempts;
     const InvocationOutcome out =
-        invokeGuarded(*task.plugin, attempt, arrival, span_id);
+        invokeGuarded(*task.plugin, attempt, now, span_id);
 
     if (out.suppressed) {
-        recordSuppressed(task, arrival);
+        // No cost draw: the seeded stream stays aligned across runs.
+        recordSuppressed(task, now);
         return;
     }
 
+    // The cost in host seconds: measured, or modeled when seeded.
     const double host_seconds = std::max(1e-9, out.host_seconds);
-    Duration vdur =
-        platform_.scaleDuration(host_seconds, task.plugin->execUnit());
+    const double cost_s =
+        seed_ ? toSeconds(task.stats.period / 4) * rng_.uniform(0.9, 1.1)
+              : host_seconds;
+    Duration vdur = platform_.scaleDuration(cost_s, task.plugin->execUnit());
     vdur = static_cast<Duration>(static_cast<double>(vdur) *
                                  out.duration_scale) +
            out.extra;
     const TimePoint start =
-        acquireResource(task.plugin->execUnit(), arrival, vdur);
+        acquireResource(task.plugin->execUnit(), now, vdur);
     const TimePoint completion = start + vdur;
 
     task.running = true;
@@ -105,12 +111,12 @@ SimScheduler::dispatch(std::size_t task_index, TimePoint arrival)
     }
     recordInvocation(task, rec, out, span_id, 0);
 
-    // EMA of host duration drives the late-latch estimate.
+    // EMA of the cost drives the late-latch estimate.
     const double alpha = 0.2;
     task.duration_ema_s = (task.duration_ema_s == 0.0)
-                              ? host_seconds
+                              ? cost_s
                               : (1.0 - alpha) * task.duration_ema_s +
-                                    alpha * host_seconds;
+                                    alpha * cost_s;
 }
 
 void
@@ -119,6 +125,8 @@ SimScheduler::run(Duration duration)
     startPlugins();
     runDuration_ = duration;
     now_ = 0;
+    if (seed_)
+        rng_ = Rng(*seed_);
     // Seed arrivals; with no EMA yet a vsync-aligned task also
     // starts at 0.
     for (std::size_t i = 0; i < tasks_.size(); ++i)
@@ -136,16 +144,25 @@ SimScheduler::run(Duration duration)
         now_ = ev.time;
         Task &task = tasks_[ev.task];
 
-        if (ev.type == 1) { // Completion.
+        if (ev.type == 1) { // Completion: run deferred catch-up work.
             task.running = false;
+            while (!task.running && !task.deferred.empty()) {
+                const TimePoint arrival = task.deferred.front();
+                task.deferred.pop_front();
+                dispatch(ev.task, arrival, ev.time);
+            }
             continue;
         }
 
         // Arrival.
-        if (task.running && task.plugin->skipOnOverrun())
+        if (!task.running)
+            dispatch(ev.task, ev.time, ev.time);
+        else if (task.plugin->skipOnOverrun() ||
+                 task.deferred.size() + 1 >=
+                     static_cast<std::size_t>(kMaxCatchupPeriods))
             recordOverrun(task, ev.time);
         else
-            dispatch(ev.task, ev.time);
+            task.deferred.push_back(ev.time);
 
         // Schedule the next arrival.
         if (task.vsync_aligned) {

@@ -116,14 +116,14 @@ Switchboard::attachSyncReader(const TopicPtr &t, std::size_t capacity)
 }
 
 EventPtr
-Switchboard::latestOf(const TopicState &t)
+Switchboard::latestOf(const TopicState &t, bool traced)
 {
     EventPtr e;
     {
         std::lock_guard<std::mutex> lock(t.mutex);
         e = t.latest;
     }
-    if (e)
+    if (e && traced)
         TraceContext::noteConsumed(e->trace);
     return e;
 }

@@ -235,6 +235,19 @@ class Switchboard
                 Switchboard::latestOf(*topic_));
         }
 
+        /**
+         * latest() without noting the event as a causal input: for
+         * control settings (degradation commands) that shape how a
+         * plugin runs but are not data its outputs derive from, so
+         * lineage never walks from a frame into an old command.
+         */
+        std::shared_ptr<const T>
+        peek() const
+        {
+            return std::static_pointer_cast<const T>(
+                Switchboard::latestOf(*topic_, false));
+        }
+
         explicit operator bool() const { return topic_ != nullptr; }
 
       private:
@@ -409,8 +422,8 @@ class Switchboard
                               std::shared_ptr<const T>(std::move(event))));
     }
 
-    /** The topic's newest event, noted as consumed (AsyncReader). */
-    static EventPtr latestOf(const TopicState &t);
+    /** The topic's newest event, noted as consumed when @p traced. */
+    static EventPtr latestOf(const TopicState &t, bool traced = true);
 
     /** Resolve per-topic counters from the attached registry. */
     void wireTopicMetricsLocked(TopicState &t) const;

@@ -29,8 +29,7 @@ namespace illixr {
 enum class ExecutorKind
 {
     Sim,  ///< Discrete-event SimScheduler (virtual time; default).
-    Pool, ///< PoolExecutor worker pool (wall time, or virtual when
-          ///< deterministic).
+    Pool, ///< PoolExecutor worker pool (wall time).
 };
 
 /** Parse an executor name ("sim" | "pool"). @return success. */
@@ -100,7 +99,8 @@ struct IntegratedConfig
      *  else serial); 1 = force serial. Results are bit-identical at
      *  any width. */
     std::size_t kernel_threads = 0;
-    /** Pool only: virtual-clock replay; byte-reproducible per seed. */
+    /** Sim only: seeded modeled cost instead of measured host time;
+     *  byte-reproducible per seed. */
     bool deterministic = false;
     /** Fault injection / supervision / degradation (off by default). */
     ResilienceConfig resilience;

@@ -36,7 +36,7 @@ void
 CameraPlugin::iterate(TimePoint now)
 {
     int stride = 1;
-    if (auto cmd = degradeReader_.latest())
+    if (auto cmd = degradeReader_.peek())
         stride = std::max(1, cmd->camera_stride);
     // Publish every recorded frame with capture time <= now. The
     // microsecond slack absorbs float-accumulated dataset timestamps
@@ -276,7 +276,7 @@ TimewarpPlugin::iterate(TimePoint now)
     // vsync is warped. Shed invocations leave no imuAges_ entry, so
     // MTP stays a mean over warps actually performed.
     int stride = 1;
-    if (auto cmd = degradeReader_.latest())
+    if (auto cmd = degradeReader_.peek())
         stride = std::max(1, cmd->reprojection_stride);
     const std::size_t warp_index = warpIndex_++;
     if (stride > 1 &&
@@ -359,7 +359,7 @@ AudioEncoderPlugin::iterate(TimePoint now)
     // N invocations return immediately and the Nth encodes the whole
     // batch, so no audio is lost.
     int coalesce = 1;
-    if (auto cmd = degradeReader_.latest())
+    if (auto cmd = degradeReader_.peek())
         coalesce = std::max(1, cmd->audio_coalesce);
     const std::size_t call = call_++;
     if (coalesce > 1 &&

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -284,6 +285,12 @@ SessionConfig::fromEnvAndArgs(int argc, const char *const *argv)
         }
         parse.unparsed.push_back(arg);
     }
+    if (parse.config.executor == ExecutorKind::Pool &&
+        parse.config.deterministic) {
+        parse.ok = false;
+        parse.error = "executor=pool runs on the wall clock and cannot "
+                      "be deterministic; use executor=sim";
+    }
     return parse;
 }
 
@@ -512,15 +519,18 @@ Session::runBody()
         std::unique_ptr<PoolExecutor> pool;
         ExecutorBase *executor = nullptr;
         if (config.executor == ExecutorKind::Pool) {
+            if (config.deterministic)
+                throw std::invalid_argument(
+                    "deterministic runs need executor=sim");
             PoolExecutorConfig pool_cfg;
             pool_cfg.workers = config.pool_workers;
-            pool_cfg.deterministic = config.deterministic;
-            pool_cfg.seed = config.seed;
-            pool_cfg.platform = config.platform;
             pool = std::make_unique<PoolExecutor>(pool_cfg);
             executor = pool.get();
         } else {
-            sim = std::make_unique<SimScheduler>(platform);
+            std::optional<std::uint64_t> seed;
+            if (config.deterministic)
+                seed = config.seed;
+            sim = std::make_unique<SimScheduler>(platform, seed);
             executor = sim.get();
         }
         executor->setMetrics(metrics.get());

@@ -124,7 +124,9 @@ struct SessionConfig : IntegratedConfig
      * The one-stop config entry point: defaults, then environment
      * overrides, then CLI flags (flags beat env). argv[0] is skipped;
      * unrecognised arguments are returned in Parse::unparsed rather
-     * than rejected, so tools can layer their own flags on top.
+     * than rejected, so tools can layer their own flags on top. A
+     * deterministic pool run (executor=pool with deterministic, from
+     * either source) is contradictory and fails the parse.
      */
     static Parse fromEnvAndArgs(int argc, const char *const *argv);
 };

@@ -1,8 +1,8 @@
 /**
  * @file
  * Golden-trace determinism test: the integrated system run twice
- * under the PoolExecutor's deterministic mode with the same seed must
- * produce byte-identical pose and frame-lineage CSVs (the determinism
+ * on a seeded SimScheduler with the same seed must produce
+ * byte-identical pose and frame-lineage CSVs (the determinism
  * contract of DESIGN.md §4c). A different seed must not.
  */
 
@@ -66,14 +66,13 @@ filesFor(const IntegratedResult &result, const std::string &tag)
     return files;
 }
 
-/** Deterministic pool config shared by the solo and fleet runs. */
+/** Seeded SimScheduler config shared by the solo and fleet runs. */
 IntegratedConfig
 detConfig(unsigned seed, const std::string &fault_spec = "",
           std::size_t kernel_threads = 0)
 {
     IntegratedConfig cfg;
-    cfg.executor = ExecutorKind::Pool;
-    cfg.pool_workers = 4;
+    cfg.executor = ExecutorKind::Sim;
     cfg.deterministic = true;
     cfg.seed = seed;
     cfg.kernel_threads = kernel_threads;

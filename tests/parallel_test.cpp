@@ -20,7 +20,7 @@
 #include "recon/tsdf.hpp"
 #include "render/app.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/pool_executor.hpp"
+#include "runtime/sim_scheduler.hpp"
 #include "sensors/world.hpp"
 #include "signal/fft.hpp"
 #include "slam/fast.hpp"
@@ -332,8 +332,9 @@ TEST(KernelPool, ConcurrentLaunchesFromManyThreadsComplete)
 TEST(KernelPool, NoDeadlockFromPoolExecutorTaskAtWidthOne)
 {
     WidthGuard width(1);
-    // A plugin iterating under the PoolExecutor launches kernels; at
-    // kernel width 1 everything must run inline on the task's worker.
+    // A plugin iterating under a seeded SimScheduler launches kernels;
+    // at kernel width 1 everything must run inline on the calling
+    // thread.
     class KernelPlugin : public Plugin
     {
       public:
@@ -353,12 +354,9 @@ TEST(KernelPool, NoDeadlockFromPoolExecutorTaskAtWidthOne)
         double total = 0.0;
     };
     KernelPlugin plugin;
-    PoolExecutorConfig cfg;
-    cfg.workers = 2;
-    cfg.deterministic = true;
-    PoolExecutor pool(cfg);
-    pool.addPlugin(&plugin);
-    pool.run(50 * kMillisecond);
+    SimScheduler sched(PlatformModel::get(PlatformId::Desktop), 1);
+    sched.addPlugin(&plugin);
+    sched.run(50 * kMillisecond);
     EXPECT_GT(plugin.total, 0.0);
 }
 

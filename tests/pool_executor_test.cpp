@@ -1,9 +1,9 @@
 /**
  * @file
  * PoolExecutor tests: lifecycle, priority-lane ordering, rate-limit
- * adherence, topic-driven wakeups, deterministic-mode reproducibility,
- * and a multi-worker stress run across all three pipelines (built to
- * stay clean under ThreadSanitizer; the CI TSan leg runs it).
+ * adherence, worker/lane metrics, and a multi-worker stress run
+ * across all three pipelines (built to stay clean under
+ * ThreadSanitizer; the CI TSan leg runs it).
  */
 
 #include "foundation/profile.hpp"
@@ -112,13 +112,14 @@ class ProducerPlugin : public Plugin
     Switchboard::Writer<IntEvent> writer_;
 };
 
-/** Event-driven consumer (period <= 0), drains a topic reader. */
+/** Periodic consumer: drains a topic's SyncReader on every call. */
 class ConsumerPlugin : public Plugin
 {
   public:
-    ConsumerPlugin(std::string name, Switchboard *sb,
+    ConsumerPlugin(std::string name, Duration period, Switchboard *sb,
                    const std::string &topic)
-        : Plugin(std::move(name)), reader_(sb->reader<IntEvent>(topic))
+        : Plugin(std::move(name)), period_(period),
+          reader_(sb->reader<IntEvent>(topic))
     {
     }
 
@@ -130,12 +131,13 @@ class ConsumerPlugin : public Plugin
         invocations.fetch_add(1);
     }
 
-    Duration period() const override { return 0; }
+    Duration period() const override { return period_; }
 
     std::atomic<int> consumed{0};
     std::atomic<int> invocations{0};
 
   private:
+    Duration period_;
     Switchboard::Reader<IntEvent> reader_;
 };
 
@@ -235,36 +237,6 @@ TEST(PoolExecutorTest, PriorityLaneOrderingOnContention)
     EXPECT_EQ(order[2], "audio_playback");
 }
 
-TEST(PoolExecutorTest, DeterministicLaneOrderingAtEqualTime)
-{
-    // Same contention scenario on the virtual timeline: arrivals at
-    // t=0 are dispatched in lane order regardless of registration.
-    std::vector<std::string> journal;
-    std::mutex mutex;
-    JournalPlugin audio("audio_playback", 20 * kMillisecond, &journal,
-                        &mutex);
-    JournalPlugin visual("application", 20 * kMillisecond, &journal,
-                         &mutex);
-    JournalPlugin percep("camera", 20 * kMillisecond, &journal, &mutex);
-    PoolExecutorConfig cfg;
-    cfg.workers = 1;
-    cfg.deterministic = true;
-    PoolExecutor pool(cfg);
-    pool.addPlugin(&audio);
-    pool.addPlugin(&visual);
-    pool.addPlugin(&percep);
-    pool.run(30 * kMillisecond);
-    std::vector<std::string> order;
-    for (const std::string &s : journal) {
-        if (s.find(':') == std::string::npos)
-            order.push_back(s);
-    }
-    ASSERT_GE(order.size(), 3u);
-    EXPECT_EQ(order[0], "camera");
-    EXPECT_EQ(order[1], "application");
-    EXPECT_EQ(order[2], "audio_playback");
-}
-
 TEST(PoolExecutorTest, RateLimitedPeriodicTask)
 {
     // A 20 ms task over ~300 ms wall: at most one invocation per
@@ -284,96 +256,12 @@ TEST(PoolExecutorTest, RateLimitedPeriodicTask)
               static_cast<std::size_t>(task.count.load()));
 }
 
-TEST(PoolExecutorTest, TopicDrivenWakeupAndCoalescing)
-{
-    Switchboard sb;
-    ConsumerPlugin consumer("consumer", &sb, "t");
-    PoolExecutorConfig cfg;
-    cfg.workers = 1;
-    PoolExecutor pool(cfg);
-    pool.addEventDrivenPlugin(&consumer, PipelineLane::Perception, sb,
-                              "t");
-    pool.start();
-    // No publishes yet: the consumer must not run.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_EQ(consumer.invocations.load(), 0);
-    // A burst of publishes wakes it; bursts may coalesce, so the
-    // invocation count is in [1, 10] but every event is consumed.
-    auto writer = sb.writer<IntEvent>("t");
-    for (int i = 0; i < 10; ++i)
-        writer.put(makeEvent<IntEvent>());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (consumer.consumed.load() < 10 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    pool.stop();
-    EXPECT_EQ(consumer.consumed.load(), 10);
-    EXPECT_GE(consumer.invocations.load(), 1);
-    EXPECT_LE(consumer.invocations.load(), 10);
-}
-
-TEST(PoolExecutorTest, DeterministicModeIsReproducible)
-{
-    // Two runs, same seed: identical invocation records on the
-    // virtual timeline (times are modeled, not measured).
-    auto once = [](std::uint64_t seed) {
-        CountPlugin cam("camera", 10 * kMillisecond);
-        CountPlugin app("application", 8 * kMillisecond);
-        CountPlugin aud("audio_encoding", 20 * kMillisecond);
-        PoolExecutorConfig cfg;
-        cfg.workers = 2;
-        cfg.deterministic = true;
-        cfg.seed = seed;
-        PoolExecutor pool(cfg);
-        pool.addPlugin(&cam);
-        pool.addPlugin(&app);
-        pool.addPlugin(&aud);
-        pool.run(500 * kMillisecond);
-        std::vector<InvocationRecord> records;
-        for (const std::string &name : pool.taskNames()) {
-            const TaskStats &stats = pool.stats(name);
-            records.insert(records.end(), stats.records.begin(),
-                           stats.records.end());
-        }
-        return records;
-    };
-    const auto a = once(7);
-    const auto b = once(7);
-    ASSERT_EQ(a.size(), b.size());
-    ASSERT_GT(a.size(), 50u);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].arrival, b[i].arrival);
-        EXPECT_EQ(a[i].start, b[i].start);
-        EXPECT_EQ(a[i].virtual_duration, b[i].virtual_duration);
-        EXPECT_EQ(a[i].completion, b[i].completion);
-    }
-    // A different seed draws different modeled costs.
-    const auto c = once(8);
-    ASSERT_EQ(a.size(), c.size());
-    bool any_differs = false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        any_differs |= a[i].virtual_duration != c[i].virtual_duration;
-    EXPECT_TRUE(any_differs);
-}
-
-TEST(PoolExecutorTest, DeterministicTimelineIsVirtual)
-{
-    PoolExecutorConfig det;
-    det.deterministic = true;
-    PoolExecutor sim_pool(det);
-    EXPECT_STREQ(sim_pool.timeline(), "virtual");
-    PoolExecutor live_pool;
-    EXPECT_STREQ(live_pool.timeline(), "wall");
-}
-
 TEST(PoolExecutorTest, ExportsWorkerAndLaneMetrics)
 {
     MetricsRegistry metrics;
     CountPlugin cam("camera", 10 * kMillisecond);
     PoolExecutorConfig cfg;
     cfg.workers = 2;
-    cfg.deterministic = true;
     PoolExecutor pool(cfg);
     pool.setMetrics(&metrics);
     pool.addPlugin(&cam);
@@ -389,29 +277,29 @@ TEST(PoolExecutorTest, ExportsWorkerAndLaneMetrics)
 
 TEST(PoolExecutorStressTest, FourWorkersThreePipelines)
 {
-    // The TSan target: producers and event-driven consumers on all
-    // three pipelines under a 4-worker pool, live, ~250 ms.
+    // The TSan target: producers and periodic consumers on all three
+    // pipelines under a 4-worker pool, live, ~250 ms. Each consumer
+    // drains its SyncReader while the producer publishes.
     Switchboard sb;
     ProducerPlugin cam("camera", 5 * kMillisecond, &sb, "frames");
     ProducerPlugin imu("imu", 2 * kMillisecond, &sb, "imu");
-    ConsumerPlugin vio("vio", &sb, "frames");
+    ConsumerPlugin vio("vio", 3 * kMillisecond, &sb, "frames");
     ProducerPlugin app("application", 8 * kMillisecond, &sb, "eyes");
-    ConsumerPlugin warp("timewarp", &sb, "eyes");
+    ConsumerPlugin warp("timewarp", 4 * kMillisecond, &sb, "eyes");
     ProducerPlugin enc("audio_encoding", 10 * kMillisecond, &sb,
                        "audio");
-    ConsumerPlugin play("audio_playback", &sb, "audio");
+    ConsumerPlugin play("audio_playback", 6 * kMillisecond, &sb, "audio");
 
     PoolExecutorConfig cfg;
     cfg.workers = 4;
     PoolExecutor pool(cfg);
     pool.addPlugin(&cam);
     pool.addPlugin(&imu);
-    pool.addEventDrivenPlugin(&vio, PipelineLane::Perception, sb,
-                              "frames");
+    pool.addPlugin(&vio);
     pool.addPlugin(&app);
-    pool.addEventDrivenPlugin(&warp, PipelineLane::Visual, sb, "eyes");
+    pool.addPlugin(&warp);
     pool.addPlugin(&enc);
-    pool.addEventDrivenPlugin(&play, PipelineLane::Audio, sb, "audio");
+    pool.addPlugin(&play);
     pool.run(250 * kMillisecond);
 
     EXPECT_GT(cam.count.load(), 0);

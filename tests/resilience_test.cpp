@@ -397,11 +397,7 @@ TEST(FaultContainmentTest, DeterministicPoolCountsInjectedCrashes)
         plan.crash_rate = 0.2;
         plan.tasks = {"bad"};
         FaultInjector injector(plan);
-        PoolExecutorConfig cfg;
-        cfg.workers = 2;
-        cfg.deterministic = true;
-        cfg.seed = seed;
-        PoolExecutor exec(cfg);
+        SimScheduler exec(PlatformModel::get(PlatformId::Desktop), seed);
         exec.setInterceptor(&injector);
         exec.addPlugin(&bad);
         exec.addPlugin(&good);

@@ -2,19 +2,22 @@
  * @file
  * Unit tests for the runtime core: phonebook, switchboard semantics
  * (sync vs async reads), plugin registry, the discrete-event
- * scheduler (periodicity, skip-on-overrun, contention, vsync
- * alignment), and the executor lifecycle.
+ * scheduler (periodicity, skip-on-overrun, bounded catch-up,
+ * contention, vsync alignment, seeded reproducibility), and the
+ * executor lifecycle.
  */
 
 #include "foundation/profile.hpp"
 #include "runtime/phonebook.hpp"
 #include "runtime/plugin.hpp"
+#include "runtime/pool_executor.hpp"
 #include "runtime/sim_scheduler.hpp"
 #include "runtime/switchboard.hpp"
 #include "trace/metrics_registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <type_traits>
 
 namespace illixr {
@@ -51,6 +54,35 @@ TEST(SwitchboardTest, AsyncReadReturnsLatest)
     ASSERT_NE(latest, nullptr);
     EXPECT_EQ(latest->value, 4);
     EXPECT_EQ(sb.publishCount("t"), 5u);
+}
+
+TEST(SwitchboardTest, PeekIsNotACausalInput)
+{
+    // latest() makes the read event a parent of what the invocation
+    // publishes; peek() (control settings) does not.
+    Switchboard sb;
+    auto cmd = sb.writer<IntEvent>("cmd");
+    cmd.put(makeEvent<IntEvent>());
+    auto cmd_reader = sb.asyncReader<IntEvent>("cmd");
+    auto out = sb.writer<IntEvent>("out");
+    auto out_reader = sb.reader<IntEvent>("out");
+
+    TraceContext::beginInvocation(1, 0);
+    ASSERT_NE(cmd_reader.peek(), nullptr);
+    out.put(makeEvent<IntEvent>());
+    TraceContext::endInvocation();
+    auto peeked = out_reader.pop();
+    ASSERT_NE(peeked, nullptr);
+    EXPECT_TRUE(peeked->parents.empty());
+
+    TraceContext::beginInvocation(2, 0);
+    ASSERT_NE(cmd_reader.latest(), nullptr);
+    out.put(makeEvent<IntEvent>());
+    TraceContext::endInvocation();
+    auto read = out_reader.pop();
+    ASSERT_NE(read, nullptr);
+    ASSERT_EQ(read->parents.size(), 1u);
+    EXPECT_EQ(read->parents[0].key(), cmd.lastId().key());
 }
 
 TEST(SwitchboardTest, SyncReaderSeesEveryValueInOrder)
@@ -291,6 +323,149 @@ TEST(SimSchedulerTest, VsyncAlignedTaskTargetsVsync)
             ++on_time;
     }
     EXPECT_GT(on_time, (stats.records.size() - 5) * 3 / 4);
+}
+
+TEST(SimSchedulerTest, NonSkipPluginNeverOverlapsItself)
+{
+    // 3 ms of work every 2 ms, and the plugin may not skip: each
+    // arrival that finds it busy waits for the completion, and the
+    // backlog stops growing at kMaxCatchupPeriods.
+    BurnPlugin imu("imu", 2 * kMillisecond, 3000.0, ExecUnit::Cpu,
+                   /*skip=*/false);
+    SimScheduler sched(PlatformModel::get(PlatformId::Desktop));
+    sched.addPlugin(&imu);
+    const Duration run = 200 * kMillisecond;
+    sched.run(run);
+    const TaskStats &stats = sched.stats("imu");
+    ASSERT_GT(stats.records.size(), 10u);
+    for (std::size_t i = 1; i < stats.records.size(); ++i)
+        EXPECT_GE(stats.records[i].start, stats.records[i - 1].completion)
+            << "invocation " << i << " overlaps its predecessor";
+    // Every arrival at t = 0, 2, ..., 200 ms ran, was dropped over the
+    // cap, or still waits in the (at most cap - 1 deep) backlog.
+    const std::size_t arrivals = run / (2 * kMillisecond) + 1;
+    EXPECT_GT(stats.skips, 0u);
+    EXPECT_LE(stats.invocations + stats.skips, arrivals);
+    EXPECT_GE(stats.invocations + stats.skips + kMaxCatchupPeriods - 1,
+              arrivals);
+}
+
+/** Records of every task of a seeded run, in registration order. */
+std::vector<InvocationRecord>
+allRecords(const SimScheduler &sched)
+{
+    std::vector<InvocationRecord> records;
+    for (const std::string &name : sched.taskNames()) {
+        const TaskStats &stats = sched.stats(name);
+        records.insert(records.end(), stats.records.begin(),
+                       stats.records.end());
+    }
+    return records;
+}
+
+TEST(SimSchedulerTest, DeterministicModeIsReproducible)
+{
+    // Two runs, same seed: identical invocation records on the
+    // virtual timeline (costs are modeled, not measured).
+    auto once = [](std::uint64_t seed) {
+        BurnPlugin cam("camera", 10 * kMillisecond, 0.0);
+        BurnPlugin app("application", 8 * kMillisecond, 0.0,
+                       ExecUnit::GpuGraphics);
+        BurnPlugin aud("audio_encoding", 20 * kMillisecond, 0.0);
+        SimScheduler sched(PlatformModel::get(PlatformId::Desktop), seed);
+        sched.addPlugin(&cam);
+        sched.addPlugin(&app);
+        sched.addPlugin(&aud);
+        sched.run(500 * kMillisecond);
+        return allRecords(sched);
+    };
+    const auto a = once(7);
+    const auto b = once(7);
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_GT(a.size(), 50u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].arrival, b[i].arrival);
+        EXPECT_EQ(a[i].start, b[i].start);
+        EXPECT_EQ(a[i].virtual_duration, b[i].virtual_duration);
+        EXPECT_EQ(a[i].completion, b[i].completion);
+    }
+    // A different seed draws different modeled costs.
+    const auto c = once(8);
+    ASSERT_EQ(a.size(), c.size());
+    bool any_differs = false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        any_differs |= a[i].virtual_duration != c[i].virtual_duration;
+    EXPECT_TRUE(any_differs);
+}
+
+TEST(SimSchedulerTest, DeterministicTimelineIsVirtual)
+{
+    SimScheduler seeded(PlatformModel::get(PlatformId::Desktop), 1);
+    EXPECT_STREQ(seeded.timeline(), "virtual");
+    PoolExecutor live_pool;
+    EXPECT_STREQ(live_pool.timeline(), "wall");
+}
+
+/** Burns a host-random 0-3 ms per call (differs run to run). */
+class RandomBurnPlugin : public Plugin
+{
+  public:
+    RandomBurnPlugin(std::string name, Duration period, ExecUnit unit)
+        : Plugin(std::move(name)), period_(period), unit_(unit)
+    {
+    }
+
+    void
+    iterate(TimePoint) override
+    {
+        const double burn_s =
+            std::uniform_real_distribution<double>(0.0, 3e-3)(host_);
+        const double start = hostTimeSeconds();
+        while (hostTimeSeconds() - start < burn_s) {
+        }
+    }
+
+    Duration period() const override { return period_; }
+    ExecUnit execUnit() const override { return unit_; }
+
+  private:
+    Duration period_;
+    ExecUnit unit_;
+    std::random_device host_;
+};
+
+TEST(SimSchedulerTest, SeededTimelineIgnoresHostTime)
+{
+    // Host cost varies freely between the two runs; with a seed none
+    // of it may reach the timeline — not the costs, and not the
+    // late-latched reprojection arrivals (whose budget is an EMA of
+    // past costs).
+    auto once = [] {
+        RandomBurnPlugin app("application", 16 * kMillisecond,
+                             ExecUnit::GpuGraphics);
+        RandomBurnPlugin warp("timewarp", 0, ExecUnit::GpuGraphics);
+        RandomBurnPlugin imu("imu", 5 * kMillisecond, ExecUnit::Cpu);
+        SimScheduler sched(PlatformModel::get(PlatformId::Desktop), 3);
+        sched.addPlugin(&app);
+        sched.addVsyncAlignedPlugin(&warp, periodFromHz(120.0));
+        sched.addPlugin(&imu);
+        sched.run(250 * kMillisecond);
+        return allRecords(sched);
+    };
+    const auto a = once();
+    const auto b = once();
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_GT(a.size(), 60u);
+    bool host_differs = false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].arrival, b[i].arrival);
+        EXPECT_EQ(a[i].start, b[i].start);
+        EXPECT_EQ(a[i].virtual_duration, b[i].virtual_duration);
+        EXPECT_EQ(a[i].completion, b[i].completion);
+        EXPECT_EQ(a[i].target_vsync, b[i].target_vsync);
+        host_differs |= a[i].host_seconds != b[i].host_seconds;
+    }
+    EXPECT_TRUE(host_differs);
 }
 
 TEST(SwitchboardTest, TypedHandlesRoundTrip)

@@ -22,15 +22,14 @@
 namespace illixr {
 namespace {
 
-/** Small deterministic pool-executor session config. */
+/** Small deterministic (seeded SimScheduler) session config. */
 SessionConfig
 quickConfig(const std::string &name, unsigned seed = 11,
             Duration duration = 300 * kMillisecond)
 {
     SessionConfig cfg;
     cfg.name = name;
-    cfg.executor = ExecutorKind::Pool;
-    cfg.pool_workers = 2;
+    cfg.executor = ExecutorKind::Sim;
     cfg.deterministic = true;
     cfg.seed = seed;
     cfg.duration = duration;
@@ -247,6 +246,44 @@ TEST(SessionConfigTest, MalformedOwnedFlagIsAnError)
         SessionConfig::fromEnvAndArgs(2, argv);
     EXPECT_FALSE(parse.ok);
     EXPECT_NE(parse.error.find("--seed=banana"), std::string::npos);
+}
+
+TEST(SessionConfigTest, DeterministicPoolFlagsAreAnError)
+{
+    // The pool runs on the wall clock; asking it to be deterministic
+    // is contradictory, in either order of the flags.
+    const char *argv[] = {"prog", "--deterministic", "--executor=pool"};
+    const SessionConfig::Parse parse =
+        SessionConfig::fromEnvAndArgs(3, argv);
+    EXPECT_FALSE(parse.ok);
+    EXPECT_NE(parse.error.find("executor=sim"), std::string::npos);
+
+    const char *sim_argv[] = {"prog", "--deterministic", "--executor=sim"};
+    EXPECT_TRUE(SessionConfig::fromEnvAndArgs(3, sim_argv).ok);
+}
+
+TEST(SessionConfigTest, DeterministicPoolConfigFailsTheRun)
+{
+    // A config built in code bypasses the parser; the session itself
+    // refuses to run it live as if it were reproducible.
+    SessionConfig cfg = quickConfig("det-pool");
+    cfg.executor = ExecutorKind::Pool;
+    EXPECT_THROW(runIntegrated(cfg), std::invalid_argument);
+}
+
+TEST(SessionConfigTest, DeterministicPoolEnvIsAnError)
+{
+    ScopedEnv executor("ILLIXR_EXECUTOR", "pool");
+    ScopedEnv deterministic("ILLIXR_DETERMINISTIC", "1");
+    const char *argv[] = {"prog"};
+    const SessionConfig::Parse parse =
+        SessionConfig::fromEnvAndArgs(1, argv);
+    EXPECT_FALSE(parse.ok);
+    EXPECT_FALSE(parse.error.empty());
+
+    // A flag may still resolve the conflict: flags beat env.
+    const char *sim_argv[] = {"prog", "--executor=sim"};
+    EXPECT_TRUE(SessionConfig::fromEnvAndArgs(2, sim_argv).ok);
 }
 
 TEST(SessionConfigTest, MalformedEnvIsAnError)
