@@ -245,6 +245,13 @@ bilateralFilter(const ImageF &src, double spatial_sigma, double range_sigma)
     const double inv_2ss = 1.0 / (2.0 * spatial_sigma * spatial_sigma);
     const double inv_2rs = 1.0 / (2.0 * range_sigma * range_sigma);
 
+    // Spatial factor of each tap in row-major tap order, the same
+    // expression for every pixel.
+    std::vector<double> spatial;
+    for (int dy = -radius; dy <= radius; ++dy)
+        for (int dx = -radius; dx <= radius; ++dx)
+            spatial.push_back(std::exp(-(dx * dx + dy * dy) * inv_2ss));
+
     for (int y = 0; y < src.height(); ++y) {
         for (int x = 0; x < src.width(); ++x) {
             const double center = src.at(x, y);
@@ -254,15 +261,15 @@ bilateralFilter(const ImageF &src, double spatial_sigma, double range_sigma)
             }
             double acc = 0.0;
             double weight_sum = 0.0;
+            const double *tap = spatial.data();
             for (int dy = -radius; dy <= radius; ++dy) {
-                for (int dx = -radius; dx <= radius; ++dx) {
+                for (int dx = -radius; dx <= radius; ++dx, ++tap) {
                     const double v = src.atClamped(x + dx, y + dy);
                     if (v <= 0.0)
                         continue; // Reject invalid neighbors.
                     const double diff = v - center;
                     const double w =
-                        std::exp(-(dx * dx + dy * dy) * inv_2ss) *
-                        std::exp(-diff * diff * inv_2rs);
+                        *tap * std::exp(-diff * diff * inv_2rs);
                     acc += w * v;
                     weight_sum += w;
                 }

@@ -171,17 +171,13 @@ TsdfVolume::integrate(const DepthImage &depth, const CameraIntrinsics &intr,
                 });
 }
 
-float
-TsdfVolume::sdfAt(const Vec3 &world) const
+// Inlined into the raycast march, its hottest caller.
+inline float
+TsdfVolume::trilinear(int x0, int y0, int z0, double fx, double fy,
+                      double fz) const
 {
-    const Vec3 g = (world - params_.origin) / voxelSize_ -
-                   Vec3(0.5, 0.5, 0.5);
-    const int x0 = static_cast<int>(std::floor(g.x));
-    const int y0 = static_cast<int>(std::floor(g.y));
-    const int z0 = static_cast<int>(std::floor(g.z));
     if (!inGrid(x0, y0, z0) || !inGrid(x0 + 1, y0 + 1, z0 + 1))
         return 1.0f;
-    const double fx = g.x - x0, fy = g.y - y0, fz = g.z - z0;
     double acc = 0.0;
     for (int dz = 0; dz <= 1; ++dz) {
         for (int dy = 0; dy <= 1; ++dy) {
@@ -197,10 +193,19 @@ TsdfVolume::sdfAt(const Vec3 &world) const
 }
 
 float
+TsdfVolume::sdfAt(const Vec3 &world) const
+{
+    const Vec3 g = gridCoord(world);
+    const int x0 = static_cast<int>(std::floor(g.x));
+    const int y0 = static_cast<int>(std::floor(g.y));
+    const int z0 = static_cast<int>(std::floor(g.z));
+    return trilinear(x0, y0, z0, g.x - x0, g.y - y0, g.z - z0);
+}
+
+float
 TsdfVolume::weightAt(const Vec3 &world) const
 {
-    const Vec3 g = (world - params_.origin) / voxelSize_ -
-                   Vec3(0.5, 0.5, 0.5);
+    const Vec3 g = gridCoord(world);
     const int x0 = static_cast<int>(std::lround(g.x));
     const int y0 = static_cast<int>(std::lround(g.y));
     const int z0 = static_cast<int>(std::lround(g.z));
@@ -222,6 +227,22 @@ TsdfVolume::gradientAt(const Vec3 &world) const
     return Vec3(gx, gy, gz) / (2.0 * h);
 }
 
+namespace {
+
+/**
+ * The voxel std::lround(g) picks (weightAt), from fl = floor(g) and the
+ * exact fraction f = g - fl: halves round away from zero. Bitwise, not
+ * short-circuit, operators keep the unpredictable fraction test off
+ * the branch predictor.
+ */
+int
+nearestVoxel(double g, double fl, double f)
+{
+    return static_cast<int>(fl) + ((f > 0.5) | ((f == 0.5) & (g > 0.0)));
+}
+
+} // namespace
+
 void
 TsdfVolume::raycast(const CameraIntrinsics &intr,
                     const Pose &camera_to_world, std::vector<Vec3> &vertices,
@@ -237,6 +258,20 @@ TsdfVolume::raycast(const CameraIntrinsics &intr,
         params_.truncation / std::max(1, step_divisor);
     const double max_range = params_.side_meters * 1.8;
 
+    // Clip box: the grid widened by one voxel. A sample outside it has
+    // its nearest voxel outside the grid, reads weight 0 and can only
+    // clear prev_valid, which is still false before the entry and
+    // unused after the exit (the box is convex). So skipping those
+    // samples changes no output.
+    const double o[3] = {origin.x, origin.y, origin.z};
+    const double lo[3] = {params_.origin.x - voxelSize_,
+                          params_.origin.y - voxelSize_,
+                          params_.origin.z - voxelSize_};
+    const double hi[3] = {
+        params_.origin.x + params_.side_meters + voxelSize_,
+        params_.origin.y + params_.side_meters + voxelSize_,
+        params_.origin.z + params_.side_meters + voxelSize_};
+
     // Ray rows are independent; each writes its own vertex/normal
     // slots.
     parallelFor("tsdf_raycast", 0, static_cast<std::size_t>(h), 4,
@@ -245,34 +280,62 @@ TsdfVolume::raycast(const CameraIntrinsics &intr,
         for (int x = 0; x < w; ++x) {
             const Vec3 dir = camera_to_world.orientation.rotate(
                 intr.unproject(Vec2(x + 0.5, y + 0.5)));
+            const double d[3] = {dir.x, dir.y, dir.z};
+            double t_in = 0.3;
+            double t_out = max_range;
+            for (int a = 0; a < 3; ++a) {
+                if (d[a] == 0.0) {
+                    if (o[a] < lo[a] || o[a] > hi[a])
+                        t_out = -1.0; // Parallel to the slab, outside it.
+                    continue;
+                }
+                const double t1 = (lo[a] - o[a]) / d[a];
+                const double t2 = (hi[a] - o[a]) / d[a];
+                t_in = std::max(t_in, std::min(t1, t2));
+                t_out = std::min(t_out, std::max(t1, t2));
+            }
+            if (t_in > t_out)
+                continue;
+            // The samples are t = 0.3, 0.3 + step, ... summed one step
+            // at a time, so the ones inside the box are the same
+            // doubles as in a march from the camera.
             double t = 0.3;
+            while (t < t_in)
+                t += step;
             float prev_sdf = 1.0f;
             bool prev_valid = false;
-            while (t < max_range) {
-                const Vec3 p = origin + dir * t;
-                const float wgt = weightAt(p);
-                const float s = sdfAt(p);
-                if (wgt > 0.0f) {
-                    if (prev_valid && prev_sdf > 0.0f && s <= 0.0f) {
-                        // Linear zero-crossing interpolation.
-                        const double t_hit =
-                            t - step * s / (s - prev_sdf);
-                        const Vec3 hit = origin + dir * t_hit;
-                        const std::size_t i =
-                            static_cast<std::size_t>(y) * w + x;
-                        vertices[i] = hit;
-                        const Vec3 n = gradientAt(hit);
-                        const double nn = n.norm();
-                        if (nn > 1e-9)
-                            normals[i] = n / nn;
-                        break;
-                    }
-                    prev_sdf = s;
-                    prev_valid = true;
-                } else {
+            for (; t < max_range && t <= t_out; t += step) {
+                const Vec3 g = gridCoord(origin + dir * t);
+                const double flx = std::floor(g.x);
+                const double fly = std::floor(g.y);
+                const double flz = std::floor(g.z);
+                const double fx = g.x - flx, fy = g.y - fly, fz = g.z - flz;
+                const int nx = nearestVoxel(g.x, flx, fx);
+                const int ny = nearestVoxel(g.y, fly, fy);
+                const int nz = nearestVoxel(g.z, flz, fz);
+                if (!inGrid(nx, ny, nz) ||
+                    !(weight_[index(nx, ny, nz)] > 0.0f)) {
                     prev_valid = false;
+                    continue;
                 }
-                t += step;
+                const float s =
+                    trilinear(static_cast<int>(flx), static_cast<int>(fly),
+                              static_cast<int>(flz), fx, fy, fz);
+                if (prev_valid && prev_sdf > 0.0f && s <= 0.0f) {
+                    // Linear zero-crossing interpolation.
+                    const double t_hit = t - step * s / (s - prev_sdf);
+                    const Vec3 hit = origin + dir * t_hit;
+                    const std::size_t i =
+                        static_cast<std::size_t>(y) * w + x;
+                    vertices[i] = hit;
+                    const Vec3 n = gradientAt(hit);
+                    const double nn = n.norm();
+                    if (nn > 1e-9)
+                        normals[i] = n / nn;
+                    break;
+                }
+                prev_sdf = s;
+                prev_valid = true;
             }
         }
     }

@@ -84,6 +84,17 @@ class TsdfVolume
         return x >= 0 && y >= 0 && z >= 0 && x < params_.resolution &&
                y < params_.resolution && z < params_.resolution;
     }
+    /** Voxel-center grid coordinate of a world point. */
+    Vec3 gridCoord(const Vec3 &world) const
+    {
+        return (world - params_.origin) / voxelSize_ - Vec3(0.5, 0.5, 0.5);
+    }
+    /**
+     * Trilinear SDF of the cell whose lower corner is (x0, y0, z0), at
+     * fractions (fx, fy, fz); +1 if the cell leaves the grid.
+     */
+    float trilinear(int x0, int y0, int z0, double fx, double fy,
+                    double fz) const;
 
     TsdfParams params_;
     double voxelSize_;

@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace illixr {
 namespace {
@@ -150,6 +152,62 @@ TEST(FilterTest, BilateralPreservesEdgesAndIgnoresInvalid)
     EXPECT_NEAR(out.at(2, 8), 1.0f, 0.05);
     EXPECT_NEAR(out.at(12, 8), 3.0f, 0.05);
     EXPECT_FLOAT_EQ(out.at(4, 4), 0.0f);
+}
+
+TEST(FilterTest, BilateralMatchesReference)
+{
+    // Seeded random depth with invalid (<= 0) pixels, some on the
+    // border, against the direct formula: both factors evaluated with
+    // std::exp at every tap.
+    Rng rng(42);
+    ImageF depth(37, 29);
+    for (int y = 0; y < depth.height(); ++y)
+        for (int x = 0; x < depth.width(); ++x)
+            depth.at(x, y) = rng.uniform() < 0.15
+                                 ? 0.0f
+                                 : static_cast<float>(rng.uniform(0.5, 4.0));
+    depth.at(0, 0) = 0.0f;
+    depth.at(36, 5) = -1.0f;
+    depth.at(11, 28) = 0.0f;
+    depth.at(0, 17) = -0.25f;
+    const double range_sigma = 0.08;
+    for (double spatial_sigma : {1.2, 1.5}) {
+        SCOPED_TRACE(spatial_sigma);
+        const int radius = std::max(
+            1, static_cast<int>(std::ceil(2.0 * spatial_sigma)));
+        const double inv_2ss = 1.0 / (2.0 * spatial_sigma * spatial_sigma);
+        const double inv_2rs = 1.0 / (2.0 * range_sigma * range_sigma);
+        const ImageF out = bilateralFilter(depth, spatial_sigma, range_sigma);
+        for (int y = 0; y < depth.height(); ++y) {
+            for (int x = 0; x < depth.width(); ++x) {
+                const double center = depth.at(x, y);
+                float expected = 0.0f;
+                if (center > 0.0) {
+                    double acc = 0.0;
+                    double weight_sum = 0.0;
+                    for (int dy = -radius; dy <= radius; ++dy) {
+                        for (int dx = -radius; dx <= radius; ++dx) {
+                            const double v = depth.atClamped(x + dx, y + dy);
+                            if (v <= 0.0)
+                                continue;
+                            const double diff = v - center;
+                            const double w =
+                                std::exp(-(dx * dx + dy * dy) * inv_2ss) *
+                                std::exp(-diff * diff * inv_2rs);
+                            acc += w * v;
+                            weight_sum += w;
+                        }
+                    }
+                    expected = static_cast<float>(
+                        weight_sum > 0.0 ? acc / weight_sum : 0.0);
+                }
+                const float got = out.at(x, y);
+                ASSERT_EQ(std::memcmp(&got, &expected, sizeof(float)), 0)
+                    << "pixel (" << x << ", " << y << "): " << got
+                    << " vs " << expected;
+            }
+        }
+    }
 }
 
 TEST(FilterTest, DownsampleHalfHalvesDimensions)
