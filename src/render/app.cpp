@@ -43,11 +43,11 @@ XrApplication::renderEye(RgbImage &target, const Pose &eye)
         config_.fov_y_rad,
         static_cast<double>(config_.eye_width) / config_.eye_height,
         config_.near_z, config_.far_z);
-    const DirectionalLight light;
-    for (std::size_t i = 0; i < scene_.objects().size(); ++i) {
-        raster.draw(scene_.objects()[i].mesh, scene_.objectTransform(i),
-                    view, proj, light, scene_.objects()[i].shading);
-    }
+    std::vector<DrawCall> calls(scene_.objects().size());
+    for (std::size_t i = 0; i < calls.size(); ++i)
+        calls[i] = {&scene_.objects()[i].mesh, scene_.objectTransform(i),
+                    scene_.objects()[i].shading};
+    raster.draw(calls, view, proj, DirectionalLight{});
     stats_.triangles_submitted += raster.stats().triangles_submitted;
     stats_.triangles_rasterized += raster.stats().triangles_rasterized;
     stats_.fragments_shaded += raster.stats().fragments_shaded;

@@ -35,6 +35,7 @@ struct SetupTriangle
     double ax, ay, bx, by, cx, cy;
     double inv_area;
     int x0, x1, y0, y1; ///< Clamped bounding box.
+    ShadingModel shading; ///< Of the draw call the triangle belongs to.
 };
 
 /** Rows of the framebuffer covered by one rasterizer tile band. */
@@ -57,30 +58,44 @@ Rasterizer::clear(const Vec3 &color)
 }
 
 void
-Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
-                 const Mat4 &proj, const DirectionalLight &light,
-                 ShadingModel shading)
+Rasterizer::draw(const std::vector<DrawCall> &calls, const Mat4 &view,
+                 const Mat4 &proj, const DirectionalLight &light)
 {
-    ++stats_.draw_calls;
-    stats_.triangles_submitted += mesh.triangleCount();
-
-    const Mat4 mv = view * model;
-    const Mat4 mvp = proj * mv;
     const Vec3 light_dir = light.direction.normalized();
     // Camera position in world space (for specular).
     const Mat4 view_inv = view.inverse();
     const Vec3 eye(view_inv(0, 3), view_inv(1, 3), view_inv(2, 3));
 
+    // Every call's vertices are transformed into one joined array;
+    // call c owns [vert_base[c], vert_base[c + 1]).
+    std::vector<Mat4> mvp(calls.size());
+    std::vector<std::size_t> vert_base(calls.size() + 1, 0);
+    std::size_t tri_count = 0;
+    for (std::size_t c = 0; c < calls.size(); ++c) {
+        mvp[c] = proj * (view * calls[c].model);
+        vert_base[c + 1] = vert_base[c] + calls[c].mesh->vertices.size();
+        tri_count += calls[c].mesh->triangleCount();
+    }
+    stats_.draw_calls += calls.size();
+    stats_.triangles_submitted += tri_count;
+
     // Transform all vertices once. (`char`, not `vector<bool>`: tiles
     // write disjoint plain bytes, never shared packed words.)
-    std::vector<ShadedVertex> tv(mesh.vertices.size());
-    std::vector<char> valid(mesh.vertices.size(), 1);
-    parallelFor("raster_xform", 0, mesh.vertices.size(), 64,
+    std::vector<ShadedVertex> tv(vert_base.back());
+    std::vector<char> valid(vert_base.back(), 1);
+    parallelFor("raster_xform", 0, vert_base.back(), 64,
                 [&](std::size_t vb, std::size_t ve) {
+    // First call owning vertex vb; a tile may span several calls.
+    std::size_t c = static_cast<std::size_t>(
+        std::upper_bound(vert_base.begin(), vert_base.end(), vb) -
+        vert_base.begin() - 1);
     for (std::size_t i = vb; i < ve; ++i) {
-        const Vertex &v = mesh.vertices[i];
-        const Vec3 world = model.transformPoint(v.position);
-        const Vec4 clip = mvp * Vec4(v.position, 1.0);
+        while (i >= vert_base[c + 1])
+            ++c;
+        const DrawCall &call = calls[c];
+        const Vertex &v = call.mesh->vertices[i - vert_base[c]];
+        const Vec3 world = call.model.transformPoint(v.position);
+        const Vec4 clip = mvp[c] * Vec4(v.position, 1.0);
         if (clip.w <= 1e-6) {
             valid[i] = 0; // Behind the near plane.
             continue;
@@ -88,8 +103,8 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
         ShadedVertex &out = tv[i];
         out.inv_w = 1.0 / clip.w;
         out.ndc = Vec3(clip.x, clip.y, clip.z) * out.inv_w;
-        const Vec3 n = model.transformDirection(v.normal).normalized();
-        if (shading == ShadingModel::Gouraud) {
+        const Vec3 n = call.model.transformDirection(v.normal).normalized();
+        if (call.shading == ShadingModel::Gouraud) {
             const double diffuse =
                 std::max(0.0, n.dot(light_dir)) * light.intensity;
             out.color = v.color * (light.ambient + diffuse);
@@ -107,45 +122,52 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
     const double half_h = h / 2.0;
 
     // --- Triangle setup (serial): cull, clamp, and record screen
-    // geometry in submission order. ---
+    // geometry in submission order, call after call. ---
     std::vector<SetupTriangle> tris;
-    tris.reserve(mesh.indices.size() / 3);
-    for (std::size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
-        const std::uint32_t ia = mesh.indices[t];
-        const std::uint32_t ib = mesh.indices[t + 1];
-        const std::uint32_t ic = mesh.indices[t + 2];
-        if (!valid[ia] || !valid[ib] || !valid[ic])
-            continue;
-        const ShadedVertex &a = tv[ia];
-        const ShadedVertex &b = tv[ib];
-        const ShadedVertex &c = tv[ic];
+    tris.reserve(tri_count);
+    for (std::size_t ci = 0; ci < calls.size(); ++ci) {
+        const std::vector<std::uint32_t> &indices = calls[ci].mesh->indices;
+        const std::size_t base = vert_base[ci];
+        for (std::size_t t = 0; t + 2 < indices.size(); t += 3) {
+            const std::size_t ia = base + indices[t];
+            const std::size_t ib = base + indices[t + 1];
+            const std::size_t ic = base + indices[t + 2];
+            if (!valid[ia] || !valid[ib] || !valid[ic])
+                continue;
+            const ShadedVertex &a = tv[ia];
+            const ShadedVertex &b = tv[ib];
+            const ShadedVertex &c = tv[ic];
 
-        // Screen-space coordinates (y down).
-        const double ax = (a.ndc.x + 1.0) * half_w;
-        const double ay = (1.0 - a.ndc.y) * half_h;
-        const double bx = (b.ndc.x + 1.0) * half_w;
-        const double by = (1.0 - b.ndc.y) * half_h;
-        const double cx = (c.ndc.x + 1.0) * half_w;
-        const double cy = (1.0 - c.ndc.y) * half_h;
+            // Screen-space coordinates (y down).
+            const double ax = (a.ndc.x + 1.0) * half_w;
+            const double ay = (1.0 - a.ndc.y) * half_h;
+            const double bx = (b.ndc.x + 1.0) * half_w;
+            const double by = (1.0 - b.ndc.y) * half_h;
+            const double cx = (c.ndc.x + 1.0) * half_w;
+            const double cy = (1.0 - c.ndc.y) * half_h;
 
-        const double area = edgeFunction(ax, ay, bx, by, cx, cy);
-        if (area <= 0.0)
-            continue; // Backface (front faces are CCW, positive area).
+            const double area = edgeFunction(ax, ay, bx, by, cx, cy);
+            if (area <= 0.0)
+                continue; // Backface (front faces are CCW, positive area).
 
-        // Bounding box clamp.
-        const int x0 = std::max(
-            0, static_cast<int>(std::floor(std::min({ax, bx, cx}))));
-        const int x1 = std::min(
-            w - 1, static_cast<int>(std::ceil(std::max({ax, bx, cx}))));
-        const int y0 = std::max(
-            0, static_cast<int>(std::floor(std::min({ay, by, cy}))));
-        const int y1 = std::min(
-            h - 1, static_cast<int>(std::ceil(std::max({ay, by, cy}))));
-        if (x0 > x1 || y0 > y1)
-            continue;
-        ++stats_.triangles_rasterized;
-        tris.push_back({&a, &b, &c, ax, ay, bx, by, cx, cy, 1.0 / area,
-                        x0, x1, y0, y1});
+            // Bounding box clamp.
+            const int x0 = std::max(
+                0, static_cast<int>(std::floor(std::min({ax, bx, cx}))));
+            const int x1 = std::min(
+                w - 1,
+                static_cast<int>(std::ceil(std::max({ax, bx, cx}))));
+            const int y0 = std::max(
+                0, static_cast<int>(std::floor(std::min({ay, by, cy}))));
+            const int y1 = std::min(
+                h - 1,
+                static_cast<int>(std::ceil(std::max({ay, by, cy}))));
+            if (x0 > x1 || y0 > y1)
+                continue;
+            ++stats_.triangles_rasterized;
+            tris.push_back({&a, &b, &c, ax, ay, bx, by, cx, cy,
+                            1.0 / area, x0, x1, y0, y1,
+                            calls[ci].shading});
+        }
     }
 
     // --- Bin triangles into horizontal tile bands (serial, so each
@@ -161,8 +183,9 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
 
     // --- Rasterize bands in parallel. Every pixel belongs to exactly
     // one band and each band replays its triangles in submission
-    // order, so the depth-test sequence per pixel is identical to the
-    // serial rasterizer. Fragment counts combine in band order. ---
+    // order across all calls, so the depth-test sequence per pixel is
+    // identical to drawing the calls one by one on a serial
+    // rasterizer. Fragment counts combine in band order. ---
     std::vector<std::size_t> band_frags(bands, 0);
     parallelFor("raster_tiles", 0, bands, 1,
                 [&](std::size_t bb, std::size_t be) {
@@ -207,7 +230,7 @@ Rasterizer::draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
                 const double pc = w2 * c.inv_w / iw;
 
                 Vec3 rgb;
-                if (shading == ShadingModel::Gouraud) {
+                if (s.shading == ShadingModel::Gouraud) {
                     rgb = a.color * pa + b.color * pb + c.color * pc;
                 } else {
                     const Vec3 base =

@@ -16,6 +16,7 @@
 #include "render/mesh.hpp"
 
 #include <cstdint>
+#include <vector>
 
 namespace illixr {
 
@@ -45,6 +46,14 @@ struct RasterStats
     void reset() { *this = RasterStats(); }
 };
 
+/** One mesh of a draw list: geometry, placement and shading. */
+struct DrawCall
+{
+    const Mesh *mesh = nullptr;
+    Mat4 model;                                   ///< Model-to-world.
+    ShadingModel shading = ShadingModel::Gouraud;
+};
+
 /**
  * Color + depth framebuffer with draw calls.
  */
@@ -57,18 +66,26 @@ class Rasterizer
     void clear(const Vec3 &color);
 
     /**
-     * Draw a mesh.
+     * Draw a list of meshes in submission order: later calls are
+     * depth-tested against earlier ones exactly as if each were drawn
+     * on its own, but the whole list costs one vertex-transform and
+     * one band-raster kernel launch.
      *
-     * @param mesh    Geometry (world or model space).
-     * @param model   Model-to-world transform.
+     * @param calls   Meshes with their model transform and shading.
      * @param view    World-to-view transform.
      * @param proj    Perspective projection.
      * @param light   Scene light.
-     * @param shading Shading model.
      */
+    void draw(const std::vector<DrawCall> &calls, const Mat4 &view,
+              const Mat4 &proj, const DirectionalLight &light);
+
+    /** Draw one mesh (a one-element draw list). */
     void draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
               const Mat4 &proj, const DirectionalLight &light,
-              ShadingModel shading = ShadingModel::Gouraud);
+              ShadingModel shading = ShadingModel::Gouraud)
+    {
+        draw({DrawCall{&mesh, model, shading}}, view, proj, light);
+    }
 
     const RgbImage &color() const { return color_; }
     const ImageF &depth() const { return depth_; }

@@ -8,10 +8,17 @@
 #include "render/mesh.hpp"
 #include "render/rasterizer.hpp"
 #include "render/scenes.hpp"
+#include "runtime/parallel.hpp"
+#include "trace/metrics_registry.hpp"
+#include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 namespace illixr {
 namespace {
@@ -214,6 +221,369 @@ TEST(AppTest, RenderCostOrderingMatchesPaper)
     EXPECT_GT(shaded[0], shaded[1]);
     EXPECT_GT(shaded[1], shaded[2]);
     EXPECT_GT(shaded[2], shaded[3]);
+}
+
+// ------------------------------------------ Batched draw-list oracle
+
+/**
+ * The per-draw rasterizer the batched draw list replaced, kept as the
+ * bit-identity reference: each mesh is transformed, set up, binned and
+ * rasterized on its own, band after band, exactly as one draw call
+ * used to be (its kernel tiles replayed serially, which the kernel
+ * determinism contract makes equal to any width).
+ */
+struct PerDrawReference
+{
+    struct ShadedVertex
+    {
+        Vec3 ndc;
+        double inv_w = 0.0;
+        Vec3 color;
+        Vec3 normal;
+        Vec3 world;
+    };
+
+    struct SetupTriangle
+    {
+        const ShadedVertex *a = nullptr;
+        const ShadedVertex *b = nullptr;
+        const ShadedVertex *c = nullptr;
+        double ax, ay, bx, by, cx, cy;
+        double inv_area;
+        int x0, x1, y0, y1;
+    };
+
+    static constexpr int kBandRows = 16;
+
+    RgbImage color;
+    ImageF depth;
+    RasterStats stats;
+    std::size_t behind_near_plane = 0; ///< Vertices with clip.w <= 1e-6.
+
+    PerDrawReference(int width, int height, const Vec3 &background)
+        : color(width, height, background), depth(width, height, 1e30f)
+    {
+    }
+
+    static double edgeFunction(double ax, double ay, double bx, double by,
+                               double cx, double cy)
+    {
+        return (cx - ax) * (by - ay) - (cy - ay) * (bx - ax);
+    }
+
+    void draw(const Mesh &mesh, const Mat4 &model, const Mat4 &view,
+              const Mat4 &proj, const DirectionalLight &light,
+              ShadingModel shading)
+    {
+        ++stats.draw_calls;
+        stats.triangles_submitted += mesh.triangleCount();
+
+        const Mat4 mv = view * model;
+        const Mat4 mvp = proj * mv;
+        const Vec3 light_dir = light.direction.normalized();
+        const Mat4 view_inv = view.inverse();
+        const Vec3 eye(view_inv(0, 3), view_inv(1, 3), view_inv(2, 3));
+
+        std::vector<ShadedVertex> tv(mesh.vertices.size());
+        std::vector<char> valid(mesh.vertices.size(), 1);
+        for (std::size_t i = 0; i < mesh.vertices.size(); ++i) {
+            const Vertex &v = mesh.vertices[i];
+            const Vec3 world = model.transformPoint(v.position);
+            const Vec4 clip = mvp * Vec4(v.position, 1.0);
+            if (clip.w <= 1e-6) {
+                valid[i] = 0;
+                ++behind_near_plane;
+                continue;
+            }
+            ShadedVertex &out = tv[i];
+            out.inv_w = 1.0 / clip.w;
+            out.ndc = Vec3(clip.x, clip.y, clip.z) * out.inv_w;
+            const Vec3 n = model.transformDirection(v.normal).normalized();
+            if (shading == ShadingModel::Gouraud) {
+                const double diffuse =
+                    std::max(0.0, n.dot(light_dir)) * light.intensity;
+                out.color = v.color * (light.ambient + diffuse);
+            } else {
+                out.color = v.color;
+            }
+            out.normal = n;
+            out.world = world;
+        }
+
+        const int w = color.width();
+        const int h = color.height();
+        const double half_w = w / 2.0;
+        const double half_h = h / 2.0;
+
+        std::vector<SetupTriangle> tris;
+        for (std::size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
+            const std::uint32_t ia = mesh.indices[t];
+            const std::uint32_t ib = mesh.indices[t + 1];
+            const std::uint32_t ic = mesh.indices[t + 2];
+            if (!valid[ia] || !valid[ib] || !valid[ic])
+                continue;
+            const ShadedVertex &a = tv[ia];
+            const ShadedVertex &b = tv[ib];
+            const ShadedVertex &c = tv[ic];
+            const double ax = (a.ndc.x + 1.0) * half_w;
+            const double ay = (1.0 - a.ndc.y) * half_h;
+            const double bx = (b.ndc.x + 1.0) * half_w;
+            const double by = (1.0 - b.ndc.y) * half_h;
+            const double cx = (c.ndc.x + 1.0) * half_w;
+            const double cy = (1.0 - c.ndc.y) * half_h;
+            const double area = edgeFunction(ax, ay, bx, by, cx, cy);
+            if (area <= 0.0)
+                continue;
+            const int x0 = std::max(
+                0, static_cast<int>(std::floor(std::min({ax, bx, cx}))));
+            const int x1 = std::min(
+                w - 1,
+                static_cast<int>(std::ceil(std::max({ax, bx, cx}))));
+            const int y0 = std::max(
+                0, static_cast<int>(std::floor(std::min({ay, by, cy}))));
+            const int y1 = std::min(
+                h - 1,
+                static_cast<int>(std::ceil(std::max({ay, by, cy}))));
+            if (x0 > x1 || y0 > y1)
+                continue;
+            ++stats.triangles_rasterized;
+            tris.push_back({&a, &b, &c, ax, ay, bx, by, cx, cy,
+                            1.0 / area, x0, x1, y0, y1});
+        }
+
+        const std::size_t bands =
+            (static_cast<std::size_t>(h) + kBandRows - 1) / kBandRows;
+        std::vector<std::vector<std::size_t>> bins(bands);
+        for (std::size_t i = 0; i < tris.size(); ++i)
+            for (int band = tris[i].y0 / kBandRows;
+                 band <= tris[i].y1 / kBandRows; ++band)
+                bins[static_cast<std::size_t>(band)].push_back(i);
+
+        for (std::size_t band = 0; band < bands; ++band) {
+            const int band_y0 = static_cast<int>(band) * kBandRows;
+            const int band_y1 = std::min(h - 1, band_y0 + kBandRows - 1);
+            for (const std::size_t ti : bins[band]) {
+                const SetupTriangle &s = tris[ti];
+                const ShadedVertex &a = *s.a;
+                const ShadedVertex &b = *s.b;
+                const ShadedVertex &c = *s.c;
+                for (int py = std::max(s.y0, band_y0);
+                     py <= std::min(s.y1, band_y1); ++py) {
+                    for (int px = s.x0; px <= s.x1; ++px) {
+                        const double sx = px + 0.5;
+                        const double sy = py + 0.5;
+                        double w0 =
+                            edgeFunction(s.bx, s.by, s.cx, s.cy, sx, sy);
+                        double w1 =
+                            edgeFunction(s.cx, s.cy, s.ax, s.ay, sx, sy);
+                        double w2 =
+                            edgeFunction(s.ax, s.ay, s.bx, s.by, sx, sy);
+                        if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0)
+                            continue;
+                        w0 *= s.inv_area;
+                        w1 *= s.inv_area;
+                        w2 *= s.inv_area;
+                        const double z =
+                            w0 * a.ndc.z + w1 * b.ndc.z + w2 * c.ndc.z;
+                        if (z < -1.0 || z > 1.0)
+                            continue;
+                        if (z >= depth.at(px, py))
+                            continue;
+                        const double iw =
+                            w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w;
+                        const double pa = w0 * a.inv_w / iw;
+                        const double pb = w1 * b.inv_w / iw;
+                        const double pc = w2 * c.inv_w / iw;
+                        Vec3 rgb;
+                        if (shading == ShadingModel::Gouraud) {
+                            rgb = a.color * pa + b.color * pb +
+                                  c.color * pc;
+                        } else {
+                            const Vec3 base = a.color * pa +
+                                              b.color * pb + c.color * pc;
+                            const Vec3 n = (a.normal * pa +
+                                            b.normal * pb + c.normal * pc)
+                                               .normalized();
+                            const Vec3 world = a.world * pa +
+                                               b.world * pb + c.world * pc;
+                            const double diffuse =
+                                std::max(0.0, n.dot(light_dir)) *
+                                light.intensity;
+                            const Vec3 view_dir =
+                                (eye - world).normalized();
+                            const Vec3 half_vec =
+                                (view_dir + light_dir).normalized();
+                            const double spec =
+                                0.6 * std::pow(std::max(0.0,
+                                                        n.dot(half_vec)),
+                                               24.0);
+                            rgb = base * (light.ambient + diffuse) +
+                                  Vec3(spec, spec, spec);
+                        }
+                        depth.at(px, py) = static_cast<float>(z);
+                        color.setPixel(
+                            px, py,
+                            Vec3(std::clamp(rgb.x, 0.0, 1.0),
+                                 std::clamp(rgb.y, 0.0, 1.0),
+                                 std::clamp(rgb.z, 0.0, 1.0)));
+                        ++stats.fragments_shaded;
+                    }
+                }
+            }
+        }
+    }
+};
+
+bool
+sameBytes(const ImageF &a, const ImageF &b)
+{
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.width()) * a.height() *
+                           sizeof(float)) == 0;
+}
+
+bool
+sameBytes(const RgbImage &a, const RgbImage &b)
+{
+    return sameBytes(a.r, b.r) && sameBytes(a.g, b.g) &&
+           sameBytes(a.b, b.b);
+}
+
+bool
+sameStats(const RasterStats &a, const RasterStats &b)
+{
+    return a.triangles_submitted == b.triangles_submitted &&
+           a.triangles_rasterized == b.triangles_rasterized &&
+           a.fragments_shaded == b.fragments_shaded &&
+           a.draw_calls == b.draw_calls;
+}
+
+/** RAII kernel-pool width override (restores serial on exit). */
+class KernelWidth
+{
+  public:
+    explicit KernelWidth(std::size_t width)
+    {
+        KernelPool::instance().setWidth(width);
+    }
+    ~KernelWidth() { KernelPool::instance().setWidth(1); }
+};
+
+TEST(KernelEquivalence, RasterizerDrawListMatchesPerDrawCalls)
+{
+    // 72 rows: four full 16-row bands and a partial fifth one.
+    AppConfig cfg;
+    cfg.eye_width = 72;
+    cfg.eye_height = 72;
+    const Mat4 proj =
+        Mat4::perspective(cfg.fov_y_rad, 1.0, cfg.near_z, cfg.far_z);
+    const DirectionalLight light;
+    // Facing the centerpiece with floor behind the eye (vertices
+    // behind the near plane), turned and tilted, and sideways from the
+    // end of the colonnade.
+    const Pose heads[3] = {
+        Pose(Quat::identity(), Vec3(0, 1.6, 3.0)),
+        Pose(Quat::fromAxisAngle(Vec3(0, 1, 0), 0.6) *
+                 Quat::fromAxisAngle(Vec3(1, 0, 0), -0.25),
+             Vec3(0.4, 1.2, 4.0)),
+        Pose(Quat::fromAxisAngle(Vec3(0, 1, 0), -1.2),
+             Vec3(-5.0, 2.0, 0.5)),
+    };
+    const double times[3] = {0.0, 0.37, 1.1};
+    const AppId apps[4] = {AppId::Sponza, AppId::Materials,
+                           AppId::Platformer, AppId::ArDemo};
+
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+        KernelWidth guard(width);
+        std::size_t per_pixel_draws = 0;
+        for (const AppId id : apps) {
+            std::size_t behind = 0;
+            for (int p = 0; p < 3; ++p) {
+                SCOPED_TRACE(std::string(appName(id)) + " width " +
+                             std::to_string(width) + " pose " +
+                             std::to_string(p));
+                XrApplication app(id, cfg);
+                const StereoFrame frame =
+                    app.renderFrame(heads[p], times[p]);
+                Scene scene(id);
+                scene.update(times[p]);
+
+                RasterStats both_eyes;
+                for (const bool left : {true, false}) {
+                    const Mat4 view = viewMatrixFromPose(
+                        eyePose(heads[p], cfg.ipd_m, left));
+
+                    PerDrawReference ref(72, 72, scene.backgroundColor());
+                    std::vector<DrawCall> calls;
+                    for (std::size_t i = 0; i < scene.objects().size();
+                         ++i) {
+                        const SceneObject &obj = scene.objects()[i];
+                        ref.draw(obj.mesh, scene.objectTransform(i), view,
+                                 proj, light, obj.shading);
+                        calls.push_back({&obj.mesh,
+                                         scene.objectTransform(i),
+                                         obj.shading});
+                        if (obj.shading == ShadingModel::PerPixel)
+                            ++per_pixel_draws;
+                    }
+                    behind += ref.behind_near_plane;
+
+                    Rasterizer batched(72, 72);
+                    batched.clear(scene.backgroundColor());
+                    batched.draw(calls, view, proj, light);
+                    EXPECT_TRUE(sameBytes(batched.color(), ref.color));
+                    EXPECT_TRUE(sameBytes(batched.depth(), ref.depth));
+                    EXPECT_TRUE(sameStats(batched.stats(), ref.stats));
+                    EXPECT_TRUE(
+                        sameBytes(left ? frame.left : frame.right,
+                                  ref.color));
+
+                    both_eyes.triangles_submitted +=
+                        ref.stats.triangles_submitted;
+                    both_eyes.triangles_rasterized +=
+                        ref.stats.triangles_rasterized;
+                    both_eyes.fragments_shaded += ref.stats.fragments_shaded;
+                    both_eyes.draw_calls += ref.stats.draw_calls;
+                    EXPECT_GT(ref.stats.fragments_shaded, 0u);
+                }
+                EXPECT_TRUE(sameStats(app.stats(), both_eyes));
+            }
+            if (id == AppId::Sponza) {
+                EXPECT_GT(behind, 0u) << "near-plane rejection untested";
+            }
+        }
+        EXPECT_GT(per_pixel_draws, 0u) << "PerPixel shading untested";
+    }
+}
+
+TEST(KernelEquivalence, RasterizerLaunchesTwoKernelsPerEye)
+{
+    // A regression to per-draw launches would make this 4 x 45.
+    AppConfig cfg;
+    cfg.eye_width = 80;
+    cfg.eye_height = 80;
+    XrApplication app(AppId::Sponza, cfg);
+    ASSERT_EQ(app.scene().objects().size(), 45u);
+    MetricsRegistry metrics;
+    TraceSink sink;
+    {
+        KernelPool::MetricsScope scope(&metrics, &sink);
+        app.renderFrame(Pose(Quat::identity(), Vec3(0, 1.6, 3.0)), 0.0);
+    }
+    std::size_t xform = 0, tiles = 0, other_raster = 0;
+    for (const Span &span : sink.spans()) {
+        if (span.task == "kernel.raster_xform")
+            ++xform;
+        else if (span.task == "kernel.raster_tiles")
+            ++tiles;
+        else if (span.task.rfind("kernel.raster_", 0) == 0)
+            ++other_raster;
+    }
+    EXPECT_EQ(xform, 2u);
+    EXPECT_EQ(tiles, 2u);
+    EXPECT_EQ(other_raster, 0u);
+    EXPECT_EQ(app.stats().draw_calls, 90u);
 }
 
 TEST(EyePoseTest, IpdSeparatesEyes)
