@@ -1,12 +1,11 @@
 #include "signal/fft.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <cassert>
-#include <cstring>
-#include <map>
 #include <cmath>
+#include <map>
+#include <utility>
 
 namespace illixr {
 
@@ -25,64 +24,82 @@ nextPowerOfTwo(std::size_t n)
     return p;
 }
 
-void
-fft(std::vector<Complex> &data, bool inverse)
+namespace {
+
+// Per-size plan, built once per thread: the bit-reversal permutation
+// as its list of (i, j) swaps, and the stage-contiguous twiddle
+// tables. The per-size master table (twiddles[k] = cis(-2*pi*k/n)) is
+// expanded into one contiguous run per stage — values copied, so they
+// are exactly the `twiddles[k * stride]` lookups — with forward and
+// inverse (conjugated) variants built separately to hoist the
+// per-butterfly conj branch.
+struct FftPlan
 {
-    const std::size_t n = data.size();
-    assert(isPowerOfTwo(n));
+    std::size_t n = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> swaps;
+    std::vector<Complex> fwd, inv; // n - 1 entries, stage-major.
+};
 
-    // Bit-reversal permutation.
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-        std::size_t bit = n >> 1;
-        for (; j & bit; bit >>= 1)
+const FftPlan &
+planFor(std::size_t n)
+{
+    static thread_local std::map<std::size_t, FftPlan> cache;
+    // Runs of calls share one size (fft2d rows and columns, audio
+    // blocks), so the previous call's plan is tried before the map.
+    static thread_local const FftPlan *last = nullptr;
+    if (last != nullptr && last->n == n)
+        return *last;
+    FftPlan &plan = cache[n];
+    if (plan.n != n) {
+        for (std::size_t i = 1, j = 0; i < n; ++i) {
+            std::size_t bit = n >> 1;
+            for (; j & bit; bit >>= 1)
+                j ^= bit;
             j ^= bit;
-        j ^= bit;
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-
-    // Danielson–Lanczos butterflies over stage-contiguous twiddle
-    // tables: the per-size master table (twiddles[k] = cis(-2*pi*k/n))
-    // is expanded once into one contiguous run per stage — values
-    // copied, so they are exactly the old `twiddles[k * stride]`
-    // lookups — with forward and inverse (conjugated) variants built
-    // separately to hoist the per-butterfly conj branch. Stages with
-    // len >= 4 run two complex butterflies per Vec<double, 4>
-    // (interleaved re, im); complexMul performs the exact std::complex
-    // operation sequence, so the transform is bit-identical to the
-    // scalar original on every backend.
-    struct StageTables
-    {
-        std::vector<Complex> fwd, inv; // n - 1 entries, stage-major.
-    };
-    static thread_local std::map<std::size_t, StageTables> twiddle_cache;
-    StageTables &tables = twiddle_cache[n];
-    if (tables.fwd.size() != n - 1) {
+            if (i < j)
+                plan.swaps.emplace_back(i, j);
+        }
         std::vector<Complex> master(n / 2);
         for (std::size_t k = 0; k < n / 2; ++k) {
             const double angle = -2.0 * M_PI * static_cast<double>(k) /
                                  static_cast<double>(n);
             master[k] = Complex(std::cos(angle), std::sin(angle));
         }
-        tables.fwd.resize(n - 1);
-        tables.inv.resize(n - 1);
+        plan.fwd.resize(n - 1);
+        plan.inv.resize(n - 1);
         for (std::size_t len = 2; len <= n; len <<= 1) {
             const std::size_t stride = n / len;
             const std::size_t off = len / 2 - 1;
             for (std::size_t k = 0; k < len / 2; ++k) {
-                tables.fwd[off + k] = master[k * stride];
-                tables.inv[off + k] = std::conj(master[k * stride]);
+                plan.fwd[off + k] = master[k * stride];
+                plan.inv[off + k] = std::conj(master[k * stride]);
             }
         }
+        plan.n = n;
     }
-    const std::vector<Complex> &stage_tw =
-        inverse ? tables.inv : tables.fwd;
+    last = &plan;
+    return plan;
+}
 
-    double *raw = reinterpret_cast<double *>(data.data());
+// In-place radix-2 FFT of n contiguous values. Danielson–Lanczos
+// butterflies with len >= 4 run two complex butterflies per
+// Vec<double, 4> (interleaved re, im); complexMul performs the exact
+// std::complex operation sequence, so the transform is bit-identical
+// to the scalar original on every backend.
+void
+fftInPlace(Complex *data, std::size_t n, bool inverse)
+{
+    assert(isPowerOfTwo(n));
+    const FftPlan &plan = planFor(n);
+    for (const auto &[i, j] : plan.swaps)
+        std::swap(data[i], data[j]);
+
+    const Complex *stage_tw = inverse ? plan.inv.data() : plan.fwd.data();
+    double *raw = reinterpret_cast<double *>(data);
     using simd::VecD4;
     for (std::size_t len = 2; len <= n; len <<= 1) {
         const std::size_t half = len / 2;
-        const Complex *tw = stage_tw.data() + (half - 1);
+        const Complex *tw = stage_tw + (half - 1);
         if (half < 2) {
             // len == 2: w = (1, 0); keep the scalar generic multiply.
             for (std::size_t i = 0; i < n; i += len) {
@@ -119,6 +136,14 @@ fft(std::vector<Complex> &data, bool inverse)
     }
 }
 
+} // namespace
+
+void
+fft(std::vector<Complex> &data, bool inverse)
+{
+    fftInPlace(data.data(), data.size(), inverse);
+}
+
 std::vector<Complex>
 fftReal(const std::vector<double> &signal)
 {
@@ -146,32 +171,18 @@ fft2d(std::vector<Complex> &grid, std::size_t width, std::size_t height,
     assert(grid.size() == width * height);
     assert(isPowerOfTwo(width) && isPowerOfTwo(height));
 
-    // Transform rows. Each row is an independent 1-D FFT into a
-    // per-tile staging buffer (the twiddle cache is thread_local).
-    parallelFor("fft2d_rows", 0, height, 4,
-                [&](std::size_t yb, std::size_t ye) {
-                    std::vector<Complex> row(width);
-                    for (std::size_t y = yb; y < ye; ++y) {
-                        std::memcpy(row.data(), grid.data() + y * width,
-                                    width * sizeof(Complex));
-                        fft(row, inverse);
-                        std::memcpy(grid.data() + y * width, row.data(),
-                                    width * sizeof(Complex));
-                    }
-                });
-
-    // Transform columns.
-    parallelFor("fft2d_cols", 0, width, 4,
-                [&](std::size_t xb, std::size_t xe) {
-                    std::vector<Complex> col(height);
-                    for (std::size_t x = xb; x < xe; ++x) {
-                        for (std::size_t y = 0; y < height; ++y)
-                            col[y] = grid[y * width + x];
-                        fft(col, inverse);
-                        for (std::size_t y = 0; y < height; ++y)
-                            grid[y * width + x] = col[y];
-                    }
-                });
+    // Rows are contiguous: transform them in place. Columns are
+    // gathered through one staging buffer.
+    for (std::size_t y = 0; y < height; ++y)
+        fftInPlace(grid.data() + y * width, width, inverse);
+    std::vector<Complex> col(height);
+    for (std::size_t x = 0; x < width; ++x) {
+        for (std::size_t y = 0; y < height; ++y)
+            col[y] = grid[y * width + x];
+        fftInPlace(col.data(), height, inverse);
+        for (std::size_t y = 0; y < height; ++y)
+            grid[y * width + x] = col[y];
+    }
 }
 
 std::vector<double>

@@ -3,8 +3,8 @@
 #include "foundation/rng.hpp"
 #include "foundation/simd.hpp"
 #include "image/filter.hpp"
-#include "runtime/parallel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace illixr {
@@ -59,79 +59,61 @@ HologramGenerator::ensurePhaseTables() const
     }
 }
 
-std::vector<Complex>
-HologramGenerator::propagateToPlane(const std::vector<Complex> &hologram,
-                                    int d) const
+namespace {
+
+// dst = src * tab per complex pixel over interleaved (re, im) doubles,
+// two pixels per Vec<double, 4> via complexMul (bit-identical to the
+// per-pixel std::complex multiply). dst may alias src.
+void
+applyPhase(const double *src, const double *tab, double *dst,
+           std::size_t len)
 {
-    const int n = params_.resolution;
-    std::vector<Complex> field(hologram.size());
-    ensurePhaseTables();
-    const double *tab = phase_fwd_[d].data();
-    const double *src = reinterpret_cast<const double *>(hologram.data());
-    double *dst = reinterpret_cast<double *>(field.data());
-    // Rows write disjoint slices of the field; the cached lens-phase
-    // factor is applied two pixels per Vec<double, 4> via complexMul
-    // (bit-identical to the former per-pixel std::complex multiply).
-    parallelFor("hologram_phase", 0, static_cast<std::size_t>(n), 8,
-                [&](std::size_t yb, std::size_t ye) {
-                    using simd::VecD4;
-                    const std::size_t end = ye * n * 2;
-                    std::size_t j = yb * n * 2;
-                    for (; j + 4 <= end; j += 4)
-                        simd::complexMul(VecD4::load(src + j),
-                                         VecD4::load(tab + j))
-                            .store(dst + j);
-                    for (; j < end; j += 2) {
-                        const Complex f(src[j], src[j + 1]);
-                        const Complex w(tab[j], tab[j + 1]);
-                        const Complex r = f * w;
-                        dst[j] = r.real();
-                        dst[j + 1] = r.imag();
-                    }
-                });
-    fft2d(field, n, n, false);
-    // Normalize so amplitudes are resolution-independent.
-    {
-        using simd::VecD4;
-        const VecD4 scale = VecD4::broadcast(1.0 / n);
-        const std::size_t end = 2 * field.size();
-        std::size_t j = 0;
-        for (; j + 4 <= end; j += 4)
-            (VecD4::load(dst + j) * scale).store(dst + j);
-        for (; j < end; ++j)
-            dst[j] *= 1.0 / n;
+    using simd::VecD4;
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4)
+        simd::complexMul(VecD4::load(src + j), VecD4::load(tab + j))
+            .store(dst + j);
+    for (; j < len; j += 2) {
+        const Complex r =
+            Complex(src[j], src[j + 1]) * Complex(tab[j], tab[j + 1]);
+        dst[j] = r.real();
+        dst[j + 1] = r.imag();
     }
-    return field;
 }
 
-std::vector<Complex>
-HologramGenerator::propagateFromPlane(
-    const std::vector<Complex> &plane_field, int d) const
+} // namespace
+
+void
+HologramGenerator::propagateToPlane(const std::vector<Complex> &hologram,
+                                    int d,
+                                    std::vector<Complex> &field) const
 {
     const int n = params_.resolution;
-    std::vector<Complex> field = plane_field;
+    ensurePhaseTables();
+    double *dst = reinterpret_cast<double *>(field.data());
+    applyPhase(reinterpret_cast<const double *>(hologram.data()),
+               phase_fwd_[d].data(), dst, 2 * field.size());
+    fft2d(field, n, n, false);
+    // Normalize so amplitudes are resolution-independent.
+    using simd::VecD4;
+    const VecD4 scale = VecD4::broadcast(1.0 / n);
+    const std::size_t end = 2 * field.size();
+    std::size_t j = 0;
+    for (; j + 4 <= end; j += 4)
+        (VecD4::load(dst + j) * scale).store(dst + j);
+    for (; j < end; ++j)
+        dst[j] *= 1.0 / n;
+}
+
+void
+HologramGenerator::propagateFromPlane(std::vector<Complex> &field,
+                                      int d) const
+{
+    const int n = params_.resolution;
     fft2d(field, n, n, true);
     ensurePhaseTables();
-    const double *tab = phase_bwd_[d].data();
     double *dst = reinterpret_cast<double *>(field.data());
-    parallelFor("hologram_phase", 0, static_cast<std::size_t>(n), 8,
-                [&](std::size_t yb, std::size_t ye) {
-                    using simd::VecD4;
-                    const std::size_t end = ye * n * 2;
-                    std::size_t j = yb * n * 2;
-                    for (; j + 4 <= end; j += 4)
-                        simd::complexMul(VecD4::load(dst + j),
-                                         VecD4::load(tab + j))
-                            .store(dst + j);
-                    for (; j < end; j += 2) {
-                        const Complex f(dst[j], dst[j + 1]);
-                        const Complex w(tab[j], tab[j + 1]);
-                        const Complex r = f * w;
-                        dst[j] = r.real();
-                        dst[j + 1] = r.imag();
-                    }
-                });
-    return field;
+    applyPhase(dst, phase_bwd_[d].data(), dst, 2 * field.size());
 }
 
 HologramResult
@@ -203,15 +185,21 @@ HologramGenerator::compute(const RgbImage &frame, const ImageF *depth)
     HologramResult result;
     result.plane_weights.assign(planes, 1.0);
 
-    for (int iter = 0; iter < params_.iterations; ++iter) {
-        std::vector<std::vector<Complex>> plane_fields(planes);
-        std::vector<double> plane_err(planes, 0.0);
+    // Per-plane fields and their amplitudes, the back-propagation
+    // buffer and the weighted sum, reused across planes and iterations.
+    std::vector<std::vector<Complex>> plane_fields(
+        planes, std::vector<Complex>(count));
+    std::vector<std::vector<double>> plane_amps(
+        planes, std::vector<double>(count));
+    std::vector<Complex> back(count);
+    std::vector<Complex> combined(count);
 
+    for (int iter = 0; iter < params_.iterations; ++iter) {
         // --- Hologram-to-depth: propagate to every plane. ---
         {
             ScopedTask timer(profile_, "hologram_to_depth");
             for (int d = 0; d < planes; ++d)
-                plane_fields[d] = propagateToPlane(hologram, d);
+                propagateToPlane(hologram, d, plane_fields[d]);
         }
 
         // --- Sum: per-plane amplitude errors and weight update. ---
@@ -223,21 +211,25 @@ HologramGenerator::compute(const RgbImage &frame, const ImageF *depth)
                 // Amplitude via sqrt(re^2 + im^2) rather than the
                 // former std::abs/hypot (pinned: identical across
                 // backends and widths, not vs the pre-SIMD code; the
-                // GS error is tolerance-tested only).
+                // GS error is tolerance-tested only). Kept for the
+                // amplitude constraint below.
                 const double *f = reinterpret_cast<const double *>(
                     plane_fields[d].data());
+                double *amp = plane_amps[d].data();
                 for (std::size_t i = 0; i < count; ++i) {
                     const double a = std::sqrt(f[2 * i] * f[2 * i] +
                                                f[2 * i + 1] *
                                                    f[2 * i + 1]);
+                    amp[i] = a;
                     const double t = targets[d][i];
                     err += (a - t) * (a - t);
                     norm += t * t;
                 }
-                plane_err[d] = norm > 0.0 ? std::sqrt(err / norm) : 0.0;
-                total_err += plane_err[d];
+                const double plane_err =
+                    norm > 0.0 ? std::sqrt(err / norm) : 0.0;
+                total_err += plane_err;
                 // Weighted GS: boost badly reproduced planes.
-                result.plane_weights[d] *= (1.0 + 0.5 * plane_err[d]);
+                result.plane_weights[d] *= (1.0 + 0.5 * plane_err);
             }
             result.error_history.push_back(total_err / planes);
         }
@@ -246,48 +238,34 @@ HologramGenerator::compute(const RgbImage &frame, const ImageF *depth)
         //     and combine. ---
         {
             ScopedTask timer(profile_, "depth_to_hologram");
-            std::vector<Complex> combined(count, Complex(0.0, 0.0));
-            double weight_sum = 0.0;
+            std::fill(combined.begin(), combined.end(), Complex(0.0, 0.0));
             for (int d = 0; d < planes; ++d) {
-                std::vector<Complex> constrained(count);
-                parallelFor(
-                    "hologram_constraint", 0, count, 4096,
-                    [&](std::size_t ib, std::size_t ie) {
-                        const double *f = reinterpret_cast<const double *>(
-                            plane_fields[d].data());
-                        for (std::size_t i = ib; i < ie; ++i) {
-                            const double re = f[2 * i];
-                            const double im = f[2 * i + 1];
-                            const double mag =
-                                std::sqrt(re * re + im * im);
-                            // Keep the phase, impose the target
-                            // amplitude (mag pinned as above).
-                            const double t = targets[d][i];
-                            constrained[i] =
-                                (mag > 1e-12)
-                                    ? Complex(re * (t / mag),
-                                              im * (t / mag))
-                                    : Complex(t, 0.0);
-                        }
-                    });
-                const auto back = propagateFromPlane(constrained, d);
-                const double w = result.plane_weights[d];
-                {
-                    using simd::VecD4;
-                    const VecD4 wv = VecD4::broadcast(w);
-                    double *cb =
-                        reinterpret_cast<double *>(combined.data());
-                    const double *bk =
-                        reinterpret_cast<const double *>(back.data());
-                    std::size_t j = 0;
-                    for (; j + 4 <= 2 * count; j += 4)
-                        simd::madd(VecD4::load(cb + j),
-                                   VecD4::load(bk + j), wv)
-                            .store(cb + j);
-                    for (; j < 2 * count; ++j)
-                        cb[j] += bk[j] * w;
+                // Keep the phase, impose the target amplitude.
+                const double *f = reinterpret_cast<const double *>(
+                    plane_fields[d].data());
+                const double *amp = plane_amps[d].data();
+                for (std::size_t i = 0; i < count; ++i) {
+                    const double mag = amp[i];
+                    const double t = targets[d][i];
+                    back[i] = (mag > 1e-12)
+                                  ? Complex(f[2 * i] * (t / mag),
+                                            f[2 * i + 1] * (t / mag))
+                                  : Complex(t, 0.0);
                 }
-                weight_sum += w;
+                propagateFromPlane(back, d);
+                const double w = result.plane_weights[d];
+                using simd::VecD4;
+                const VecD4 wv = VecD4::broadcast(w);
+                double *cb = reinterpret_cast<double *>(combined.data());
+                const double *bk =
+                    reinterpret_cast<const double *>(back.data());
+                std::size_t j = 0;
+                for (; j + 4 <= 2 * count; j += 4)
+                    simd::madd(VecD4::load(cb + j), VecD4::load(bk + j),
+                               wv)
+                        .store(cb + j);
+                for (; j < 2 * count; ++j)
+                    cb[j] += bk[j] * w;
             }
             // Phase-only constraint at the SLM (mag pinned as above).
             const double *cb =
@@ -301,7 +279,6 @@ HologramGenerator::compute(const RgbImage &frame, const ImageF *depth)
                                             im * (1.0 / mag))
                                   : Complex(1.0, 0.0);
             }
-            (void)weight_sum;
         }
     }
 

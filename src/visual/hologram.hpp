@@ -67,13 +67,12 @@ class HologramGenerator
     TaskProfile &profile() { return profile_; }
 
   private:
-    /** Propagate hologram field to plane @p d (forward). */
-    std::vector<Complex> propagateToPlane(
-        const std::vector<Complex> &hologram, int d) const;
+    /** Propagate @p hologram to plane @p d (forward) into @p field. */
+    void propagateToPlane(const std::vector<Complex> &hologram, int d,
+                          std::vector<Complex> &field) const;
 
-    /** Propagate a plane field back to the hologram (inverse). */
-    std::vector<Complex> propagateFromPlane(
-        const std::vector<Complex> &plane_field, int d) const;
+    /** Propagate a plane field back to the hologram (inverse), in place. */
+    void propagateFromPlane(std::vector<Complex> &field, int d) const;
 
     /** Depth-dependent quadratic lens phase for plane @p d. */
     double lensPhaseAt(int x, int y, int d) const;

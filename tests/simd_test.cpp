@@ -9,6 +9,9 @@
  *  - remainder loops (sizes that are not multiples of the vector
  *    width) match scalar references bit-for-bit,
  *  - packing buffers round-trip through the per-thread ScratchArena,
+ *  - the FFT, fft2d and the GS hologram match their earlier
+ *    implementations byte for byte, and the hologram makes no
+ *    kernel-pool launch,
  *  - the raw-pointer kernel entry points abort on overlapping
  *    src/dst ranges (aliasing precondition).
  */
@@ -23,6 +26,9 @@
 #include "runtime/parallel.hpp"
 #include "signal/fft.hpp"
 #include "slam/fast.hpp"
+#include "trace/metrics_registry.hpp"
+#include "trace/trace.hpp"
+#include "visual/hologram.hpp"
 
 #include <gtest/gtest.h>
 
@@ -31,6 +37,9 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace illixr {
@@ -563,6 +572,504 @@ TEST(SimdKernels, FftSmallAndOddStagesMatchDft)
             EXPECT_NEAR(f[j].imag(), x[j].imag(), 1e-12);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// FFT and hologram bit-identity oracles. The references below are the
+// earlier implementations kept verbatim in shape: fft() recomputing
+// its bit-reversal per call over map-cached twiddles, fft2d() staging
+// every row and column through fft(), and a weighted-GS hologram that
+// allocates fresh buffers and takes each plane amplitude's sqrt twice.
+// ---------------------------------------------------------------------
+
+void
+referenceFft(std::vector<Complex> &data, bool inverse)
+{
+    const std::size_t n = data.size();
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+        std::size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j)
+            std::swap(data[i], data[j]);
+    }
+    struct StageTables
+    {
+        std::vector<Complex> fwd, inv;
+    };
+    static thread_local std::map<std::size_t, StageTables> twiddle_cache;
+    StageTables &tables = twiddle_cache[n];
+    if (tables.fwd.size() != n - 1) {
+        std::vector<Complex> master(n / 2);
+        for (std::size_t k = 0; k < n / 2; ++k) {
+            const double angle = -2.0 * M_PI * static_cast<double>(k) /
+                                 static_cast<double>(n);
+            master[k] = Complex(std::cos(angle), std::sin(angle));
+        }
+        tables.fwd.resize(n - 1);
+        tables.inv.resize(n - 1);
+        for (std::size_t len = 2; len <= n; len <<= 1) {
+            const std::size_t stride = n / len;
+            const std::size_t off = len / 2 - 1;
+            for (std::size_t k = 0; k < len / 2; ++k) {
+                tables.fwd[off + k] = master[k * stride];
+                tables.inv[off + k] = std::conj(master[k * stride]);
+            }
+        }
+    }
+    const std::vector<Complex> &stage_tw =
+        inverse ? tables.inv : tables.fwd;
+    double *raw = reinterpret_cast<double *>(data.data());
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+        const std::size_t half = len / 2;
+        const Complex *tw = stage_tw.data() + (half - 1);
+        if (half < 2) {
+            for (std::size_t i = 0; i < n; i += len) {
+                const Complex even = data[i];
+                const Complex odd = data[i + 1] * tw[0];
+                data[i] = even + odd;
+                data[i + 1] = even - odd;
+            }
+            continue;
+        }
+        const double *tw_raw = reinterpret_cast<const double *>(tw);
+        for (std::size_t i = 0; i < n; i += len) {
+            double *even_p = raw + 2 * i;
+            double *odd_p = raw + 2 * (i + half);
+            for (std::size_t k = 0; k < half; k += 2) {
+                const VecD4 even = VecD4::load(even_p + 2 * k);
+                const VecD4 odd = simd::complexMul(
+                    VecD4::load(odd_p + 2 * k),
+                    VecD4::load(tw_raw + 2 * k));
+                (even + odd).store(even_p + 2 * k);
+                (even - odd).store(odd_p + 2 * k);
+            }
+        }
+    }
+    if (inverse) {
+        const VecD4 scale =
+            VecD4::broadcast(1.0 / static_cast<double>(n));
+        std::size_t i = 0;
+        for (; i + 2 <= n; i += 2)
+            (VecD4::load(raw + 2 * i) * scale).store(raw + 2 * i);
+        for (; i < n; ++i)
+            data[i] *= 1.0 / static_cast<double>(n);
+    }
+}
+
+void
+referenceFft2d(std::vector<Complex> &grid, std::size_t width,
+               std::size_t height, bool inverse)
+{
+    std::vector<Complex> row(width);
+    for (std::size_t y = 0; y < height; ++y) {
+        std::memcpy(row.data(), grid.data() + y * width,
+                    width * sizeof(Complex));
+        referenceFft(row, inverse);
+        std::memcpy(grid.data() + y * width, row.data(),
+                    width * sizeof(Complex));
+    }
+    std::vector<Complex> col(height);
+    for (std::size_t x = 0; x < width; ++x) {
+        for (std::size_t y = 0; y < height; ++y)
+            col[y] = grid[y * width + x];
+        referenceFft(col, inverse);
+        for (std::size_t y = 0; y < height; ++y)
+            grid[y * width + x] = col[y];
+    }
+}
+
+bool
+sameBytes(const std::vector<Complex> &a, const std::vector<Complex> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) ==
+               0;
+}
+
+std::vector<Complex>
+randomComplex(std::size_t n, int seed)
+{
+    Rng rng(seed);
+    std::vector<Complex> v(n);
+    for (Complex &c : v)
+        c = Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    return v;
+}
+
+TEST(SimdKernels, FftPlanMatchesReference)
+{
+    // Sizes interleaved on one thread, so a plan cached for the
+    // previous call's size would be reused at the wrong size.
+    const std::size_t sizes[] = {64,  8,   64, 1024, 2,   64,  1,   512,
+                                 64,  4,   16, 32,   128, 256, 1024, 8,
+                                 512, 128, 1,  2,    32,  4,   256, 16};
+    int seed = 100;
+    for (const std::size_t n : sizes) {
+        for (const bool inverse : {false, true}) {
+            const std::vector<Complex> input = randomComplex(n, seed++);
+            std::vector<Complex> got = input, want = input;
+            fft(got, inverse);
+            referenceFft(want, inverse);
+            EXPECT_TRUE(sameBytes(got, want))
+                << "n=" << n << " inverse=" << inverse;
+        }
+    }
+
+    const std::pair<std::size_t, std::size_t> grids[] = {
+        {64, 64}, {16, 4}, {4, 32}, {1, 8}};
+    for (const auto &[w, h] : grids) {
+        for (const bool inverse : {false, true}) {
+            const std::vector<Complex> input = randomComplex(w * h, seed++);
+            std::vector<Complex> got = input, want = input;
+            fft2d(got, w, h, inverse);
+            referenceFft2d(want, w, h, inverse);
+            EXPECT_TRUE(sameBytes(got, want))
+                << w << "x" << h << " inverse=" << inverse;
+        }
+    }
+}
+
+/** The earlier weighted-GS generator, fresh buffers per call. */
+class ReferenceHologram
+{
+  public:
+    explicit ReferenceHologram(const HologramParams &params)
+        : params_(params)
+    {
+        const int n = params_.resolution;
+        const std::size_t count = static_cast<std::size_t>(n) * n;
+        phase_fwd_.assign(params_.depth_planes, {});
+        phase_bwd_.assign(params_.depth_planes, {});
+        for (int d = 0; d < params_.depth_planes; ++d) {
+            phase_fwd_[d].resize(2 * count);
+            phase_bwd_[d].resize(2 * count);
+            for (int y = 0; y < n; ++y) {
+                for (int x = 0; x < n; ++x) {
+                    const std::size_t i =
+                        static_cast<std::size_t>(y) * n + x;
+                    const double phi = lensPhaseAt(x, y, d);
+                    phase_fwd_[d][2 * i] = std::cos(phi);
+                    phase_fwd_[d][2 * i + 1] = std::sin(phi);
+                    phase_bwd_[d][2 * i] = std::cos(-phi) * n;
+                    phase_bwd_[d][2 * i + 1] = std::sin(-phi) * n;
+                }
+            }
+        }
+    }
+
+    HologramResult
+    compute(const RgbImage &frame, const ImageF *depth) const
+    {
+        const int n = params_.resolution;
+        const int planes = params_.depth_planes;
+        const std::size_t count = static_cast<std::size_t>(n) * n;
+
+        std::vector<std::vector<double>> targets(planes);
+        const ImageF lum = resizeBilinear(frame.luminance(), n, n);
+        ImageF depth_r;
+        if (depth)
+            depth_r = resizeBilinear(*depth, n, n);
+        for (int d = 0; d < planes; ++d) {
+            targets[d].assign(count, 0.0);
+            const double band_lo = static_cast<double>(d) / planes;
+            const double band_hi = static_cast<double>(d + 1) / planes;
+            double energy = 0.0;
+            for (int y = 0; y < n; ++y) {
+                for (int x = 0; x < n; ++x) {
+                    double a =
+                        std::sqrt(std::max(0.0f, lum.at(x, y)) + 1e-6);
+                    if (depth) {
+                        const double zn = (depth_r.at(x, y) + 1.0) / 2.0;
+                        if (zn < band_lo || zn >= band_hi)
+                            a = 0.0;
+                    }
+                    targets[d][static_cast<std::size_t>(y) * n + x] = a;
+                    energy += a * a;
+                }
+            }
+            if (energy > 0.0) {
+                const double s = static_cast<double>(n) /
+                                 std::sqrt(energy * planes);
+                for (double &a : targets[d])
+                    a *= s;
+            }
+        }
+
+        std::vector<Complex> hologram(count);
+        Rng rng(2718);
+        for (Complex &c : hologram) {
+            const double phi = rng.uniform(0.0, 2.0 * M_PI);
+            c = Complex(std::cos(phi), std::sin(phi));
+        }
+
+        HologramResult result;
+        result.plane_weights.assign(planes, 1.0);
+        for (int iter = 0; iter < params_.iterations; ++iter) {
+            std::vector<std::vector<Complex>> plane_fields(planes);
+            std::vector<double> plane_err(planes, 0.0);
+            for (int d = 0; d < planes; ++d)
+                plane_fields[d] = propagateToPlane(hologram, d);
+
+            double total_err = 0.0;
+            for (int d = 0; d < planes; ++d) {
+                double err = 0.0, norm = 0.0;
+                const double *f = reinterpret_cast<const double *>(
+                    plane_fields[d].data());
+                for (std::size_t i = 0; i < count; ++i) {
+                    const double a = std::sqrt(f[2 * i] * f[2 * i] +
+                                               f[2 * i + 1] * f[2 * i + 1]);
+                    const double t = targets[d][i];
+                    err += (a - t) * (a - t);
+                    norm += t * t;
+                }
+                plane_err[d] = norm > 0.0 ? std::sqrt(err / norm) : 0.0;
+                total_err += plane_err[d];
+                result.plane_weights[d] *= (1.0 + 0.5 * plane_err[d]);
+            }
+            result.error_history.push_back(total_err / planes);
+
+            std::vector<Complex> combined(count, Complex(0.0, 0.0));
+            for (int d = 0; d < planes; ++d) {
+                std::vector<Complex> constrained(count);
+                const double *f = reinterpret_cast<const double *>(
+                    plane_fields[d].data());
+                for (std::size_t i = 0; i < count; ++i) {
+                    const double re = f[2 * i];
+                    const double im = f[2 * i + 1];
+                    const double mag = std::sqrt(re * re + im * im);
+                    const double t = targets[d][i];
+                    constrained[i] =
+                        (mag > 1e-12)
+                            ? Complex(re * (t / mag), im * (t / mag))
+                            : Complex(t, 0.0);
+                }
+                const auto back = propagateFromPlane(constrained, d);
+                const double w = result.plane_weights[d];
+                const VecD4 wv = VecD4::broadcast(w);
+                double *cb = reinterpret_cast<double *>(combined.data());
+                const double *bk =
+                    reinterpret_cast<const double *>(back.data());
+                std::size_t j = 0;
+                for (; j + 4 <= 2 * count; j += 4)
+                    simd::madd(VecD4::load(cb + j), VecD4::load(bk + j),
+                               wv)
+                        .store(cb + j);
+                for (; j < 2 * count; ++j)
+                    cb[j] += bk[j] * w;
+            }
+            const double *cb =
+                reinterpret_cast<const double *>(combined.data());
+            for (std::size_t i = 0; i < count; ++i) {
+                const double re = cb[2 * i];
+                const double im = cb[2 * i + 1];
+                const double mag = std::sqrt(re * re + im * im);
+                hologram[i] = (mag > 1e-12) ? Complex(re * (1.0 / mag),
+                                                      im * (1.0 / mag))
+                                            : Complex(1.0, 0.0);
+            }
+        }
+
+        result.rms_error = result.error_history.empty()
+                               ? 0.0
+                               : result.error_history.back();
+        result.phase = ImageF(n, n);
+        for (int y = 0; y < n; ++y) {
+            for (int x = 0; x < n; ++x) {
+                const Complex &c =
+                    hologram[static_cast<std::size_t>(y) * n + x];
+                result.phase.at(x, y) =
+                    static_cast<float>(std::atan2(c.imag(), c.real()));
+            }
+        }
+        return result;
+    }
+
+  private:
+    double
+    lensPhaseAt(int x, int y, int d) const
+    {
+        const int n = params_.resolution;
+        const double focus =
+            params_.min_focus +
+            (params_.max_focus - params_.min_focus) *
+                (params_.depth_planes > 1
+                     ? static_cast<double>(d) / (params_.depth_planes - 1)
+                     : 0.5);
+        const double nx = (2.0 * x / n) - 1.0;
+        const double ny = (2.0 * y / n) - 1.0;
+        return M_PI * focus * (nx * nx + ny * ny) * n / 8.0;
+    }
+
+    static void
+    multiplyPhase(const double *src, const double *tab, double *dst,
+                  std::size_t end)
+    {
+        std::size_t j = 0;
+        for (; j + 4 <= end; j += 4)
+            simd::complexMul(VecD4::load(src + j), VecD4::load(tab + j))
+                .store(dst + j);
+        for (; j < end; j += 2) {
+            const Complex r =
+                Complex(src[j], src[j + 1]) * Complex(tab[j], tab[j + 1]);
+            dst[j] = r.real();
+            dst[j + 1] = r.imag();
+        }
+    }
+
+    std::vector<Complex>
+    propagateToPlane(const std::vector<Complex> &hologram, int d) const
+    {
+        const int n = params_.resolution;
+        std::vector<Complex> field(hologram.size());
+        double *dst = reinterpret_cast<double *>(field.data());
+        multiplyPhase(reinterpret_cast<const double *>(hologram.data()),
+                      phase_fwd_[d].data(), dst, 2 * field.size());
+        referenceFft2d(field, n, n, false);
+        const VecD4 scale = VecD4::broadcast(1.0 / n);
+        const std::size_t end = 2 * field.size();
+        std::size_t j = 0;
+        for (; j + 4 <= end; j += 4)
+            (VecD4::load(dst + j) * scale).store(dst + j);
+        for (; j < end; ++j)
+            dst[j] *= 1.0 / n;
+        return field;
+    }
+
+    std::vector<Complex>
+    propagateFromPlane(const std::vector<Complex> &plane_field, int d) const
+    {
+        const int n = params_.resolution;
+        std::vector<Complex> field = plane_field;
+        referenceFft2d(field, n, n, true);
+        double *dst = reinterpret_cast<double *>(field.data());
+        multiplyPhase(dst, phase_bwd_[d].data(), dst, 2 * field.size());
+        return field;
+    }
+
+    HologramParams params_;
+    std::vector<std::vector<double>> phase_fwd_, phase_bwd_;
+};
+
+void
+expectSameHologram(const HologramResult &got, const HologramResult &want,
+                   const std::string &what)
+{
+    ASSERT_EQ(got.phase.width(), want.phase.width()) << what;
+    ASSERT_EQ(got.phase.height(), want.phase.height()) << what;
+    EXPECT_EQ(std::memcmp(got.phase.data(), want.phase.data(),
+                          static_cast<std::size_t>(got.phase.width()) *
+                              got.phase.height() * sizeof(float)),
+              0)
+        << what << ": phase bytes differ";
+    ASSERT_EQ(got.error_history.size(), want.error_history.size()) << what;
+    for (std::size_t i = 0; i < got.error_history.size(); ++i)
+        EXPECT_TRUE(bitEqual(got.error_history[i], want.error_history[i]))
+            << what << ": error_history[" << i << "]";
+    ASSERT_EQ(got.plane_weights.size(), want.plane_weights.size()) << what;
+    for (std::size_t i = 0; i < got.plane_weights.size(); ++i)
+        EXPECT_TRUE(bitEqual(got.plane_weights[i], want.plane_weights[i]))
+            << what << ": plane_weights[" << i << "]";
+    EXPECT_TRUE(bitEqual(got.rms_error, want.rms_error)) << what;
+}
+
+/** RAII kernel-pool width override (restores serial on exit). */
+class WidthGuard
+{
+  public:
+    explicit WidthGuard(std::size_t width)
+    {
+        KernelPool::instance().setWidth(width);
+    }
+    ~WidthGuard() { KernelPool::instance().setWidth(1); }
+};
+
+/** A frame with structure at every scale, so no plane is uniform. */
+RgbImage
+hologramFrame(int size, int seed)
+{
+    Rng rng(seed);
+    RgbImage frame(size, size);
+    for (int y = 0; y < size; ++y)
+        for (int x = 0; x < size; ++x)
+            frame.setPixel(x, y,
+                           Vec3(rng.uniform(0.0, 1.0),
+                                0.5 + 0.5 * std::sin(0.3 * x + 0.2 * y),
+                                ((x ^ y) & 7) / 7.0));
+    return frame;
+}
+
+TEST(SimdKernels, HologramMatchesReference)
+{
+    struct Case
+    {
+        int resolution, planes, iterations;
+        bool with_depth;
+    };
+    const Case cases[] = {
+        {64, 3, 6, false}, // the benchmark's configuration
+        {32, 1, 4, false},
+        {16, 4, 3, true},
+    };
+    for (const std::size_t width : {1u, 4u}) {
+        const WidthGuard guard(width);
+        for (const Case &c : cases) {
+            HologramParams params;
+            params.resolution = c.resolution;
+            params.depth_planes = c.planes;
+            params.iterations = c.iterations;
+            // Depth in [-1, 1] covering every band, with some pixels at
+            // exactly 1.0 (normalized depth 1.0 lies in no band).
+            ImageF depth(c.resolution, c.resolution);
+            for (int y = 0; y < c.resolution; ++y)
+                for (int x = 0; x < c.resolution; ++x)
+                    depth.at(x, y) =
+                        (x + y) % 5 == 0
+                            ? 1.0f
+                            : -1.0f + 2.0f * static_cast<float>(x) /
+                                          c.resolution;
+            const ImageF *depth_arg = c.with_depth ? &depth : nullptr;
+            const ReferenceHologram ref(params);
+            // Two calls on one generator exercise its cached tables
+            // and initial phase.
+            HologramGenerator gen(params);
+            for (int call = 0; call < 2; ++call) {
+                const RgbImage frame =
+                    hologramFrame(c.resolution * 2, 40 + call);
+                expectSameHologram(
+                    gen.compute(frame, depth_arg),
+                    ref.compute(frame, depth_arg),
+                    std::to_string(c.resolution) + "^2 x" +
+                        std::to_string(c.planes) + " width " +
+                        std::to_string(width) + " call " +
+                        std::to_string(call));
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, HologramMakesNoKernelLaunches)
+{
+    // Each GS stage is a few µs of work; a return to per-stage
+    // launches would record 126 kernel spans here.
+    const WidthGuard guard(4);
+    HologramParams params;
+    params.resolution = 64;
+    params.depth_planes = 3;
+    params.iterations = 6;
+    HologramGenerator gen(params);
+    MetricsRegistry metrics;
+    TraceSink sink;
+    {
+        KernelPool::MetricsScope scope(&metrics, &sink);
+        gen.compute(hologramFrame(64, 7));
+    }
+    std::size_t kernel_spans = 0;
+    for (const Span &span : sink.spans())
+        if (span.task.rfind("kernel.", 0) == 0)
+            ++kernel_spans;
+    EXPECT_EQ(kernel_spans, 0u);
 }
 
 // ---------------------------------------------------------------------
