@@ -1,5 +1,7 @@
 #include "foundation/profile.hpp"
 
+#include <ctime>
+
 namespace illixr {
 
 void
@@ -52,6 +54,15 @@ hostTimeSeconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 } // namespace illixr

@@ -88,4 +88,10 @@ class ScopedTask
 /** Monotonic host time in seconds (for per-invocation measurements). */
 double hostTimeSeconds();
 
+/**
+ * CPU seconds the calling thread has run. Unlike hostTimeSeconds() it
+ * does not advance while the thread is preempted or blocked.
+ */
+double threadCpuSeconds();
+
 } // namespace illixr

@@ -1,7 +1,7 @@
 #include "offload/offload_vio.hpp"
 
-#include "foundation/profile.hpp"
 #include "resilience/fault_injector.hpp"
+#include "runtime/parallel.hpp"
 #include "xr/session.hpp"
 
 namespace illixr {
@@ -228,10 +228,10 @@ OffloadedVioPlugin::iterate(TimePoint now)
         // The filter computation happens on the remote server: run it
         // here for the real result, but exclude its host cost from
         // the local platform and model it as remote latency instead.
-        const double t0 = hostTimeSeconds();
+        const double t0 = KernelPool::threadWorkSeconds();
         const ImuState &state = vio_->processFrame(
             cam->time, std::shared_ptr<const ImageF>(cam, &cam->image));
-        const double remote_host_s = hostTimeSeconds() - t0;
+        const double remote_host_s = KernelPool::threadWorkSeconds() - t0;
         excludeHostSeconds(remote_host_s);
 
         const std::size_t frame_bytes = static_cast<std::size_t>(

@@ -133,7 +133,7 @@ ExecutorBase::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
     KernelPool::MetricsScope kernel_scope(metrics_, sink_.get());
 
     TraceContext::beginInvocation(span_id, now);
-    const double t0 = hostTimeSeconds();
+    const double t0 = KernelPool::threadWorkSeconds();
     try {
         if (pre.crash)
             throw InjectedFault("injected fault: task '" + plugin.name() +
@@ -148,7 +148,7 @@ ExecutorBase::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
         out.error = "non-standard exception";
     }
     out.host_seconds =
-        std::max(0.0, hostTimeSeconds() - t0 -
+        std::max(0.0, KernelPool::threadWorkSeconds() - t0 -
                           plugin.consumeExcludedHostSeconds());
     // Close the scope on every path: an escaped exception must not
     // leave a poisoned consumed set for this thread's next invocation.

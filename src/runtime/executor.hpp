@@ -251,8 +251,10 @@ class ExecutorBase : public Executor
      * opens/closes the TraceContext scope on *every* path (an escaped
      * exception must not poison the thread's next invocation), and
      * contains any exception the plugin throws instead of letting it
-     * unwind the executor. host_seconds excludes the plugin's
-     * excluded (modeled-remote) time.
+     * unwind the executor. host_seconds is read off the work clock
+     * (KernelPool::threadWorkSeconds), so time the host spends
+     * elsewhere is not charged, and excludes the plugin's excluded
+     * (modeled-remote) time.
      */
     InvocationOutcome invokeGuarded(Plugin &plugin, std::uint64_t attempt,
                                     TimePoint now, std::uint64_t span_id);

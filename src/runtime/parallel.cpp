@@ -127,6 +127,9 @@ constexpr std::size_t kMaxKernelWidth = 64;
 
 thread_local bool tl_in_kernel = false;
 
+/** Helper shares of this thread's parallel launches, in seconds. */
+thread_local double tl_helper_seconds = 0.0;
+
 /** Innermost live MetricsScope of the calling thread (see header). */
 thread_local const KernelPool::MetricsScope *tl_metrics_scope = nullptr;
 
@@ -157,6 +160,7 @@ struct Launch
     ChunkCursor chunks[kMaxKernelWidth];
     std::atomic<std::size_t> done{0};
     std::atomic<std::uint64_t> steals{0};
+    std::atomic<std::int64_t> cpu_ns{0}; ///< All participants' CPU.
 };
 
 } // namespace
@@ -204,10 +208,14 @@ struct KernelPool::Impl
         l.done.fetch_add(1, std::memory_order_release);
     }
 
-    /** Drain own chunk, then steal from the others. */
-    void
+    /**
+     * Drain own chunk, then steal from the others. Returns the CPU
+     * seconds this thread spent, also added to the launch's total.
+     */
+    double
     participate(Launch &l, std::size_t w)
     {
+        const double cpu0 = threadCpuSeconds();
         const bool was_in_kernel = tl_in_kernel;
         tl_in_kernel = true;
         ChunkCursor &own = l.chunks[w];
@@ -229,6 +237,10 @@ struct KernelPool::Impl
             }
         }
         tl_in_kernel = was_in_kernel;
+        const double cpu = threadCpuSeconds() - cpu0;
+        l.cpu_ns.fetch_add(static_cast<std::int64_t>(cpu * 1e9),
+                           std::memory_order_relaxed);
+        return cpu;
     }
 
     void
@@ -403,6 +415,12 @@ KernelPool::inKernel()
     return tl_in_kernel;
 }
 
+double
+KernelPool::threadWorkSeconds()
+{
+    return threadCpuSeconds() + tl_helper_seconds;
+}
+
 std::uint64_t
 KernelPool::parallelLaunches() const
 {
@@ -480,6 +498,7 @@ KernelPool::run(const char *name, std::size_t begin, std::size_t end,
         l.fn = fn;
         l.ctx = ctx;
         l.parts = std::min(width, kMaxKernelWidth);
+        std::size_t threads = 1;
         for (std::size_t w = 0; w < l.parts; ++w) {
             l.chunks[w].next.store(tiles * w / l.parts,
                                    std::memory_order_relaxed);
@@ -499,11 +518,12 @@ KernelPool::run(const char *name, std::size_t begin, std::size_t end,
             while (impl_->helpers.size() + 1 < std::min(width, host_cores))
                 impl_->helpers.emplace_back(
                     [this] { impl_->helperMain(); });
+            threads = std::min(l.parts, impl_->helpers.size() + 1);
             impl_->current = &l;
             ++impl_->generation;
         }
         impl_->work_cv.notify_all();
-        impl_->participate(l, 0);
+        const double own_cpu = impl_->participate(l, 0);
         {
             std::unique_lock<std::mutex> lk(impl_->m);
             impl_->done_cv.wait(lk, [&] {
@@ -513,6 +533,13 @@ KernelPool::run(const char *name, std::size_t begin, std::size_t end,
             });
             impl_->current = nullptr;
         }
+        // Charge the launch as if its tiles were spread evenly over
+        // the threads; own_cpu is already on this thread's clock.
+        const double all_cpu =
+            static_cast<double>(l.cpu_ns.load(std::memory_order_relaxed)) *
+            1e-9;
+        tl_helper_seconds +=
+            all_cpu / static_cast<double>(threads) - own_cpu;
         steals = l.steals.load(std::memory_order_relaxed);
         impl_->parallel_launches.fetch_add(1,
                                            std::memory_order_relaxed);

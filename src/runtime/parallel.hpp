@@ -250,6 +250,17 @@ class KernelPool
     /** True while the calling thread is inside a kernel tile. */
     static bool inKernel();
 
+    /**
+     * The calling thread's work clock, in seconds: its own CPU time
+     * plus, for every parallel launch it made, the helpers' share of
+     * that launch. A launch is charged the CPU time of all its tiles
+     * divided by the threads that could run them, which is its wall
+     * time on an idle host; the caller's own tiles are already in its
+     * CPU time. Preemption of the caller or the helpers moves neither
+     * term, so costs read off this clock do not depend on host load.
+     */
+    static double threadWorkSeconds();
+
     /** Total parallel launches (not counting inline-serial ones). */
     std::uint64_t parallelLaunches() const;
 

@@ -12,7 +12,10 @@
  * (see DESIGN.md §4 for the run-at-start simplification).
  *
  * The cost source is the only thing a seed changes:
- *  - measured (no seed): the invocation's host time;
+ *  - measured (no seed): the invocation's work time
+ *    (KernelPool::threadWorkSeconds: thread CPU time plus the
+ *    helpers' share of its kernel launches), which host load does not
+ *    stretch;
  *  - seeded: a modeled cost, a quarter of the task's period times a
  *    uniform [0.9, 1.1) jitter drawn from one Rng stream. Host time
  *    never reaches the timeline, so two runs with the same seed are

@@ -206,17 +206,23 @@ ApplicationPlugin::adaptResolution(TimePoint now)
             ++staleWindow_; // Missed at least one display slot.
         else
             ++freshWindow_;
+        windowSpan_ += interval;
     }
     lastFeedback_ = now;
 
-    // Decide once per ~24 rendered frames.
-    if (staleWindow_ + freshWindow_ < 24)
+    // Decide once per 24 rendered frames or 48 display periods,
+    // whichever comes first. A window counted in frames alone
+    // stretches with the overload it measures: 24 frames at 11 Hz
+    // take over 2 s, so the controller would barely act in a run of
+    // a few seconds.
+    if (staleWindow_ + freshWindow_ < 24 && windowSpan_ < 48 * vsync_period)
         return;
     const double miss_fraction =
         static_cast<double>(staleWindow_) /
         static_cast<double>(staleWindow_ + freshWindow_);
     staleWindow_ = 0;
     freshWindow_ = 0;
+    windowSpan_ = 0;
 
     if (miss_fraction > 0.25 && currentRes_ > 32) {
         // Overloaded: shed pixels (quadratic cost relief per step).

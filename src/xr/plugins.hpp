@@ -207,6 +207,7 @@ class ApplicationPlugin : public Plugin
     int minResSeen_ = 0;
     int staleWindow_ = 0;   ///< Missed-slot frames in the window.
     int freshWindow_ = 0;   ///< On-time frames in the window.
+    Duration windowSpan_ = 0; ///< Frame intervals summed over the window.
     TimePoint lastFeedback_ = -1; ///< Previous rendered-frame time.
 };
 

@@ -12,6 +12,7 @@
 #include "audio/binaural.hpp"
 #include "audio/clips.hpp"
 #include "eyetrack/layers.hpp"
+#include "foundation/profile.hpp"
 #include "foundation/rng.hpp"
 #include "image/filter.hpp"
 #include "image/pyramid.hpp"
@@ -282,6 +283,40 @@ TEST(KernelPool, SerialWidthRunsInline)
                     EXPECT_TRUE(KernelPool::inKernel());
                 });
     EXPECT_FALSE(KernelPool::inKernel());
+}
+
+TEST(KernelPool, WorkClockChargesTheLaunchsEvenShare)
+{
+    // 16 tiles that spin on their own thread's CPU clock (so
+    // preemption cannot stretch them): 2 ms on a helper, 0.1 ms on
+    // the caller. The work clock must charge the caller the launch's
+    // total CPU spread over the threads that could run it, not its
+    // own tiles, however the tiles happened to be split.
+    WidthGuard width(4);
+    const std::size_t threads = std::min<std::size_t>(
+        4, std::max(1u, std::thread::hardware_concurrency()));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<std::int64_t> tile_ns{0};
+    // Start the helpers first: creating them is not part of the launch.
+    parallelFor("test_work_clock", 0, 16, 1, [](std::size_t, std::size_t) {});
+    const double w0 = KernelPool::threadWorkSeconds();
+    parallelFor("test_work_clock", 0, 16, 1,
+                [&](std::size_t, std::size_t) {
+                    const double burn =
+                        std::this_thread::get_id() == caller ? 0.1e-3
+                                                             : 2e-3;
+                    const double c0 = threadCpuSeconds();
+                    double c = c0;
+                    while (c - c0 < burn)
+                        c = threadCpuSeconds();
+                    tile_ns.fetch_add(
+                        static_cast<std::int64_t>((c - c0) * 1e9));
+                });
+    const double work_ms = (KernelPool::threadWorkSeconds() - w0) * 1e3;
+    const double share_ms = static_cast<double>(tile_ns.load()) * 1e-6 /
+                            static_cast<double>(threads);
+    EXPECT_GE(work_ms, share_ms - 1e-3); // 1 us for ns truncation.
+    EXPECT_LT(work_ms, share_ms + 0.5);
 }
 
 TEST(KernelPool, NestedParallelForRunsInlineSerial)

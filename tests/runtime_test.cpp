@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <thread>
 #include <type_traits>
 
 namespace illixr {
@@ -263,6 +265,31 @@ TEST(SimSchedulerTest, SlowPlatformInflatesVirtualTime)
     const double d = desktop.stats("a").exec_ms.mean();
     const double j = jetson.stats("b").exec_ms.mean();
     EXPECT_NEAR(j / d, 5.6, 1.5); // Jetson-LP cpu_scale.
+}
+
+TEST(SimSchedulerTest, MeasuredCostIgnoresBlockedTime)
+{
+    // A plugin that sleeps 20 ms per call does almost no work: a cost
+    // read off the wall clock would charge the 20 ms, the work clock
+    // charges only the CPU the call used.
+    class SleepPlugin : public Plugin
+    {
+      public:
+        SleepPlugin() : Plugin("sleep") {}
+        void iterate(TimePoint) override
+        {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        Duration period() const override { return 100 * kMillisecond; }
+    };
+    SleepPlugin sleeper;
+    SimScheduler sched(PlatformModel::get(PlatformId::Desktop));
+    sched.addPlugin(&sleeper);
+    sched.run(500 * kMillisecond);
+    const TaskStats &stats = sched.stats("sleep");
+    EXPECT_GE(stats.invocations, 5u);
+    EXPECT_LT(stats.exec_ms.max(), 2.0);
+    EXPECT_EQ(stats.skips, 0u);
 }
 
 TEST(SimSchedulerTest, OverrunSkipsFrames)

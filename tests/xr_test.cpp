@@ -256,6 +256,34 @@ TEST(AdaptiveResolutionTest, ShedsPixelsUnderOverloadOnly)
     EXPECT_EQ(r_d.extra.at("min_eye_resolution"), 80.0);
 }
 
+TEST(AdaptiveResolutionTest, DecidesEvery48DisplayPeriodsWhenFramesAreLate)
+{
+    // A 10 Hz application on a 120 Hz display misses every slot. The
+    // controller's window closes after 48 display periods (4 frame
+    // intervals, 0.4 s) instead of waiting for 24 frames (2.4 s), so
+    // each 0.4 s sheds one step: 80 -> 64 -> 51 -> 40 -> 32.
+    Phonebook pb;
+    pb.registerService(std::make_shared<Switchboard>());
+    SystemTuning tuning;
+    AppConfig app_cfg;
+    app_cfg.eye_width = 80;
+    app_cfg.eye_height = 80;
+    ApplicationPlugin late(pb, tuning, AppId::ArDemo, app_cfg, true);
+    const int expected[] = {80, 80, 80, 80, 64, 64, 64, 64, 51,
+                            51, 51, 51, 40, 40, 40, 40, 32, 32};
+    for (int k = 0; k < 18; ++k) {
+        late.iterate(k * 100 * kMillisecond);
+        EXPECT_EQ(late.currentEyeResolution(), expected[k]) << "frame " << k;
+    }
+
+    // On-time frames: every 24-frame window is fresh, nothing is shed.
+    ApplicationPlugin fresh(pb, tuning, AppId::ArDemo, app_cfg, true);
+    const Duration vsync = periodFromHz(tuning.display_hz);
+    for (int k = 0; k < 60; ++k)
+        fresh.iterate(k * vsync);
+    EXPECT_EQ(fresh.minEyeResolution(), 80);
+}
+
 TEST(AdaptiveResolutionTest, ImprovesDisplayRateWhenOverloaded)
 {
     IntegratedConfig cfg;
