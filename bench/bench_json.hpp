@@ -8,7 +8,7 @@
  * consumes.
  *
  * `--simd=BACKEND` asserts which SIMD backend the binary was compiled
- * with (scalar | sse2 | avx2) and prefixes every JSON key with
+ * with (scalar | avx2) and prefixes every JSON key with
  * "BACKEND." so per-backend results land under distinct names in the
  * committed baselines. A mismatch between the flag and the compiled
  * backend is a hard error: it means the CI matrix leg ran the wrong

@@ -1,7 +1,6 @@
 #include "audio/binaural.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <cassert>
 #include <cmath>
@@ -129,66 +128,34 @@ Binauralizer::process(const Soundfield &field)
     std::vector<Complex> acc_left(fftSize_, Complex(0.0, 0.0));
     std::vector<Complex> acc_right(fftSize_, Complex(0.0, 0.0));
 
-    // Per-channel forward transform + spectral product in parallel;
-    // partial spectra combine in fixed channel order below, matching
-    // the serial accumulation order bit-for-bit.
-    std::vector<std::vector<Complex>> prod_left(kAmbisonicChannels);
-    std::vector<std::vector<Complex>> prod_right(kAmbisonicChannels);
-    parallelFor(
-        "binaural_fir", 0,
-        static_cast<std::size_t>(kAmbisonicChannels), 1,
-        [&](std::size_t cb, std::size_t ce) {
-            std::vector<Complex> buf(fftSize_);
-            for (std::size_t c = cb; c < ce; ++c) {
-                // One shared forward transform per soundfield channel.
-                for (std::size_t i = 0; i < blockSize_; ++i)
-                    buf[i] = Complex(field.channels[c][i], 0.0);
-                for (std::size_t i = blockSize_; i < fftSize_; ++i)
-                    buf[i] = Complex(0.0, 0.0);
-                fft(buf, false);
-                prod_left[c].resize(fftSize_);
-                prod_right[c].resize(fftSize_);
-                // Spectral FIR products, two complex bins per
-                // Vec<double, 4>; complexMul matches std::complex
-                // bit-for-bit (fftSize_ is a power of two >= 2, so
-                // there is no odd tail).
-                using simd::VecD4;
-                const double *b =
-                    reinterpret_cast<const double *>(buf.data());
-                const double *fl = reinterpret_cast<const double *>(
-                    filterLeft_[c].data());
-                const double *fr = reinterpret_cast<const double *>(
-                    filterRight_[c].data());
-                double *pl =
-                    reinterpret_cast<double *>(prod_left[c].data());
-                double *pr =
-                    reinterpret_cast<double *>(prod_right[c].data());
-                for (std::size_t i = 0; i + 2 <= fftSize_; i += 2) {
-                    const VecD4 s = VecD4::load(b + 2 * i);
-                    simd::complexMul(s, VecD4::load(fl + 2 * i))
-                        .store(pl + 2 * i);
-                    simd::complexMul(s, VecD4::load(fr + 2 * i))
-                        .store(pr + 2 * i);
-                }
-            }
-        });
-    // Fixed channel order per bin — the pre-SIMD serial accumulation
-    // order, vectorized elementwise over bins.
-    {
-        using simd::VecD4;
-        double *al = reinterpret_cast<double *>(acc_left.data());
-        double *ar = reinterpret_cast<double *>(acc_right.data());
-        for (int c = 0; c < kAmbisonicChannels; ++c) {
-            const double *pl =
-                reinterpret_cast<const double *>(prod_left[c].data());
-            const double *pr =
-                reinterpret_cast<const double *>(prod_right[c].data());
-            for (std::size_t i = 0; i + 2 <= fftSize_; i += 2) {
-                (VecD4::load(al + 2 * i) + VecD4::load(pl + 2 * i))
-                    .store(al + 2 * i);
-                (VecD4::load(ar + 2 * i) + VecD4::load(pr + 2 * i))
-                    .store(ar + 2 * i);
-            }
+    // Per channel: one shared forward transform, then the spectral FIR
+    // products accumulate in fixed channel order per bin. Two complex
+    // bins ride one Vec<double, 4>; complexMul matches std::complex
+    // bit-for-bit (fftSize_ is a power of two >= 2, so there is no odd
+    // tail).
+    using simd::VecD4;
+    std::vector<Complex> buf(fftSize_);
+    double *al = reinterpret_cast<double *>(acc_left.data());
+    double *ar = reinterpret_cast<double *>(acc_right.data());
+    for (int c = 0; c < kAmbisonicChannels; ++c) {
+        for (std::size_t i = 0; i < blockSize_; ++i)
+            buf[i] = Complex(field.channels[c][i], 0.0);
+        for (std::size_t i = blockSize_; i < fftSize_; ++i)
+            buf[i] = Complex(0.0, 0.0);
+        fft(buf, false);
+        const double *b = reinterpret_cast<const double *>(buf.data());
+        const double *fl =
+            reinterpret_cast<const double *>(filterLeft_[c].data());
+        const double *fr =
+            reinterpret_cast<const double *>(filterRight_[c].data());
+        for (std::size_t i = 0; i + 2 <= fftSize_; i += 2) {
+            const VecD4 s = VecD4::load(b + 2 * i);
+            (VecD4::load(al + 2 * i) +
+             simd::complexMul(s, VecD4::load(fl + 2 * i)))
+                .store(al + 2 * i);
+            (VecD4::load(ar + 2 * i) +
+             simd::complexMul(s, VecD4::load(fr + 2 * i)))
+                .store(ar + 2 * i);
         }
     }
     fft(acc_left, true);

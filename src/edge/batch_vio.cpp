@@ -3,7 +3,6 @@
 #include "foundation/rng.hpp"
 #include "linalg/decomp.hpp"
 #include "linalg/matrix.hpp"
-#include "runtime/parallel.hpp"
 
 #include <cstring>
 
@@ -93,18 +92,10 @@ std::vector<std::uint64_t>
 fusedMsckfUpdate(const std::vector<BatchVioItem> &batch,
                  const BatchVioParams &params)
 {
-    std::vector<std::uint64_t> digests(batch.size(), 0);
-    if (batch.empty())
-        return digests;
-    // One launch for the whole batch; tiles are clients with disjoint
-    // outputs, so digests are width-invariant. The MatX products and
-    // decompositions inside each tile degrade inline-serial when they
-    // would self-parallelize (KernelPool nesting rule).
-    parallelFor("edge.batch", 0, batch.size(), 1,
-                [&](std::size_t b, std::size_t e) {
-                    for (std::size_t i = b; i < e; ++i)
-                        digests[i] = updateOne(batch[i], params);
-                });
+    std::vector<std::uint64_t> digests;
+    digests.reserve(batch.size());
+    for (const BatchVioItem &item : batch)
+        digests.push_back(updateOne(item, params));
     return digests;
 }
 

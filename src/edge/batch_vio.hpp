@@ -6,20 +6,17 @@
  * A batch is a set of same-window requests from distinct clients.
  * Each request's update — measurement compression (Householder QR)
  * followed by the EKF gain solve (Cholesky) — is independent of every
- * other client's, so the whole batch runs as ONE KernelPool launch
- * whose tiles are clients. That is what makes serving sub-linear in
- * client count: the per-batch dispatch overhead (scheduling, state
- * page-in, kernel launch) is paid once per batch instead of once per
- * client, and the per-client marginal cost is just the fused linear
- * algebra.
+ * other client's, so the server runs the whole batch in one call.
+ * That is what makes serving sub-linear in client count: the
+ * per-batch dispatch overhead (scheduling, state page-in) is paid once
+ * per batch instead of once per client, and the per-client marginal
+ * cost is just the fused linear algebra.
  *
  * Determinism contract: each item's inputs are a pure function of
- * (client key, sequence number) — synthesized from a seeded Rng —
- * and each item is computed entirely inside its own tile with
- * disjoint outputs, so the returned digests are bit-identical across
- * kernel widths 1/2/4 and independent of batch composition. The
- * digest of an item never changes because of who else rode in the
- * batch.
+ * (client key, sequence number) — synthesized from a seeded Rng — and
+ * each item is computed on its own, so the returned digests are
+ * independent of batch composition. The digest of an item never
+ * changes because of who else rode in the batch.
  */
 
 #pragma once
@@ -51,8 +48,8 @@ struct BatchVioParams
 };
 
 /**
- * Run the fused measurement update for every item of @p batch in one
- * "edge.batch" kernel launch. @return one digest per item (same
+ * Run the fused measurement update for every item of @p batch, in
+ * order. @return one digest per item (same
  * order): an FNV-1a hash over the bit patterns of the state
  * correction, the byte-identity surface of the edge determinism
  * tests.

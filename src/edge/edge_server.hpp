@@ -19,7 +19,7 @@
  *    costs `dispatch_overhead_ms + per_request_ms * n` of modeled
  *    server time. The overhead amortizes across the batch — that is
  *    the sub-linear scaling the bench measures. The fused compute is
- *    real (one KernelPool launch per batch); its *time* is modeled,
+ *    real (one fused call per batch); its *time* is modeled,
  *    never measured, so results are machine-independent.
  *  - Shedding at launch: when the batch's completion time is known,
  *    members that would miss their deadline are shed before the

@@ -1,11 +1,11 @@
 #include "eyetrack/layers.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace illixr {
 
@@ -76,61 +76,32 @@ Conv2d::forward(const Tensor &input) const
     const int ph = h + 2 * pad;
     const int pw = w + 2 * pad;
 
-    ArenaFrame scratch;
     const float *src = input.data();
     const float *padded = src;
+    std::vector<float> pbuf;
     if (pad > 0) {
         const std::size_t plane =
             static_cast<std::size_t>(ph) * static_cast<std::size_t>(pw);
-        float *pbuf =
-            scratch.alloc<float>(static_cast<std::size_t>(inChannels_) *
-                                 plane);
-        std::memset(pbuf, 0,
-                    static_cast<std::size_t>(inChannels_) * plane *
-                        sizeof(float));
+        pbuf.assign(static_cast<std::size_t>(inChannels_) * plane, 0.0f);
         for (int ic = 0; ic < inChannels_; ++ic)
             for (int y = 0; y < h; ++y)
-                std::memcpy(pbuf + ic * plane +
+                std::memcpy(pbuf.data() + ic * plane +
                                 (static_cast<std::size_t>(y) + pad) * pw +
                                 pad,
                             src + (static_cast<std::size_t>(ic) * h + y) *
                                       w,
                             static_cast<std::size_t>(w) * sizeof(float));
-        padded = pbuf;
+        padded = pbuf.data();
     }
     const int src_ph = pad > 0 ? ph : h;
     const int src_pw = pad > 0 ? pw : w;
 
-    const std::size_t range =
-        static_cast<std::size_t>(blocks) +
-        (outChannels_ % kBlock != 0 ? 1u : 0u);
-    parallelFor("conv2d", 0, range, 1,
-                [&](std::size_t ob, std::size_t oe) {
     using simd::VecF8;
-    for (std::size_t blk = ob; blk < oe; ++blk) {
-        if (blk >= static_cast<std::size_t>(blocks)) {
-            // Channel tail: original scalar path, untouched.
-            for (int oc = blocks * kBlock; oc < outChannels_; ++oc) {
-                for (int y = 0; y < h; ++y) {
-                    for (int x = 0; x < w; ++x) {
-                        float acc = bias_[oc];
-                        for (int ic = 0; ic < inChannels_; ++ic)
-                            for (int ky = 0; ky < k; ++ky)
-                                for (int kx = 0; kx < k; ++kx)
-                                    acc += weight(oc, ic, ky, kx) *
-                                           input.atPadded(ic, y + ky - pad,
-                                                          x + kx - pad);
-                        out.at(oc, y, x) = acc;
-                    }
-                }
-            }
-            continue;
-        }
-
-        const int oc0 = static_cast<int>(blk) * kBlock;
-        ArenaFrame tile_scratch;
-        float *wp = tile_scratch.alloc<float>(
-            static_cast<std::size_t>(inChannels_) * k * k * kBlock);
+    std::vector<float> wp(static_cast<std::size_t>(inChannels_) * k * k *
+                          kBlock);
+    std::vector<float> orow(static_cast<std::size_t>(w) * kBlock);
+    for (int blk = 0; blk < blocks; ++blk) {
+        const int oc0 = blk * kBlock;
         for (int ic = 0; ic < inChannels_; ++ic)
             for (int ky = 0; ky < k; ++ky)
                 for (int kx = 0; kx < k; ++kx)
@@ -143,13 +114,11 @@ Conv2d::forward(const Tensor &input) const
         for (int l = 0; l < kBlock; ++l)
             bias8[l] = bias_[oc0 + l];
         const VecF8 bias_v = VecF8::load(bias8);
-        float *orow = tile_scratch.alloc<float>(
-            static_cast<std::size_t>(w) * kBlock);
 
         for (int y = 0; y < h; ++y) {
             for (int x = 0; x < w; ++x) {
                 VecF8 acc = bias_v;
-                const float *wq = wp;
+                const float *wq = wp.data();
                 for (int ic = 0; ic < inChannels_; ++ic) {
                     const float *plane =
                         padded + static_cast<std::size_t>(ic) * src_ph *
@@ -166,7 +135,7 @@ Conv2d::forward(const Tensor &input) const
                         }
                     }
                 }
-                acc.store(orow + static_cast<std::size_t>(x) * kBlock);
+                acc.store(orow.data() + static_cast<std::size_t>(x) * kBlock);
             }
             for (int l = 0; l < kBlock; ++l) {
                 float *dst = out.data() +
@@ -177,7 +146,22 @@ Conv2d::forward(const Tensor &input) const
             }
         }
     }
-                });
+
+    // Channel tail: original scalar path, untouched.
+    for (int oc = blocks * kBlock; oc < outChannels_; ++oc) {
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                float acc = bias_[oc];
+                for (int ic = 0; ic < inChannels_; ++ic)
+                    for (int ky = 0; ky < k; ++ky)
+                        for (int kx = 0; kx < k; ++kx)
+                            acc += weight(oc, ic, ky, kx) *
+                                   input.atPadded(ic, y + ky - pad,
+                                                  x + kx - pad);
+                out.at(oc, y, x) = acc;
+            }
+        }
+    }
     return out;
 }
 

@@ -3,14 +3,13 @@
  * Portable fixed-width SIMD abstraction for the hot kernels
  * (DESIGN.md "SIMD & data layout").
  *
- * The backend (scalar / SSE2 / AVX2) is chosen at configure time via
- * the `ILLIXR_SIMD` CMake option, which defines exactly one of
- * ILLIXR_SIMD_BACKEND_SCALAR / _SSE2 / _AVX2. The *algorithmic* lane
- * width is fixed per element type — Vec<float, 8> and Vec<double, 4>
- * — independent of the backend: SSE2 models a Vec as two 128-bit
- * registers, AVX2 as one 256-bit register, and the scalar backend as
- * a plain lane array executing the identical sequence of IEEE-754
- * operations per lane.
+ * The backend (scalar / AVX2) is chosen at configure time via the
+ * `ILLIXR_SIMD` CMake option, which defines exactly one of
+ * ILLIXR_SIMD_BACKEND_SCALAR / _AVX2. The *algorithmic* lane width is
+ * fixed per element type — Vec<float, 8> and Vec<double, 4> —
+ * independent of the backend: AVX2 models a Vec as one 256-bit
+ * register and the scalar backend as a plain lane array executing the
+ * identical sequence of IEEE-754 operations per lane.
  *
  * Cross-backend bit-identity contract:
  *
@@ -27,7 +26,7 @@
  *    W = 4: r = (l0+l2) + (l1+l3). Identical on every backend.
  *
  * Kernels built on these primitives therefore produce bit-identical
- * results across scalar/SSE2/AVX2 builds; whether a kernel is also
+ * results across scalar/AVX2 builds; whether a kernel is also
  * bit-identical to its pre-SIMD scalar form depends on whether it
  * preserved the old per-element accumulation order (the per-kernel
  * catalog lives in DESIGN.md).
@@ -43,20 +42,16 @@
 
 #if defined(ILLIXR_SIMD_BACKEND_AVX2)
 #include <immintrin.h>
-#elif defined(ILLIXR_SIMD_BACKEND_SSE2)
-#include <emmintrin.h>
 #endif
 
 namespace illixr::simd {
 
-/** Backend id: 0 scalar, 1 SSE2, 2 AVX2 (kernel.simd_backend gauge). */
+/** Backend id: 0 scalar, 2 AVX2 (kernel.simd_backend gauge). */
 constexpr int
 backendId()
 {
 #if defined(ILLIXR_SIMD_BACKEND_AVX2)
     return 2;
-#elif defined(ILLIXR_SIMD_BACKEND_SSE2)
-    return 1;
 #else
     return 0;
 #endif
@@ -67,8 +62,6 @@ backendName()
 {
 #if defined(ILLIXR_SIMD_BACKEND_AVX2)
     return "avx2";
-#elif defined(ILLIXR_SIMD_BACKEND_SSE2)
-    return "sse2";
 #else
     return "scalar";
 #endif
@@ -97,7 +90,7 @@ requireNoOverlap(const void *a, std::size_t a_bytes, const void *b,
 // ---------------------------------------------------------------------
 // Scalar reference implementation (always available; the scalar
 // backend uses it directly, and simd_test uses it as the oracle the
-// intrinsic backends must match bit-for-bit).
+// AVX2 backend must match bit-for-bit).
 // ---------------------------------------------------------------------
 
 /**
@@ -382,7 +375,7 @@ narrowStore4(VecRef<double, 4> v, float *p)
     p[3] = static_cast<float>(v.lane[3]);
 }
 
-#if !defined(ILLIXR_SIMD_BACKEND_SSE2) && !defined(ILLIXR_SIMD_BACKEND_AVX2)
+#if !defined(ILLIXR_SIMD_BACKEND_AVX2)
 
 // ---------------------------------------------------------------------
 // Scalar backend: the reference IS the implementation.
@@ -393,8 +386,8 @@ template <typename T, std::size_t W> using Vec = VecRef<T, W>;
 #else
 
 // ---------------------------------------------------------------------
-// Intrinsic backends. The generic template stays the scalar lane
-// array (used for widths without a register mapping); float x 8 and
+// AVX2 backend. The generic template stays the scalar lane array
+// (used for widths without a register mapping); float x 8 and
 // double x 4 get register implementations below.
 // ---------------------------------------------------------------------
 
@@ -403,330 +396,6 @@ template <typename T, std::size_t W> struct Vec : VecRef<T, W>
     Vec() = default;
     Vec(VecRef<T, W> v) : VecRef<T, W>(v) {}
 };
-
-#if defined(ILLIXR_SIMD_BACKEND_SSE2)
-
-/** Two __m128 halves: lanes 0-3 low, 4-7 high. */
-template <> struct Vec<float, 8>
-{
-    __m128 lo, hi;
-
-    static Vec
-    load(const float *p)
-    {
-        return {_mm_loadu_ps(p), _mm_loadu_ps(p + 4)};
-    }
-
-    void
-    store(float *p) const
-    {
-        _mm_storeu_ps(p, lo);
-        _mm_storeu_ps(p + 4, hi);
-    }
-
-    static Vec
-    broadcast(float v)
-    {
-        const __m128 s = _mm_set1_ps(v);
-        return {s, s};
-    }
-
-    static Vec
-    zero()
-    {
-        return {_mm_setzero_ps(), _mm_setzero_ps()};
-    }
-
-    friend Vec
-    operator+(Vec a, Vec b)
-    {
-        return {_mm_add_ps(a.lo, b.lo), _mm_add_ps(a.hi, b.hi)};
-    }
-
-    friend Vec
-    operator-(Vec a, Vec b)
-    {
-        return {_mm_sub_ps(a.lo, b.lo), _mm_sub_ps(a.hi, b.hi)};
-    }
-
-    friend Vec
-    operator*(Vec a, Vec b)
-    {
-        return {_mm_mul_ps(a.lo, b.lo), _mm_mul_ps(a.hi, b.hi)};
-    }
-
-    friend Vec
-    operator/(Vec a, Vec b)
-    {
-        return {_mm_div_ps(a.lo, b.lo), _mm_div_ps(a.hi, b.hi)};
-    }
-};
-
-inline Vec<float, 8>
-vmin(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_min_ps(a.lo, b.lo), _mm_min_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-vmax(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_max_ps(a.lo, b.lo), _mm_max_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-madd(Vec<float, 8> acc, Vec<float, 8> a, Vec<float, 8> b)
-{
-    return acc + a * b; // -ffp-contract=off: never fused.
-}
-
-inline float
-hsum(Vec<float, 8> v)
-{
-    // Tree: m[i] = l[i] + l[i+4]; n[i] = m[i] + m[i+2]; n0 + n1.
-    const __m128 m = _mm_add_ps(v.lo, v.hi);
-    const __m128 n = _mm_add_ps(m, _mm_movehl_ps(m, m));
-    const __m128 r =
-        _mm_add_ss(n, _mm_shuffle_ps(n, n, _MM_SHUFFLE(1, 1, 1, 1)));
-    return _mm_cvtss_f32(r);
-}
-
-inline Vec<float, 8>
-cmpGT(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_cmpgt_ps(a.lo, b.lo), _mm_cmpgt_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-cmpLT(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_cmplt_ps(a.lo, b.lo), _mm_cmplt_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-cmpGE(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_cmpge_ps(a.lo, b.lo), _mm_cmpge_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-bitAnd(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_and_ps(a.lo, b.lo), _mm_and_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-bitOr(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_or_ps(a.lo, b.lo), _mm_or_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-bitXor(Vec<float, 8> a, Vec<float, 8> b)
-{
-    return {_mm_xor_ps(a.lo, b.lo), _mm_xor_ps(a.hi, b.hi)};
-}
-
-inline Vec<float, 8>
-andNot(Vec<float, 8> mask, Vec<float, 8> v)
-{
-    return {_mm_andnot_ps(mask.lo, v.lo), _mm_andnot_ps(mask.hi, v.hi)};
-}
-
-inline Vec<float, 8>
-select(Vec<float, 8> mask, Vec<float, 8> a, Vec<float, 8> b)
-{
-    return bitOr(bitAnd(mask, a), andNot(mask, b));
-}
-
-inline int
-maskBits(Vec<float, 8> v)
-{
-    return _mm_movemask_ps(v.lo) | (_mm_movemask_ps(v.hi) << 4);
-}
-
-/** Two __m128d halves: lanes 0-1 low, 2-3 high. */
-template <> struct Vec<double, 4>
-{
-    __m128d lo, hi;
-
-    static Vec
-    load(const double *p)
-    {
-        return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
-    }
-
-    void
-    store(double *p) const
-    {
-        _mm_storeu_pd(p, lo);
-        _mm_storeu_pd(p + 2, hi);
-    }
-
-    static Vec
-    broadcast(double v)
-    {
-        const __m128d s = _mm_set1_pd(v);
-        return {s, s};
-    }
-
-    static Vec
-    zero()
-    {
-        return {_mm_setzero_pd(), _mm_setzero_pd()};
-    }
-
-    friend Vec
-    operator+(Vec a, Vec b)
-    {
-        return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-    }
-
-    friend Vec
-    operator-(Vec a, Vec b)
-    {
-        return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
-    }
-
-    friend Vec
-    operator*(Vec a, Vec b)
-    {
-        return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-    }
-
-    friend Vec
-    operator/(Vec a, Vec b)
-    {
-        return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
-    }
-};
-
-inline Vec<double, 4>
-vmin(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-vmax(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_max_pd(a.lo, b.lo), _mm_max_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-madd(Vec<double, 4> acc, Vec<double, 4> a, Vec<double, 4> b)
-{
-    return acc + a * b;
-}
-
-inline double
-hsum(Vec<double, 4> v)
-{
-    // Tree: m[i] = l[i] + l[i+2]; m0 + m1.
-    const __m128d m = _mm_add_pd(v.lo, v.hi);
-    const __m128d r = _mm_add_sd(m, _mm_unpackhi_pd(m, m));
-    return _mm_cvtsd_f64(r);
-}
-
-inline Vec<double, 4>
-cmpGT(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_cmpgt_pd(a.lo, b.lo), _mm_cmpgt_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-cmpLT(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_cmplt_pd(a.lo, b.lo), _mm_cmplt_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-cmpGE(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_cmpge_pd(a.lo, b.lo), _mm_cmpge_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-bitAnd(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-bitOr(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-bitXor(Vec<double, 4> a, Vec<double, 4> b)
-{
-    return {_mm_xor_pd(a.lo, b.lo), _mm_xor_pd(a.hi, b.hi)};
-}
-
-inline Vec<double, 4>
-andNot(Vec<double, 4> mask, Vec<double, 4> v)
-{
-    return {_mm_andnot_pd(mask.lo, v.lo), _mm_andnot_pd(mask.hi, v.hi)};
-}
-
-inline Vec<double, 4>
-select(Vec<double, 4> mask, Vec<double, 4> a, Vec<double, 4> b)
-{
-    return bitOr(bitAnd(mask, a), andNot(mask, b));
-}
-
-inline int
-maskBits(Vec<double, 4> v)
-{
-    return _mm_movemask_pd(v.lo) | (_mm_movemask_pd(v.hi) << 2);
-}
-
-inline Vec<double, 4>
-dupEven(Vec<double, 4> v)
-{
-    return {_mm_unpacklo_pd(v.lo, v.lo), _mm_unpacklo_pd(v.hi, v.hi)};
-}
-
-inline Vec<double, 4>
-dupOdd(Vec<double, 4> v)
-{
-    return {_mm_unpackhi_pd(v.lo, v.lo), _mm_unpackhi_pd(v.hi, v.hi)};
-}
-
-inline Vec<double, 4>
-swapPairs(Vec<double, 4> v)
-{
-    return {_mm_shuffle_pd(v.lo, v.lo, 0x1),
-            _mm_shuffle_pd(v.hi, v.hi, 0x1)};
-}
-
-inline Vec<double, 4>
-addSub(Vec<double, 4> a, Vec<double, 4> b)
-{
-    // a + (-b_even, +b_odd): exact, since x - y == x + (-y) in IEEE.
-    const __m128d flip = _mm_set_pd(0.0, -0.0);
-    return {_mm_add_pd(a.lo, _mm_xor_pd(b.lo, flip)),
-            _mm_add_pd(a.hi, _mm_xor_pd(b.hi, flip))};
-}
-
-inline Vec<double, 4>
-widenLoad4(const float *p, Vec<double, 4> *)
-{
-    const __m128 f = _mm_loadu_ps(p);
-    return {_mm_cvtps_pd(f),
-            _mm_cvtps_pd(_mm_movehl_ps(f, f))};
-}
-
-inline void
-narrowStore4(Vec<double, 4> v, float *p)
-{
-    const __m128 lo = _mm_cvtpd_ps(v.lo);
-    const __m128 hi = _mm_cvtpd_ps(v.hi);
-    _mm_storeu_ps(p, _mm_movelh_ps(lo, hi));
-}
-
-#elif defined(ILLIXR_SIMD_BACKEND_AVX2)
 
 template <> struct Vec<float, 8>
 {
@@ -802,7 +471,7 @@ madd(Vec<float, 8> acc, Vec<float, 8> a, Vec<float, 8> b)
 inline float
 hsum(Vec<float, 8> v)
 {
-    // Identical tree to the SSE2 backend: halves, then quarters.
+    // The reference tree: halves, then quarters.
     const __m128 m =
         _mm_add_ps(_mm256_castps256_ps128(v.v),
                    _mm256_extractf128_ps(v.v, 1));
@@ -1038,9 +707,7 @@ narrowStore4(Vec<double, 4> v, float *p)
     _mm_storeu_ps(p, _mm256_cvtpd_ps(v.v));
 }
 
-#endif // backend
-
-#endif // intrinsic backends
+#endif // ILLIXR_SIMD_BACKEND_AVX2
 
 /** The fixed algorithmic widths used by the kernels. */
 using VecF8 = Vec<float, 8>;

@@ -1,7 +1,6 @@
 #include "image/filter.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -10,24 +9,6 @@
 namespace illixr {
 
 namespace {
-
-/** Rows per tile for the row-parallel filter kernels. */
-constexpr std::size_t kRowGrain = 16;
-
-/**
- * Row grain for an image of @p w x @p h: camera-sized frames
- * (< 64k px) run as a single tile because the per-row work is far
- * below the kernel-pool launch handoff cost (the fig3 width-4
- * inversion). A pure function of the image shape, so tiling stays
- * width-independent.
- */
-inline std::size_t
-rowGrainFor(int w, int h)
-{
-    return static_cast<std::size_t>(w) * h < 64 * 1024
-               ? static_cast<std::size_t>(std::max(h, 1))
-               : kRowGrain;
-}
 
 inline int
 clampi(int v, int lo, int hi)
@@ -75,85 +56,65 @@ gaussianBlurRaw(const float *src, int w, int h, double sigma, float *dst)
     const auto kernel = gaussianKernel(sigma);
     const int radius = static_cast<int>(kernel.size() / 2);
 
-    ArenaFrame scratch;
-    float *tmp = scratch.alloc<float>(static_cast<std::size_t>(w) * h);
+    std::vector<float> tmp_buf(static_cast<std::size_t>(w) * h);
+    float *tmp = tmp_buf.data();
 
-    // Horizontal pass (rows are independent). Interior pixels — where
-    // the clamp is the identity — run four at a time in Vec<double, 4>
-    // with the double accumulator and serial tap order preserved
-    // (float -> double widening is exact and the final narrowing store
-    // is the same IEEE round, so results are bit-identical to the
-    // scalar loop; DESIGN.md "SIMD & data layout"). Border pixels keep
-    // the scalar clamped path.
-    const std::size_t row_grain = rowGrainFor(w, h);
-    parallelFor("gaussian_h", 0, static_cast<std::size_t>(h), row_grain,
-                [&](std::size_t yb, std::size_t ye) {
-                    using simd::VecD4;
-                    for (std::size_t y = yb; y < ye; ++y) {
-                        const float *row = src + y * w;
-                        float *out_row = tmp + y * w;
-                        auto scalar_px = [&](int x) {
-                            double acc = 0.0;
-                            for (int k = -radius; k <= radius; ++k)
-                                acc += kernel[k + radius] *
-                                       row[clampi(x + k, 0, w - 1)];
-                            out_row[x] = static_cast<float>(acc);
-                        };
-                        const int interior_end = w - radius;
-                        int x = 0;
-                        for (; x < std::min(radius, w); ++x)
-                            scalar_px(x);
-                        for (; x + 4 <= interior_end; x += 4) {
-                            VecD4 acc = VecD4::zero();
-                            for (int k = -radius; k <= radius; ++k)
-                                acc = simd::madd(
-                                    acc,
-                                    VecD4::broadcast(kernel[k + radius]),
-                                    simd::widenLoad(row + x + k));
-                            simd::narrowStore4(acc, out_row + x);
-                        }
-                        for (; x < w; ++x)
-                            scalar_px(x);
-                    }
-                });
-    // Vertical pass (the horizontal pass is fully materialized, so
-    // output rows only read tmp; rows stay independent). The clamp is
-    // on y — uniform across a row — so every x vectorizes.
-    parallelFor("gaussian_v", 0, static_cast<std::size_t>(h), row_grain,
-                [&](std::size_t yb, std::size_t ye) {
-                    using simd::VecD4;
-                    for (std::size_t y = yb; y < ye; ++y) {
-                        float *out_row = dst + y * w;
-                        int x = 0;
-                        for (; x + 4 <= w; x += 4) {
-                            VecD4 acc = VecD4::zero();
-                            for (int k = -radius; k <= radius; ++k) {
-                                const int yy = clampi(
-                                    static_cast<int>(y) + k, 0, h - 1);
-                                acc = simd::madd(
-                                    acc,
-                                    VecD4::broadcast(kernel[k + radius]),
-                                    simd::widenLoad(
-                                        tmp +
-                                        static_cast<std::size_t>(yy) * w +
-                                        x));
-                            }
-                            simd::narrowStore4(acc, out_row + x);
-                        }
-                        for (; x < w; ++x) {
-                            double acc = 0.0;
-                            for (int k = -radius; k <= radius; ++k) {
-                                const int yy = clampi(
-                                    static_cast<int>(y) + k, 0, h - 1);
-                                acc += kernel[k + radius] *
-                                       tmp[static_cast<std::size_t>(yy) *
-                                               w +
-                                           x];
-                            }
-                            out_row[x] = static_cast<float>(acc);
-                        }
-                    }
-                });
+    using simd::VecD4;
+    // Horizontal pass. Interior pixels — where the clamp is the
+    // identity — run four at a time in Vec<double, 4> with the double
+    // accumulator and serial tap order preserved (float -> double
+    // widening is exact and the final narrowing store is the same IEEE
+    // round, so results are bit-identical to the scalar loop; DESIGN.md
+    // "SIMD & data layout"). Border pixels keep the scalar clamped path.
+    for (int y = 0; y < h; ++y) {
+        const float *row = src + static_cast<std::size_t>(y) * w;
+        float *out_row = tmp + static_cast<std::size_t>(y) * w;
+        auto scalar_px = [&](int x) {
+            double acc = 0.0;
+            for (int k = -radius; k <= radius; ++k)
+                acc += kernel[k + radius] * row[clampi(x + k, 0, w - 1)];
+            out_row[x] = static_cast<float>(acc);
+        };
+        const int interior_end = w - radius;
+        int x = 0;
+        for (; x < std::min(radius, w); ++x)
+            scalar_px(x);
+        for (; x + 4 <= interior_end; x += 4) {
+            VecD4 acc = VecD4::zero();
+            for (int k = -radius; k <= radius; ++k)
+                acc = simd::madd(acc, VecD4::broadcast(kernel[k + radius]),
+                                 simd::widenLoad(row + x + k));
+            simd::narrowStore4(acc, out_row + x);
+        }
+        for (; x < w; ++x)
+            scalar_px(x);
+    }
+    // Vertical pass over the materialized horizontal pass. The clamp
+    // is on y — uniform across a row — so every x vectorizes.
+    for (int y = 0; y < h; ++y) {
+        float *out_row = dst + static_cast<std::size_t>(y) * w;
+        int x = 0;
+        for (; x + 4 <= w; x += 4) {
+            VecD4 acc = VecD4::zero();
+            for (int k = -radius; k <= radius; ++k) {
+                const int yy = clampi(y + k, 0, h - 1);
+                acc = simd::madd(
+                    acc, VecD4::broadcast(kernel[k + radius]),
+                    simd::widenLoad(tmp + static_cast<std::size_t>(yy) * w +
+                                    x));
+            }
+            simd::narrowStore4(acc, out_row + x);
+        }
+        for (; x < w; ++x) {
+            double acc = 0.0;
+            for (int k = -radius; k <= radius; ++k) {
+                const int yy = clampi(y + k, 0, h - 1);
+                acc += kernel[k + radius] *
+                       tmp[static_cast<std::size_t>(yy) * w + x];
+            }
+            out_row[x] = static_cast<float>(acc);
+        }
+    }
 }
 
 void
@@ -167,28 +128,21 @@ downsampleHalfRaw(const float *src, int w, int h, float *dst)
                            dst, static_cast<std::size_t>(ow) * oh *
                                     sizeof(float),
                            "downsampleHalfRaw");
-    parallelFor(
-        "downsample", 0, static_cast<std::size_t>(oh), rowGrainFor(ow, oh),
-        [&](std::size_t yb, std::size_t ye) {
-            for (std::size_t y = yb; y < ye; ++y) {
-                float *out_row = dst + y * ow;
-                for (int x = 0; x < ow; ++x) {
-                    const int x0 = clampi(2 * x, 0, w - 1);
-                    const int x1 = clampi(2 * x + 1, 0, w - 1);
-                    const int y0 =
-                        clampi(2 * static_cast<int>(y), 0, h - 1);
-                    const int y1 =
-                        clampi(2 * static_cast<int>(y) + 1, 0, h - 1);
-                    const double v =
-                        (src[static_cast<std::size_t>(y0) * w + x0] +
-                         src[static_cast<std::size_t>(y0) * w + x1] +
-                         src[static_cast<std::size_t>(y1) * w + x0] +
-                         src[static_cast<std::size_t>(y1) * w + x1]) /
-                        4.0;
-                    out_row[x] = static_cast<float>(v);
-                }
-            }
-        });
+    for (int y = 0; y < oh; ++y) {
+        float *out_row = dst + static_cast<std::size_t>(y) * ow;
+        const int y0 = clampi(2 * y, 0, h - 1);
+        const int y1 = clampi(2 * y + 1, 0, h - 1);
+        for (int x = 0; x < ow; ++x) {
+            const int x0 = clampi(2 * x, 0, w - 1);
+            const int x1 = clampi(2 * x + 1, 0, w - 1);
+            const double v = (src[static_cast<std::size_t>(y0) * w + x0] +
+                              src[static_cast<std::size_t>(y0) * w + x1] +
+                              src[static_cast<std::size_t>(y1) * w + x0] +
+                              src[static_cast<std::size_t>(y1) * w + x1]) /
+                             4.0;
+            out_row[x] = static_cast<float>(v);
+        }
+    }
 }
 
 } // namespace detail

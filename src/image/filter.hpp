@@ -37,10 +37,9 @@ ImageF downsampleHalf(const ImageF &src);
 namespace detail {
 
 /**
- * Separable Gaussian into @p dst (w*h floats); the intermediate
- * horizontal pass lives in the caller thread's ScratchArena, so the
- * pyramid path allocates nothing per frame. @p src and @p dst may not
- * alias. Row-tiled via the kernel pool; bit-identical at any width.
+ * Separable Gaussian into @p dst (w*h floats), so the pyramid path
+ * writes each level without an ImageF copy. @p src and @p dst may not
+ * alias.
  */
 void gaussianBlurRaw(const float *src, int w, int h, double sigma,
                      float *dst);

@@ -1,9 +1,9 @@
 #include "image/pyramid.hpp"
 
 #include "image/filter.hpp"
-#include "runtime/parallel.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace illixr {
 
@@ -29,14 +29,12 @@ ImagePyramid::build(int levels)
             break;
         const int w = prev->width();
         const int h = prev->height();
-        // The blurred full-resolution intermediate is scratch: it only
-        // feeds the downsample, so it lives in the arena.
-        ArenaFrame scratch;
-        float *blurred =
-            scratch.alloc<float>(static_cast<std::size_t>(w) * h);
-        detail::gaussianBlurRaw(prev->data(), w, h, 1.0, blurred);
+        // The blurred full-resolution intermediate only feeds the
+        // downsample.
+        std::vector<float> blurred(static_cast<std::size_t>(w) * h);
+        detail::gaussianBlurRaw(prev->data(), w, h, 1.0, blurred.data());
         ImageF next(std::max(1, w / 2), std::max(1, h / 2));
-        detail::downsampleHalfRaw(blurred, w, h, next.data());
+        detail::downsampleHalfRaw(blurred.data(), w, h, next.data());
         higher_.push_back(std::move(next));
         prev = &higher_.back();
     }

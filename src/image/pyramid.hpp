@@ -20,8 +20,7 @@ namespace illixr {
  * frame event aliases the event's image instead of deep-copying it,
  * and every consumer of the same frame shares one pyramid
  * (`std::shared_ptr<const ImagePyramid>` on the camera->pyramid->
- * tracker path). The blur temporaries live in the calling thread's
- * ScratchArena; only the stored levels themselves are heap-allocated.
+ * tracker path).
  */
 class ImagePyramid
 {

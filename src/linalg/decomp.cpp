@@ -1,20 +1,13 @@
 #include "linalg/decomp.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace illixr {
-
-namespace {
-
-/** Work threshold for column-parallel solves (flops-ish). */
-constexpr std::size_t kSolveParallelFlops = 64 * 1024;
-
-} // namespace
 
 Cholesky::Cholesky(const MatX &a)
 {
@@ -60,22 +53,16 @@ MatX
 Cholesky::solve(const MatX &b) const
 {
     MatX x(b.rows(), b.cols());
-    // Right-hand-side columns are independent solves; the MSCKF gain
-    // computation (S K^T = (P H^T)^T) tiles over them.
-    auto cols_kernel = [&](std::size_t cb, std::size_t ce) {
-        VecX col(b.rows());
-        for (std::size_t c = cb; c < ce; ++c) {
-            for (std::size_t r = 0; r < b.rows(); ++r)
-                col[r] = b(r, c);
-            const VecX sol = solve(col);
-            for (std::size_t r = 0; r < b.rows(); ++r)
-                x(r, c) = sol[r];
-        }
-    };
-    if (b.cols() * b.rows() * b.rows() >= kSolveParallelFlops)
-        parallelFor("chol_solve", 0, b.cols(), 4, cols_kernel);
-    else
-        cols_kernel(0, b.cols());
+    // Right-hand-side columns are independent solves (the MSCKF gain
+    // computation S K^T = (P H^T)^T).
+    VecX col(b.rows());
+    for (std::size_t c = 0; c < b.cols(); ++c) {
+        for (std::size_t r = 0; r < b.rows(); ++r)
+            col[r] = b(r, c);
+        const VecX sol = solve(col);
+        for (std::size_t r = 0; r < b.rows(); ++r)
+            x(r, c) = sol[r];
+    }
     return x;
 }
 
@@ -93,10 +80,9 @@ HouseholderQR::HouseholderQR(const MatX &a)
 {
     const std::size_t steps = std::min(m_ > 0 ? m_ - 1 : 0, n_);
     tau_.assign(steps, 0.0);
-    // Panel of per-column dot accumulators for the trailing update
-    // (arena scratch, reused across reflectors).
-    ArenaFrame scratch;
-    double *dot = n_ > 0 ? scratch.alloc<double>(n_) : nullptr;
+    // Panel of per-column dot accumulators for the trailing update,
+    // reused across reflectors.
+    std::vector<double> dot(n_);
     for (std::size_t k = 0; k < steps; ++k) {
         // Compute the Householder reflector for column k.
         double norm_sq = 0.0;
@@ -129,7 +115,7 @@ HouseholderQR::HouseholderQR(const MatX &a)
         if (jb >= n_)
             continue;
         const std::size_t nj = n_ - jb;
-        double *panel = dot;
+        double *panel = dot.data();
         const double *qdata = qr_.data();
         double *qmut = qr_.data();
         using simd::VecD4;
@@ -219,28 +205,21 @@ HouseholderQR::applyQT(const MatX &b) const
     assert(b.rows() == m_);
     MatX r = b;
     // Columns are independent: applying every reflector (in k order)
-    // to one column never reads another, so swapping the loop nest to
-    // column-outer is bit-identical and tiles over columns.
-    auto cols_kernel = [&](std::size_t jb, std::size_t je) {
-        for (std::size_t j = jb; j < je; ++j) {
-            for (std::size_t k = 0; k < tau_.size(); ++k) {
-                if (tau_[k] == 0.0)
-                    continue;
-                double dot = r(k, j);
-                for (std::size_t i = k + 1; i < m_; ++i)
-                    dot += qr_(i, k) * r(i, j);
-                dot *= tau_[k];
-                r(k, j) -= dot;
-                for (std::size_t i = k + 1; i < m_; ++i)
-                    r(i, j) -= qr_(i, k) * dot;
-            }
+    // to one column never reads another, so the column-outer loop nest
+    // is bit-identical to the reflector-outer one.
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+        for (std::size_t k = 0; k < tau_.size(); ++k) {
+            if (tau_[k] == 0.0)
+                continue;
+            double dot = r(k, j);
+            for (std::size_t i = k + 1; i < m_; ++i)
+                dot += qr_(i, k) * r(i, j);
+            dot *= tau_[k];
+            r(k, j) -= dot;
+            for (std::size_t i = k + 1; i < m_; ++i)
+                r(i, j) -= qr_(i, k) * dot;
         }
-    };
-    if (b.cols() * m_ * std::max<std::size_t>(tau_.size(), 1) >=
-        kSolveParallelFlops)
-        parallelFor("qr_applyqt", 0, b.cols(), 4, cols_kernel);
-    else
-        cols_kernel(0, b.cols());
+    }
     return r;
 }
 

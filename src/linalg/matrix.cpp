@@ -1,7 +1,6 @@
 #include "linalg/matrix.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <cassert>
 #include <cmath>
@@ -9,19 +8,6 @@
 namespace illixr {
 
 namespace {
-
-/**
- * Flop threshold below which dense products stay on the caller's
- * thread. Thresholding cannot change results: every output row is
- * computed by the same serial inner loops either way. 512k flops
- * keeps the per-frame MSCKF covariance products (~360k flops at 75
- * states) inline — on small hosts the launch handoff costs more than
- * the product (the fig3 width-4 inversion).
- */
-constexpr std::size_t kGemmParallelFlops = 512 * 1024;
-
-/** Output rows per tile. */
-constexpr std::size_t kGemmRowGrain = 8;
 
 /**
  * rrow[j] += a * orow[j], vectorized over j. Each output element
@@ -55,19 +41,16 @@ axpyRow(double *__restrict rrow, const double *__restrict orow, double a,
 }
 
 /**
- * Serial row-range GEMM kernel shared by the inline and pooled paths
- * of operator*. Kept out-of-line on purpose: when this body is
- * inlined into operator* the surrounding member-field accesses defeat
- * the vectorizer's alias versioning and the scalar backend loses
- * ~35% (measured on BM_MsckfGemm). Compiling it once as a standalone
- * function gives both call paths the same (good) code.
+ * Row-major GEMM body of operator*. Kept out-of-line on purpose: when
+ * this body is inlined into operator* the surrounding member-field
+ * accesses defeat the vectorizer's alias versioning and the scalar
+ * backend loses ~35% (measured on BM_MsckfGemm).
  */
 __attribute__((noinline)) void
-gemmRowRange(double *rdata, const double *adata, const double *odata,
-             std::size_t ib, std::size_t ie, std::size_t cols,
-             std::size_t ocols)
+gemmRows(double *rdata, const double *adata, const double *odata,
+         std::size_t rows, std::size_t cols, std::size_t ocols)
 {
-    for (std::size_t i = ib; i < ie; ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
         for (std::size_t k = 0; k < cols; ++k) {
             const double a = adata[i * cols + k];
             if (a == 0.0)
@@ -77,13 +60,12 @@ gemmRowRange(double *rdata, const double *adata, const double *odata,
     }
 }
 
-/** Out-of-line row-range kernel for timesTranspose (see gemmRowRange). */
+/** Out-of-line body of timesTranspose (see gemmRows). */
 __attribute__((noinline)) void
-gemmNtRowRange(double *rdata, const double *adata, const double *odata,
-               std::size_t ib, std::size_t ie, std::size_t cols,
-               std::size_t orows)
+gemmNtRows(double *rdata, const double *adata, const double *odata,
+           std::size_t rows, std::size_t cols, std::size_t orows)
 {
-    for (std::size_t i = ib; i < ie; ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
         const double *arow = adata + i * cols;
         for (std::size_t j = 0; j < orows; ++j) {
             const double *brow = odata + j * cols;
@@ -159,17 +141,9 @@ MatX::operator*(const MatX &o) const
 {
     assert(cols_ == o.rows_);
     MatX r(rows_, o.cols_);
-    // i-k-j loop order keeps the inner loop contiguous for row-major;
-    // output rows are independent, so the MSCKF covariance GEMMs tile
-    // by row (bit-identical at any width).
-    auto rows_kernel = [&](std::size_t ib, std::size_t ie) {
-        gemmRowRange(r.data_.data(), data_.data(), o.data_.data(), ib, ie,
-                     cols_, o.cols_);
-    };
-    if (rows_ * cols_ * o.cols_ >= kGemmParallelFlops)
-        parallelFor("gemm", 0, rows_, kGemmRowGrain, rows_kernel);
-    else
-        rows_kernel(0, rows_);
+    // i-k-j loop order keeps the inner loop contiguous for row-major.
+    gemmRows(r.data_.data(), data_.data(), o.data_.data(), rows_, cols_,
+             o.cols_);
     return r;
 }
 
@@ -230,25 +204,6 @@ MatX::transposeTimes(const MatX &o) const
 {
     assert(rows_ == o.rows_);
     MatX r(cols_, o.cols_);
-    if (cols_ * rows_ * o.cols_ >= kGemmParallelFlops) {
-        // Row-partition the output: each out(i, j) still accumulates
-        // over k in ascending order with the same zero-skip rule, so
-        // the result matches the serial k-outer loop bit-for-bit.
-        parallelFor("gemm_tn", 0, cols_, kGemmRowGrain,
-                    [&](std::size_t ib, std::size_t ie) {
-                        for (std::size_t i = ib; i < ie; ++i) {
-                            double *rrow = &r.data_[i * o.cols_];
-                            for (std::size_t k = 0; k < rows_; ++k) {
-                                const double a = data_[k * cols_ + i];
-                                if (a == 0.0)
-                                    continue;
-                                axpyRow(rrow, &o.data_[k * o.cols_], a,
-                                        o.cols_);
-                            }
-                        }
-                    });
-        return r;
-    }
     for (std::size_t k = 0; k < rows_; ++k) {
         const double *arow = &data_[k * cols_];
         const double *brow = &o.data_[k * o.cols_];
@@ -267,14 +222,8 @@ MatX::timesTranspose(const MatX &o) const
 {
     assert(cols_ == o.cols_);
     MatX r(rows_, o.rows_);
-    auto rows_kernel = [&](std::size_t ib, std::size_t ie) {
-        gemmNtRowRange(r.data_.data(), data_.data(), o.data_.data(), ib, ie,
-                       cols_, o.rows_);
-    };
-    if (rows_ * cols_ * o.rows_ >= kGemmParallelFlops)
-        parallelFor("gemm_nt", 0, rows_, kGemmRowGrain, rows_kernel);
-    else
-        rows_kernel(0, rows_);
+    gemmNtRows(r.data_.data(), data_.data(), o.data_.data(), rows_, cols_,
+               o.rows_);
     return r;
 }
 

@@ -52,8 +52,7 @@ TsdfVolume::integrate(const DepthImage &depth, const CameraIntrinsics &intr,
     const float img_h = static_cast<float>(intr.height);
 
     // Per-x world coordinate, pure function of x (shared, read-only).
-    ArenaFrame scratch;
-    float *wxs = scratch.alloc<float>(static_cast<std::size_t>(res));
+    std::vector<float> wxs(static_cast<std::size_t>(res));
     for (int x = 0; x < res; ++x)
         wxs[x] = static_cast<float>(params_.origin.x) +
                  (static_cast<float>(x) + 0.5f) * vs;
@@ -94,7 +93,7 @@ TsdfVolume::integrate(const DepthImage &depth, const CameraIntrinsics &intr,
             const VecF8 v_bz = VecF8::broadcast(bz);
             int x = 0;
             for (; x + 8 <= res; x += 8) {
-                const VecF8 wx = VecF8::load(wxs + x);
+                const VecF8 wx = VecF8::load(wxs.data() + x);
                 const VecF8 camx = simd::madd(v_bx, v_cxx, wx);
                 const VecF8 camy = simd::madd(v_by, v_cxy, wx);
                 const VecF8 camz = simd::madd(v_bz, v_cxz, wx);

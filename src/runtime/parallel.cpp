@@ -6,10 +6,9 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,81 +39,6 @@ kernelTiles(std::size_t begin, std::size_t end, std::size_t grain)
         tiles.push_back(t);
     }
     return tiles;
-}
-
-// ---------------------------------------------------------------------
-// ScratchArena
-// ---------------------------------------------------------------------
-
-namespace {
-constexpr std::size_t kMinArenaBlock = 64 * 1024;
-} // namespace
-
-ScratchArena &
-ScratchArena::forThisThread()
-{
-    static thread_local ScratchArena arena;
-    return arena;
-}
-
-void *
-ScratchArena::allocate(std::size_t bytes, std::size_t align)
-{
-    ++allocs_;
-    if (bytes == 0)
-        bytes = 1;
-    if (align == 0)
-        align = 1;
-    // Try the current block, then any later (already-grown) block.
-    while (block_ < blocks_.size()) {
-        Block &b = blocks_[block_];
-        const std::size_t base =
-            reinterpret_cast<std::size_t>(b.data.get());
-        const std::size_t aligned =
-            (base + offset_ + align - 1) & ~(align - 1);
-        const std::size_t new_offset = aligned - base + bytes;
-        if (new_offset <= b.size) {
-            offset_ = new_offset;
-            return reinterpret_cast<void *>(aligned);
-        }
-        ++block_;
-        offset_ = 0;
-    }
-    // Grow: blocks double so steady-state kernels settle into block 0.
-    std::size_t size = kMinArenaBlock;
-    if (!blocks_.empty())
-        size = std::max(size, blocks_.back().size * 2);
-    size = std::max(size, bytes + align);
-    Block b;
-    b.data = std::make_unique<std::byte[]>(size);
-    b.size = size;
-    capacity_ += size;
-    ++growths_;
-    blocks_.push_back(std::move(b));
-    block_ = blocks_.size() - 1;
-    offset_ = 0;
-    const std::size_t base =
-        reinterpret_cast<std::size_t>(blocks_.back().data.get());
-    const std::size_t aligned = (base + align - 1) & ~(align - 1);
-    offset_ = aligned - base + bytes;
-    return reinterpret_cast<void *>(aligned);
-}
-
-void
-ScratchArena::rewind(Mark m)
-{
-    assert(m.block <= blocks_.size());
-    block_ = m.block;
-    offset_ = m.offset;
-}
-
-void
-ScratchArena::releaseAll()
-{
-    blocks_.clear();
-    block_ = 0;
-    offset_ = 0;
-    capacity_ = 0;
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,11 @@
 /**
  * @file
- * Data-parallel kernel runtime: a deterministic parallelFor /
- * parallelReduce over a fixed worker set (KernelPool), plus a
- * per-thread bump allocator (ScratchArena) that removes per-frame
- * heap traffic from the hot kernels.
+ * Data-parallel kernel runtime: a deterministic parallelFor over a
+ * fixed worker set (KernelPool). Only the kernels whose time is in
+ * wide data-parallel loops launch through it: the rasterizer
+ * (raster_xform, raster_tiles), scene reconstruction (tsdf_integrate,
+ * tsdf_raycast) and reprojection (timewarp, timewarp_pos). Every
+ * other kernel is a plain serial loop.
  *
  * Determinism is a hard contract (DESIGN.md §6):
  *
@@ -13,11 +15,8 @@
  *    [begin + i*grain, min(end, begin + (i+1)*grain)).
  *  - Tiles write disjoint outputs, so the assignment of tiles to
  *    workers (which *is* timing-dependent, via stealing) cannot
- *    change results.
- *  - parallelReduce() stores one partial per tile and combines them
- *    in ascending tile order on the calling thread, so reductions
- *    are bit-identical across worker counts — including width 1,
- *    which executes the very same tiles in the very same order.
+ *    change results. Width 1 executes the very same tiles in
+ *    ascending order.
  *
  * Executor interaction: there is ONE process-wide KernelPool, started
  * lazily on the first parallel launch (so RT/Sim executors get it for
@@ -33,7 +32,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,101 +57,6 @@ struct KernelTile
  */
 std::vector<KernelTile> kernelTiles(std::size_t begin, std::size_t end,
                                     std::size_t grain);
-
-/**
- * Per-thread bump allocator for kernel scratch (pyramid temporaries,
- * KLT patches, MSCKF Jacobian rows). Allocation is a pointer bump;
- * nothing is freed until rewind. Kernels open an ArenaFrame at entry,
- * which rewinds the arena on exit, so capacity reached after warmup
- * is reused forever (asserted by ParallelTest.ArenaNoGrowthAfterWarmup
- * via growthCount()).
- */
-class ScratchArena
-{
-  public:
-    /** Arena of the calling thread (created on first use). */
-    static ScratchArena &forThisThread();
-
-    /** A rewind point (see ArenaFrame). */
-    struct Mark
-    {
-        std::size_t block = 0;
-        std::size_t offset = 0;
-    };
-
-    void *allocate(std::size_t bytes,
-                   std::size_t align = alignof(std::max_align_t));
-
-    /** Typed array of @p n trivially-destructible Ts (uninitialised). */
-    template <typename T>
-    T *
-    alloc(std::size_t n)
-    {
-        static_assert(std::is_trivially_destructible_v<T>,
-                      "arena memory is never destructed");
-        return static_cast<T *>(allocate(n * sizeof(T), alignof(T)));
-    }
-
-    Mark mark() const { return {block_, offset_}; }
-    void rewind(Mark m);
-
-    /** Free every block (capacity back to zero). */
-    void releaseAll();
-
-    /** Total bytes across blocks. */
-    std::size_t capacity() const { return capacity_; }
-
-    /** Number of block allocations ever made (growth events). */
-    std::uint64_t growthCount() const { return growths_; }
-
-    /** Number of allocate() calls ever made. */
-    std::uint64_t allocationCount() const { return allocs_; }
-
-  private:
-    struct Block
-    {
-        std::unique_ptr<std::byte[]> data;
-        std::size_t size = 0;
-    };
-
-    std::vector<Block> blocks_;
-    std::size_t block_ = 0;  ///< Current block index.
-    std::size_t offset_ = 0; ///< Bump offset within the current block.
-    std::size_t capacity_ = 0;
-    std::uint64_t growths_ = 0;
-    std::uint64_t allocs_ = 0;
-};
-
-/**
- * RAII arena scope: saves the bump point on entry and rewinds on
- * exit, so nested kernels (pyramid -> gaussianBlur) stack cleanly.
- */
-class ArenaFrame
-{
-  public:
-    explicit ArenaFrame(ScratchArena &arena = ScratchArena::forThisThread())
-        : arena_(arena), mark_(arena.mark())
-    {
-    }
-
-    ~ArenaFrame() { arena_.rewind(mark_); }
-
-    template <typename T>
-    T *
-    alloc(std::size_t n)
-    {
-        return arena_.alloc<T>(n);
-    }
-
-    ScratchArena &arena() { return arena_; }
-
-    ArenaFrame(const ArenaFrame &) = delete;
-    ArenaFrame &operator=(const ArenaFrame &) = delete;
-
-  private:
-    ScratchArena &arena_;
-    ScratchArena::Mark mark_;
-};
 
 /**
  * The process-wide kernel worker pool. Width comes from
@@ -292,34 +195,6 @@ parallelFor(const char *name, std::size_t begin, std::size_t end,
             (*static_cast<Fn *>(ctx))(b, e);
         },
         const_cast<void *>(static_cast<const void *>(&fn)));
-}
-
-/**
- * parallelReduce: tile_fn(tile_begin, tile_end) -> T per tile;
- * partials are combined with combine(acc, partial) in ascending tile
- * order on the calling thread, so the result is bit-identical across
- * worker counts.
- */
-template <typename T, typename TileF, typename CombineF>
-inline T
-parallelReduce(const char *name, std::size_t begin, std::size_t end,
-               std::size_t grain, T init, TileF &&tile_fn,
-               CombineF &&combine)
-{
-    const std::vector<KernelTile> tiles = kernelTiles(begin, end, grain);
-    if (tiles.empty())
-        return init;
-    std::vector<T> partials(tiles.size());
-    parallelFor(name, 0, tiles.size(), 1,
-                [&](std::size_t tb, std::size_t te) {
-                    for (std::size_t t = tb; t < te; ++t)
-                        partials[t] =
-                            tile_fn(tiles[t].begin, tiles[t].end);
-                });
-    T acc = std::move(init);
-    for (std::size_t t = 0; t < tiles.size(); ++t)
-        acc = combine(std::move(acc), std::move(partials[t]));
-    return acc;
 }
 
 } // namespace illixr

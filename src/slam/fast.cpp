@@ -1,12 +1,11 @@
 #include "slam/fast.hpp"
 
 #include "foundation/simd.hpp"
-#include "runtime/parallel.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
+#include <vector>
 
 namespace illixr {
 
@@ -91,12 +90,8 @@ detectFast(const ImageF &image, const FastParams &params)
     if (h - border <= border || w - border <= border)
         return {};
 
-    // Score map for non-maximum suppression (arena scratch: this is a
-    // per-frame w*h buffer on the camera hot path).
-    ArenaFrame scratch;
-    float *scores = scratch.alloc<float>(static_cast<std::size_t>(w) * h);
-    std::memset(scores, 0, static_cast<std::size_t>(w) * h *
-                               sizeof(float));
+    // Score map for non-maximum suppression.
+    std::vector<float> scores(static_cast<std::size_t>(w) * h, 0.0f);
     auto score_at = [&](int x, int y) -> float & {
         return scores[static_cast<std::size_t>(y) * w + x];
     };
@@ -109,25 +104,14 @@ detectFast(const ImageF &image, const FastParams &params)
     // bit-identical to the pre-SIMD detector. Full 8-wide blocks read
     // at most x + 10 < w in-row (xb <= w - border - 8 and the circle
     // radius is 3); the x tail stays scalar.
-    // Camera-sized frames (< 64k px) go single-tile: the per-row work
-    // is far below the launch handoff cost (fig3 width-4 inversion).
-    // Grain is a pure function of the range — tiling stays
-    // width-independent, and per-tile results are tile-boundary
-    // independent anyway (disjoint writes, ascending concatenation).
-    const std::size_t row_grain =
-        static_cast<std::size_t>(w) * h < 64 * 1024
-            ? static_cast<std::size_t>(h)
-            : 8;
     const float *img_data = image.data();
-    parallelFor("fast_score", border, static_cast<std::size_t>(h - border),
-                row_grain, [&](std::size_t yb, std::size_t ye) {
+    {
         using simd::VecF8;
         const VecF8 thr = VecF8::broadcast(params.threshold);
         const VecF8 min_run = VecF8::broadcast(
             static_cast<float>(params.min_contiguous));
         const VecF8 one = VecF8::broadcast(1.0f);
-        for (std::size_t yy = yb; yy < ye; ++yy) {
-            const int y = static_cast<int>(yy);
+        for (int y = border; y < h - border; ++y) {
             const float *row = img_data + static_cast<std::size_t>(y) * w;
             int x = border;
             for (; x + 8 <= w - border; x += 8) {
@@ -161,44 +145,30 @@ detectFast(const ImageF &image, const FastParams &params)
             for (; x < w - border; ++x)
                 score_at(x, y) = cornerScore(image, x, y, params);
         }
-                });
+    }
 
-    // NMS: rows only read the (fully materialized) score map; each
-    // tile collects its corners locally and the tile lists concatenate
-    // in ascending tile order, reproducing the serial y-major scan
-    // order exactly.
-    auto nms_rows = [&](std::size_t yb, std::size_t ye) {
-        std::vector<Corner> local;
-        for (std::size_t y = yb; y < ye; ++y) {
-            for (int x = border; x < w - border; ++x) {
-                const float s = score_at(x, static_cast<int>(y));
-                if (s <= 0.0f)
-                    continue;
-                bool is_max = true;
-                for (int dy = -1; dy <= 1 && is_max; ++dy)
-                    for (int dx = -1; dx <= 1; ++dx) {
-                        const int nx = std::clamp(x + dx, 0, w - 1);
-                        const int ny = std::clamp(
-                            static_cast<int>(y) + dy, 0, h - 1);
-                        if ((dx || dy) && score_at(nx, ny) > s) {
-                            is_max = false;
-                            break;
-                        }
+    // NMS over the fully materialized score map, in y-major scan order.
+    std::vector<Corner> corners;
+    for (int y = border; y < h - border; ++y) {
+        for (int x = border; x < w - border; ++x) {
+            const float s = score_at(x, y);
+            if (s <= 0.0f)
+                continue;
+            bool is_max = true;
+            for (int dy = -1; dy <= 1 && is_max; ++dy)
+                for (int dx = -1; dx <= 1; ++dx) {
+                    const int nx = std::clamp(x + dx, 0, w - 1);
+                    const int ny = std::clamp(y + dy, 0, h - 1);
+                    if ((dx || dy) && score_at(nx, ny) > s) {
+                        is_max = false;
+                        break;
                     }
-                if (is_max)
-                    local.push_back(
-                        {Vec2(x, static_cast<int>(y)), s});
-            }
+                }
+            if (is_max)
+                corners.push_back({Vec2(x, y), s});
         }
-        return local;
-    };
-    return parallelReduce(
-        "fast_nms", border, static_cast<std::size_t>(h - border),
-        row_grain, std::vector<Corner>(), nms_rows,
-        [](std::vector<Corner> acc, std::vector<Corner> part) {
-            acc.insert(acc.end(), part.begin(), part.end());
-            return acc;
-        });
+    }
+    return corners;
 }
 
 std::vector<Corner>

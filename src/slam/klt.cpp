@@ -1,8 +1,7 @@
 #include "slam/klt.hpp"
 
-#include "runtime/parallel.hpp"
-
 #include <cmath>
+#include <vector>
 
 namespace illixr {
 
@@ -32,12 +31,11 @@ trackLevel(const ImageF &prev, const ImageF &next, const Vec2 &point,
     const int n = (2 * r + 1) * (2 * r + 1);
 
     // The spatial gradient matrix is evaluated once in the previous
-    // image (standard inverse-compositional-style optimization). The
-    // window buffers are per-feature scratch: arena, not heap.
-    ArenaFrame scratch;
-    double *gx = scratch.alloc<double>(n);
-    double *gy = scratch.alloc<double>(n);
-    double *tmpl = scratch.alloc<double>(n);
+    // image (standard inverse-compositional-style optimization).
+    std::vector<double> window(3 * static_cast<std::size_t>(n));
+    double *gx = window.data();
+    double *gy = gx + n;
+    double *tmpl = gy + n;
     double gxx = 0.0, gxy = 0.0, gyy = 0.0;
     int idx = 0;
     for (int dy = -r; dy <= r; ++dy) {
@@ -133,23 +131,12 @@ std::vector<KltResult>
 trackPoints(const ImagePyramid &prev, const ImagePyramid &next,
             const std::vector<Vec2> &points, const KltParams &params)
 {
-    std::vector<KltResult> results(points.size());
-    // Features are fully independent; each tile writes its own result
-    // slots, so output order (and bits) match the serial loop.
-    // Per-frame feature batches are tiny (tens of points, ~10 us
-    // each): below 256 the launch handoff costs more than the work,
-    // so the whole batch becomes one tile and parallelFor runs it
-    // inline (the fig3 width-4 inversion). The grain is a pure
-    // function of the range, so tiling stays width-independent.
-    const std::size_t grain = points.size() < 256
-                                  ? std::max<std::size_t>(points.size(), 1)
-                                  : 2;
-    parallelFor("klt_track", 0, points.size(), grain,
-                [&](std::size_t b, std::size_t e) {
-                    for (std::size_t i = b; i < e; ++i)
-                        results[i] = trackPointPyramidal(
-                            prev, next, points[i], params);
-                });
+    // Serial: per-frame feature batches are tens of points at ~10 us
+    // each, below what a kernel-pool launch pays for itself.
+    std::vector<KltResult> results;
+    results.reserve(points.size());
+    for (const Vec2 &p : points)
+        results.push_back(trackPointPyramidal(prev, next, p, params));
     return results;
 }
 

@@ -1,7 +1,6 @@
 #include "slam/msckf.hpp"
 
 #include "linalg/decomp.hpp"
-#include "runtime/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -582,10 +581,10 @@ MsckfFilter::processFeatures(TimePoint frame_time,
             std::vector<double> h_rows;
             std::vector<double> r_vals;
             std::size_t rows = 0;
-            // One reusable Jacobian-row buffer from the arena instead
-            // of a fresh vector per measurement row.
-            ArenaFrame scratch;
-            double *row = scratch.alloc<double>(n);
+            // One reusable Jacobian-row buffer instead of a fresh
+            // vector per measurement row.
+            std::vector<double> row_buf(n);
+            double *row = row_buf.data();
 
             for (const auto &[fi, pixel] : slam_obs) {
                 const Vec3 f = slamFeatures_[fi].position;

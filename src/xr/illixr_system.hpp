@@ -94,10 +94,10 @@ struct IntegratedConfig
     ExecutorKind executor = ExecutorKind::Sim;
     /** Worker count when executor == Pool. */
     std::size_t pool_workers = 4;
-    /** Kernel-pool width for data-parallel kernels (parallelFor).
-     *  0 = inherit the process default (`ILLIXR_KERNEL_THREADS`,
-     *  else serial); 1 = force serial. Results are bit-identical at
-     *  any width. */
+    /** Kernel-pool width for the rasterizer, TSDF and timewarp
+     *  kernels (the only parallelFor users). 0 = inherit the process
+     *  default (`ILLIXR_KERNEL_THREADS`, else serial); 1 = force
+     *  serial. Results are bit-identical at any width. */
     std::size_t kernel_threads = 0;
     /** Sim only: seeded modeled cost instead of measured host time;
      *  byte-reproducible per seed. */

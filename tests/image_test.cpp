@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace illixr {
 namespace {
@@ -236,6 +237,15 @@ TEST(PyramidTest, LevelsHalve)
     EXPECT_EQ(pyr.level(0).width(), 128);
     EXPECT_EQ(pyr.level(1).width(), 64);
     EXPECT_EQ(pyr.level(2).width(), 32);
+}
+
+TEST(PyramidTest, LevelZeroBorrowsTheBaseImage)
+{
+    // The shared_ptr overload aliases the caller's image instead of
+    // copying it.
+    auto base = std::make_shared<const ImageF>(makeTestImage(128, 96));
+    ImagePyramid pyr(base, 3);
+    EXPECT_EQ(pyr.level(0).data(), base->data());
 }
 
 TEST(PyramidTest, StopsBeforeTinyLevels)

@@ -2,8 +2,9 @@
  * @file
  * Tests of the data-parallel kernel runtime (runtime/parallel.hpp):
  * tiling purity, the determinism contract (bit-identical results for
- * every converted kernel at any worker count), scratch-arena reuse,
- * and executor interaction (nested launches never deadlock).
+ * every pool kernel at any worker count), the pin that every other
+ * kernel stays serial, and executor interaction (nested launches never
+ * deadlock).
  */
 
 #include <gtest/gtest.h>
@@ -11,21 +12,19 @@
 #include "audio/ambisonics.hpp"
 #include "audio/binaural.hpp"
 #include "audio/clips.hpp"
-#include "eyetrack/layers.hpp"
+#include "eyetrack/eye_image.hpp"
+#include "eyetrack/ritnet.hpp"
 #include "foundation/profile.hpp"
 #include "foundation/rng.hpp"
-#include "image/filter.hpp"
-#include "image/pyramid.hpp"
-#include "linalg/decomp.hpp"
-#include "linalg/matrix.hpp"
 #include "recon/tsdf.hpp"
 #include "render/app.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/sim_scheduler.hpp"
-#include "sensors/world.hpp"
+#include "sensors/dataset.hpp"
 #include "signal/fft.hpp"
-#include "slam/fast.hpp"
-#include "slam/klt.hpp"
+#include "slam/msckf.hpp"
+#include "trace/metrics_registry.hpp"
+#include "trace/trace.hpp"
 #include "visual/hologram.hpp"
 #include "visual/timewarp.hpp"
 
@@ -63,20 +62,6 @@ sameRgb(const RgbImage &a, const RgbImage &b)
 {
     return sameImage(a.r, b.r) && sameImage(a.g, b.g) &&
            sameImage(a.b, b.b);
-}
-
-const ImageF &
-cameraFrame()
-{
-    static const ImageF frame = [] {
-        const SyntheticWorld world = SyntheticWorld::labRoom();
-        const CameraRig rig = CameraRig::standard(
-            CameraIntrinsics::fromFov(192, 144, 1.5));
-        const Pose body(Quat::identity(), Vec3(0, 1.6, 0));
-        return world.renderGray(rig.intrinsics,
-                                rig.worldToCamera(body));
-    }();
-    return frame;
 }
 
 // ------------------------------------------------------------- Tiling
@@ -134,39 +119,6 @@ TEST(KernelPool, ParallelForVisitsEveryIndexOnce)
                 });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
-}
-
-TEST(KernelPool, ParallelReduceIsBitIdenticalAcrossWidths)
-{
-    // A sum whose result depends on the combine order: floating-point
-    // addition is not associative, so fixed tile order is observable.
-    std::vector<double> values(4097);
-    Rng rng(11);
-    for (double &v : values)
-        v = rng.uniform(-1e6, 1e6) * 1e-7;
-
-    auto run = [&] {
-        return parallelReduce(
-            "test_reduce", 0, values.size(), 64, 0.0,
-            [&](std::size_t b, std::size_t e) {
-                double acc = 0.0;
-                for (std::size_t i = b; i < e; ++i)
-                    acc += values[i];
-                return acc;
-            },
-            [](double a, double b) { return a + b; });
-    };
-    double serial;
-    {
-        WidthGuard width(1);
-        serial = run();
-    }
-    for (std::size_t w : {2u, 4u}) {
-        WidthGuard width(w);
-        const double parallel = run();
-        EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
-            << "width " << w;
-    }
 }
 
 TEST(KernelPool, RecordsLaunchAndMetricStats)
@@ -395,56 +347,67 @@ TEST(KernelPool, NoDeadlockFromPoolExecutorTaskAtWidthOne)
     EXPECT_GT(plugin.total, 0.0);
 }
 
-// ------------------------------------------------------ Scratch arena
+// ----------------------------------------------------- Serial kernels
 
-TEST(ScratchArena, DoesNotGrowAfterWarmup)
+TEST(KernelPool, VioEyeTrackingAndAudioMakeNoKernelLaunches)
 {
-    ScratchArena &arena = ScratchArena::forThisThread();
-    auto frame_work = [&] {
-        ArenaFrame frame;
-        float *a = frame.arena().alloc<float>(4096);
-        double *b = frame.arena().alloc<double>(1024);
-        a[0] = 1.0f;
-        b[0] = 2.0;
+    // The VIO camera front end, the MSCKF linear algebra, RITnet and
+    // the binaural FIR are plain serial loops: none of them may record
+    // a kernel span, even at width 4.
+    const WidthGuard guard(4);
+
+    DatasetConfig cfg;
+    cfg.duration_s = 3.0;
+    cfg.image_width = 192;
+    cfg.image_height = 144;
+    cfg.seed = 3;
+    const SyntheticDataset ds(cfg);
+    VioSystem vio(MsckfParams{}, TrackerParams{}, ds.rig());
+    ImuState init;
+    init.orientation = ds.trajectory().pose(0.0).orientation;
+    init.position = ds.trajectory().pose(0.0).position;
+    init.velocity = ds.trajectory().velocity(0.0);
+    vio.initialize(init);
+    const auto &imu = ds.imuSamples();
+    std::size_t imu_idx = 0;
+    std::size_t f = 0;
+    auto next_frame = [&] {
+        const CameraFrame frame = ds.cameraFrame(f++);
+        while (imu_idx < imu.size() && imu[imu_idx].time <= frame.time)
+            vio.addImu(imu[imu_idx++]);
+        vio.processFrame(frame.time, frame.image);
     };
-    frame_work(); // Warmup allocates the blocks.
-    const std::size_t grown = arena.growthCount();
-    const std::size_t cap = arena.capacity();
-    for (int i = 0; i < 100; ++i)
-        frame_work();
-    EXPECT_EQ(arena.growthCount(), grown);
-    EXPECT_EQ(arena.capacity(), cap);
-}
+    // Warm up until the filter has run an update, so the measured
+    // frames below carry a full pyramid, FAST, KLT and MSCKF update.
+    while (vio.filter().updateCount() == 0 && f < ds.cameraFrameCount())
+        next_frame();
+    ASSERT_GT(vio.filter().updateCount(), 0u);
 
-TEST(ScratchArena, NestedFramesRewindInOrder)
-{
-    ScratchArena &arena = ScratchArena::forThisThread();
-    ArenaFrame outer;
-    float *a = arena.alloc<float>(16);
-    a[3] = 7.0f;
+    EyeImageGenerator eyes;
+    RitNet net(eyes.params().width, eyes.params().height);
+    const ImageF eye = eyes.generate(0);
+    const auto mono = synthesizeClip(ClipKind::Noise, 512, 48000.0);
+    Soundfield field(512);
+    encodeSource(mono, Vec3(1, 0, 0).normalized(), field);
+    Binauralizer binaural(512);
+
+    MetricsRegistry metrics;
+    TraceSink sink;
     {
-        ArenaFrame inner;
-        float *b = arena.alloc<float>(16);
-        b[0] = 1.0f;
-        EXPECT_NE(a, b);
+        KernelPool::MetricsScope scope(&metrics, &sink);
+        const std::size_t updates = vio.filter().updateCount();
+        while (vio.filter().updateCount() == updates &&
+               f < ds.cameraFrameCount())
+            next_frame();
+        EXPECT_GT(vio.filter().updateCount(), updates);
+        net.estimate(eye);
+        binaural.process(field);
     }
-    // After the inner frame rewinds, the next allocation reuses its
-    // space.
-    float *c = arena.alloc<float>(16);
-    EXPECT_EQ(a[3], 7.0f);
-    (void)c;
-}
-
-TEST(ScratchArena, AlignmentIsRespected)
-{
-    ArenaFrame frame;
-    ScratchArena &arena = frame.arena();
-    (void)arena.allocate(1, 1);
-    double *d = arena.alloc<double>(3);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-    (void)arena.allocate(2, 1);
-    void *p = arena.allocate(64, 64);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+    std::size_t kernel_spans = 0;
+    for (const Span &span : sink.spans())
+        if (span.task.rfind("kernel.", 0) == 0)
+            ++kernel_spans;
+    EXPECT_EQ(kernel_spans, 0u);
 }
 
 // ------------------------------------- Kernel-by-kernel bit identity
@@ -463,127 +426,6 @@ expectWidthInvariant(F &&make, Eq &&same)
         const auto parallel = make();
         EXPECT_TRUE(same(serial, parallel));
     }
-}
-
-TEST(KernelEquivalence, GaussianBlurAndDownsample)
-{
-    const ImageF &img = cameraFrame();
-    expectWidthInvariant([&] { return gaussianBlur(img, 1.5); },
-                         sameImage);
-    expectWidthInvariant([&] { return downsampleHalf(img); }, sameImage);
-}
-
-TEST(KernelEquivalence, ImagePyramid)
-{
-    auto base = std::make_shared<const ImageF>(cameraFrame());
-    auto levels = [&] {
-        ImagePyramid pyr(base, 4);
-        std::vector<ImageF> copy;
-        for (int i = 0; i < pyr.levels(); ++i)
-            copy.push_back(pyr.level(i));
-        return copy;
-    };
-    expectWidthInvariant(levels, [](const std::vector<ImageF> &a,
-                                    const std::vector<ImageF> &b) {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i)
-            if (!sameImage(a[i], b[i]))
-                return false;
-        return true;
-    });
-    // Level 0 borrows the caller's image instead of copying it.
-    ImagePyramid pyr(base, 3);
-    EXPECT_EQ(pyr.level(0).data(), base->data());
-}
-
-TEST(KernelEquivalence, FastDetect)
-{
-    const ImageF &img = cameraFrame();
-    expectWidthInvariant(
-        [&] { return detectFast(img); },
-        [](const std::vector<Corner> &a, const std::vector<Corner> &b) {
-            if (a.size() != b.size())
-                return false;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                if (a[i].position.x != b[i].position.x ||
-                    a[i].position.y != b[i].position.y ||
-                    a[i].score != b[i].score)
-                    return false;
-            }
-            return true;
-        });
-}
-
-TEST(KernelEquivalence, KltTrack)
-{
-    const ImageF &img = cameraFrame();
-    ImagePyramid pyr(img, 3);
-    const auto corners = detectFastGrid(img, 8, 6, 2, {});
-    std::vector<Vec2> points;
-    for (std::size_t i = 0;
-         i < std::min<std::size_t>(40, corners.size()); ++i)
-        points.push_back(corners[i].position);
-    expectWidthInvariant(
-        [&] { return trackPoints(pyr, pyr, points); },
-        [](const std::vector<KltResult> &a,
-           const std::vector<KltResult> &b) {
-            if (a.size() != b.size())
-                return false;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                if (a[i].ok != b[i].ok ||
-                    a[i].position.x != b[i].position.x ||
-                    a[i].position.y != b[i].position.y ||
-                    a[i].residual != b[i].residual)
-                    return false;
-            }
-            return true;
-        });
-}
-
-TEST(KernelEquivalence, DenseGemms)
-{
-    Rng rng(5);
-    MatX a(40, 56), b(56, 44);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            a(i, j) = rng.uniform(-1, 1);
-    for (std::size_t i = 0; i < b.rows(); ++i)
-        for (std::size_t j = 0; j < b.cols(); ++j)
-            b(i, j) = rng.uniform(-1, 1);
-    auto same = [](const MatX &x, const MatX &y) {
-        return x.rows() == y.rows() && x.cols() == y.cols() &&
-               std::memcmp(x.data(), y.data(),
-                           x.rows() * x.cols() * sizeof(double)) == 0;
-    };
-    expectWidthInvariant([&] { return a * b; }, same);
-    expectWidthInvariant([&] { return a.transposeTimes(a); }, same);
-    expectWidthInvariant([&] { return a.timesTranspose(a); }, same);
-}
-
-TEST(KernelEquivalence, CholeskyAndQrSolves)
-{
-    Rng rng(6);
-    MatX a(48, 48);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            a(i, j) = rng.uniform(-1, 1);
-    MatX spd = a.transposeTimes(a);
-    for (std::size_t i = 0; i < spd.rows(); ++i)
-        spd(i, i) += 48.0;
-    MatX rhs(48, 40);
-    for (std::size_t i = 0; i < rhs.rows(); ++i)
-        for (std::size_t j = 0; j < rhs.cols(); ++j)
-            rhs(i, j) = rng.uniform(-1, 1);
-    auto same = [](const MatX &x, const MatX &y) {
-        return x.rows() == y.rows() && x.cols() == y.cols() &&
-               std::memcmp(x.data(), y.data(),
-                           x.rows() * x.cols() * sizeof(double)) == 0;
-    };
-    const Cholesky chol(spd);
-    expectWidthInvariant([&] { return chol.solve(rhs); }, same);
-    const HouseholderQR qr(a);
-    expectWidthInvariant([&] { return qr.applyQT(rhs); }, same);
 }
 
 TEST(KernelEquivalence, Fft2d)
@@ -690,42 +532,6 @@ TEST(KernelEquivalence, TsdfIntegrateAndRaycast)
         }
         return true;
     });
-}
-
-TEST(KernelEquivalence, Conv2dForward)
-{
-    Conv2d conv(8, 16, 3);
-    Rng rng(9);
-    conv.initializeHe(rng);
-    Tensor input(8, 24, 24);
-    Rng rng2(10);
-    for (int c = 0; c < 8; ++c)
-        for (int y = 0; y < 24; ++y)
-            for (int x = 0; x < 24; ++x)
-                input.at(c, y, x) =
-                    static_cast<float>(rng2.uniform(-1, 1));
-    expectWidthInvariant(
-        [&] { return conv.forward(input); },
-        [](const Tensor &a, const Tensor &b) {
-            return a.size() == b.size() &&
-                   std::memcmp(a.data(), b.data(),
-                               a.size() * sizeof(float)) == 0;
-        });
-}
-
-TEST(KernelEquivalence, BinauralFir)
-{
-    const auto mono = synthesizeClip(ClipKind::Noise, 512, 48000.0);
-    Soundfield field(512);
-    encodeSource(mono, Vec3(1, 0, 0).normalized(), field);
-    expectWidthInvariant(
-        [&] {
-            Binauralizer binaural(512);
-            return binaural.process(field);
-        },
-        [](const StereoBlock &a, const StereoBlock &b) {
-            return a.left == b.left && a.right == b.right;
-        });
 }
 
 TEST(KernelEquivalence, RasterizerTiles)

@@ -8,7 +8,6 @@
  *  - horizontal reductions use the documented fixed halving tree,
  *  - remainder loops (sizes that are not multiples of the vector
  *    width) match scalar references bit-for-bit,
- *  - packing buffers round-trip through the per-thread ScratchArena,
  *  - the FFT, fft2d and the GS hologram match their earlier
  *    implementations byte for byte, and the hologram makes no
  *    kernel-pool launch,
@@ -216,33 +215,6 @@ TEST(SimdLaneOps, WidenAndNarrowRoundExactly)
         EXPECT_TRUE(bitEqual(narrow[i], static_cast<float>(d[i])));
 }
 
-TEST(SimdArena, PackingRoundTripsThroughScratchArena)
-{
-    // The NCHWc weight/plane packing pattern used by Conv2d: pack a
-    // CHW block into [ic][8] interleaved form in arena scratch and
-    // unpack it back — a pure permutation, so bits round-trip.
-    constexpr int kC = 8, kN = 37; // Deliberately not a multiple of 8.
-    Rng rng(42);
-    std::vector<float> chw(kC * kN);
-    for (float &v : chw)
-        v = static_cast<float>(rng.uniform(-2.0, 2.0));
-
-    ArenaFrame scratch;
-    float *packed = scratch.alloc<float>(chw.size());
-    for (int c = 0; c < kC; ++c)
-        for (int i = 0; i < kN; ++i)
-            packed[static_cast<std::size_t>(i) * kC + c] =
-                chw[static_cast<std::size_t>(c) * kN + i];
-
-    std::vector<float> back(chw.size());
-    for (int i = 0; i < kN; ++i)
-        for (int c = 0; c < kC; ++c)
-            back[static_cast<std::size_t>(c) * kN + i] =
-                packed[static_cast<std::size_t>(i) * kC + c];
-    EXPECT_EQ(0, std::memcmp(chw.data(), back.data(),
-                             chw.size() * sizeof(float)));
-}
-
 // ---------------------------------------------------------------------
 // Remainder loops: kernel outputs at sizes that are NOT multiples of
 // the vector width must match a scalar reference bit-for-bit.
@@ -341,17 +313,22 @@ TEST(SimdKernels, GemmOddColumnsMatchScalarReference)
 {
     // 7 columns: one 4-wide axpy block + a tail of 3.
     Rng rng(13);
-    MatX a(6, 5), b(5, 7);
+    // a * b needs b with a's 5 columns as rows; a^T * c needs c with
+    // a's 6 rows.
+    MatX a(6, 5), b(5, 7), c(6, 7);
     for (std::size_t i = 0; i < 6; ++i)
         for (std::size_t j = 0; j < 5; ++j)
             a(i, j) = rng.uniform(-1.0, 1.0);
     for (std::size_t i = 0; i < 5; ++i)
         for (std::size_t j = 0; j < 7; ++j)
             b(i, j) = rng.uniform(-1.0, 1.0);
+    for (std::size_t i = 0; i < 6; ++i)
+        for (std::size_t j = 0; j < 7; ++j)
+            c(i, j) = rng.uniform(-1.0, 1.0);
     a(2, 3) = 0.0; // Exercise the zero-skip.
 
     const MatX prod = a * b;
-    const MatX tn = a.transposeTimes(b);
+    const MatX tn = a.transposeTimes(c);
 
     // Reference with the kernel's k-ascending axpy order.
     MatX want(6, 7);
@@ -375,7 +352,7 @@ TEST(SimdKernels, GemmOddColumnsMatchScalarReference)
             if (s == 0.0)
                 continue;
             for (std::size_t j = 0; j < 7; ++j)
-                want_tn(i, j) += s * b(k, j);
+                want_tn(i, j) += s * c(k, j);
         }
     for (std::size_t i = 0; i < 5; ++i)
         for (std::size_t j = 0; j < 7; ++j)
