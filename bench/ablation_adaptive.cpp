@@ -19,6 +19,12 @@ using namespace illixr::bench;
 int
 main()
 {
+    const SessionConfig::Parse env =
+        SessionConfig::fromEnvAndArgs(0, nullptr);
+    if (!env.ok) {
+        std::fprintf(stderr, "%s\n", env.error.c_str());
+        return 2;
+    }
     banner("Adaptive-resolution ablation (Jetson-LP, Sponza)",
            "§V-D, §V-E");
 
@@ -26,8 +32,10 @@ main()
     table.setHeader({"mode", "app Hz", "timewarp Hz", "MTP (ms)",
                      "eye res (final/min)"});
     for (bool adaptive : {false, true}) {
-        IntegratedConfig cfg = standardConfig(PlatformId::JetsonLP,
-                                              AppId::Sponza, 6 * kSecond);
+        SessionConfig cfg = env.config;
+        cfg.platform = PlatformId::JetsonLP;
+        cfg.app = AppId::Sponza;
+        cfg.duration = 6 * kSecond;
         cfg.adaptive_resolution = adaptive;
         const IntegratedResult r = runIntegrated(cfg);
         char res[32];
@@ -45,8 +53,10 @@ main()
     std::printf("%s\n", table.render().c_str());
 
     // Sanity: on the desktop the controller must NOT shed resolution.
-    IntegratedConfig desk = standardConfig(PlatformId::Desktop,
-                                           AppId::Sponza, 4 * kSecond);
+    SessionConfig desk = env.config;
+    desk.platform = PlatformId::Desktop;
+    desk.app = AppId::Sponza;
+    desk.duration = 4 * kSecond;
     desk.adaptive_resolution = true;
     const IntegratedResult rd = runIntegrated(desk);
     const int desk_min = static_cast<int>(rd.extra.at("min_eye_resolution"));

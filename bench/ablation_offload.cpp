@@ -19,11 +19,19 @@ using namespace illixr::bench;
 int
 main()
 {
+    const SessionConfig::Parse env =
+        SessionConfig::fromEnvAndArgs(0, nullptr);
+    if (!env.ok) {
+        std::fprintf(stderr, "%s\n", env.error.c_str());
+        return 2;
+    }
     banner("Offloading ablation: local vs remote VIO (Jetson-LP, Sponza)",
            "§II fn.2, §V-F");
 
-    IntegratedConfig cfg =
-        standardConfig(PlatformId::JetsonLP, AppId::Sponza, 5 * kSecond);
+    SessionConfig cfg = env.config;
+    cfg.platform = PlatformId::JetsonLP;
+    cfg.app = AppId::Sponza;
+    cfg.duration = 5 * kSecond;
 
     TextTable table;
     table.setHeader({"configuration", "VIO Hz", "VIO CPU share (%)",

@@ -43,10 +43,8 @@ struct Row
 };
 
 Row
-runScenario(const FaultScenario &scenario, Duration duration)
+runScenario(const FaultScenario &scenario, SessionConfig cfg)
 {
-    IntegratedConfig cfg =
-        standardConfig(PlatformId::Desktop, AppId::Sponza, duration);
     if (scenario.plan[0] != '\0') {
         if (!parseFaultPlan(scenario.plan, cfg.resilience.fault_plan))
             std::abort();
@@ -66,13 +64,7 @@ runScenario(const FaultScenario &scenario, Duration duration)
     }
 
     // Ground truth for pose error and QoE: the dataset the run used.
-    DatasetConfig ds_cfg;
-    ds_cfg.duration_s = toSeconds(cfg.duration) + 0.5;
-    ds_cfg.image_width = cfg.camera_width;
-    ds_cfg.image_height = cfg.camera_height;
-    ds_cfg.preset = DatasetConfig::Preset::LabWalk;
-    ds_cfg.seed = cfg.seed;
-    const SyntheticDataset dataset(ds_cfg);
+    const SyntheticDataset dataset(datasetConfigFor(cfg));
 
     QoeInputs inputs;
     inputs.estimated_poses = r.vio_trajectory;
@@ -109,10 +101,19 @@ runScenario(const FaultScenario &scenario, Duration duration)
 int
 main()
 {
+    const SessionConfig::Parse env =
+        SessionConfig::fromEnvAndArgs(0, nullptr);
+    if (!env.ok) {
+        std::fprintf(stderr, "%s\n", env.error.c_str());
+        return 2;
+    }
     banner("Resilience ablation: fault rate vs MTP / pose error / QoE",
            "new subsystem; methodology of §III-E, §IV");
 
-    const Duration duration = 5 * kSecond;
+    SessionConfig base = env.config;
+    base.platform = PlatformId::Desktop;
+    base.app = AppId::Sponza;
+    base.duration = 5 * kSecond;
     const std::vector<FaultScenario> scenarios = {
         {"baseline", "", false},
         {"chaos-low", "seed=7,crash=0.01,stall=0.02,drop=0.02", false},
@@ -135,7 +136,7 @@ main()
            "ate_cm,ssim,max_degradation_level,circuit_opens\n";
 
     for (const FaultScenario &scenario : scenarios) {
-        const Row row = runScenario(scenario, duration);
+        const Row row = runScenario(scenario, base);
         table.addRow({row.name, TextTable::num(row.injected, 0),
                       TextTable::num(row.restarts, 0),
                       TextTable::num(row.vio_hz, 1),

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the benchmark harnesses. Each bench binary
- * regenerates one figure or table of the paper (see DESIGN.md §3 for
- * the experiment index) and prints the same rows/series the paper
- * reports.
+ * Shared helpers for the benchmark harnesses: `figures` regenerates
+ * every figure and table of the paper (see DESIGN.md §3 for the
+ * experiment index); the other benches run ablations and scale-out
+ * experiments around it.
  */
 
 #pragma once
@@ -35,22 +35,6 @@ banner(const char *experiment, const char *paper_ref)
     std::printf("ILLIXR reproduction — %s\n", experiment);
     std::printf("Paper reference: %s\n", paper_ref);
     std::printf("==============================================\n\n");
-}
-
-/** Integrated-run config used across the figure benches. */
-inline IntegratedConfig
-standardConfig(PlatformId platform, AppId app,
-               Duration duration = 6 * kSecond)
-{
-    SessionConfig cfg;
-    cfg.platform = platform;
-    cfg.app = app;
-    cfg.duration = duration;
-    // Executor overrides (ILLIXR_EXECUTOR / ILLIXR_POOL_WORKERS /
-    // ILLIXR_DETERMINISTIC / ILLIXR_SEED) so every bench binary can
-    // switch executors without growing its own flags.
-    cfg.applyEnv();
-    return cfg;
 }
 
 } // namespace illixr::bench

@@ -31,13 +31,8 @@ kernelTiles(std::size_t begin, std::size_t end, std::size_t grain)
     const std::size_t n = end - begin;
     const std::size_t count = (n + grain - 1) / grain;
     tiles.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        KernelTile t;
-        t.begin = begin + i * grain;
-        t.end = std::min(end, t.begin + grain);
-        t.index = i;
-        tiles.push_back(t);
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        tiles.push_back(kernelTile(begin, end, grain, i));
     return tiles;
 }
 
@@ -126,9 +121,8 @@ struct KernelPool::Impl
     void
     runTile(Launch &l, std::size_t tile)
     {
-        const std::size_t b = l.begin + tile * l.grain;
-        const std::size_t e = std::min(l.end, b + l.grain);
-        l.fn(l.ctx, b, e);
+        const KernelTile t = kernelTile(l.begin, l.end, l.grain, tile);
+        l.fn(l.ctx, t.begin, t.end);
         l.done.fetch_add(1, std::memory_order_release);
     }
 
@@ -407,9 +401,8 @@ KernelPool::run(const char *name, std::size_t begin, std::size_t end,
         const bool was_in_kernel = tl_in_kernel;
         tl_in_kernel = true;
         for (std::size_t i = 0; i < tiles; ++i) {
-            const std::size_t b = begin + i * grain;
-            const std::size_t e = std::min(end, b + grain);
-            fn(ctx, b, e);
+            const KernelTile t = kernelTile(begin, end, grain, i);
+            fn(ctx, t.begin, t.end);
         }
         tl_in_kernel = was_in_kernel;
     } else {

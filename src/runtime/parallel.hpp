@@ -32,6 +32,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,6 +51,16 @@ struct KernelTile
     std::size_t end = 0;
     std::size_t index = 0;
 };
+
+/** Tile @p index of [begin, end) by @p grain >= 1; every launch and
+ *  kernelTiles() use this one formula. */
+inline KernelTile
+kernelTile(std::size_t begin, std::size_t end, std::size_t grain,
+           std::size_t index)
+{
+    const std::size_t b = begin + index * grain;
+    return {b, std::min(end, b + grain), index};
+}
 
 /**
  * The deterministic tiling: a pure function of (range, grain) only.

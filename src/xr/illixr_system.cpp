@@ -78,6 +78,22 @@ exportResilienceExtras(ResilienceContext *ctx,
     }
 }
 
+DatasetConfig
+datasetConfigFor(const IntegratedConfig &config)
+{
+    const SystemTuning tuning;
+    DatasetConfig ds_cfg;
+    ds_cfg.duration_s = toSeconds(config.duration) + 0.5;
+    ds_cfg.image_width = config.camera_width;
+    ds_cfg.image_height = config.camera_height;
+    ds_cfg.camera_rate_hz = tuning.camera_hz;
+    ds_cfg.imu_rate_hz = tuning.imu_hz;
+    ds_cfg.preset = DatasetConfig::Preset::LabWalk;
+    ds_cfg.seed = config.seed;
+    ds_cfg.scenario = config.scenario;
+    return ds_cfg;
+}
+
 // runIntegrated() lives in session.cpp: it is the thin one-session
 // wrapper over the Session lifecycle (see xr/session.hpp).
 

@@ -85,7 +85,6 @@ struct IntegratedConfig
     int camera_width = 192;
     int camera_height = 144;
     unsigned seed = 1;
-    bool evaluate_qoe = false;        ///< Offline Table V pass.
     /** QoE-driven dynamic eye-buffer scaling (paper §V-D demo). */
     bool adaptive_resolution = false;
     /** Record spans + frame lineage into IntegratedResult::trace. */
@@ -175,6 +174,15 @@ struct IntegratedResult
 std::unique_ptr<ResilienceContext>
 makeResilienceContext(const IntegratedConfig &config,
                       Switchboard &switchboard, MetricsRegistry *metrics);
+
+/**
+ * The dataset an integrated run replays: the lab walk, or
+ * @p config.scenario's path, world and IMU grade when one is set,
+ * at the Table III sensor rates and @p config's camera geometry and
+ * seed. Offline passes (Table V, pose error) build their ground truth
+ * from the same function, so it always follows the path the run flew.
+ */
+DatasetConfig datasetConfigFor(const IntegratedConfig &config);
 
 /** Export resilience.* counters into IntegratedResult::extra. */
 void exportResilienceExtras(ResilienceContext *ctx,

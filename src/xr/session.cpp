@@ -45,73 +45,78 @@ parsePositiveDouble(const std::string &text, double &out)
 } // namespace
 
 bool
-SessionConfig::applyEnv()
+SessionConfig::applyEnv(std::string &malformed)
 {
-    if (const char *v = std::getenv("ILLIXR_EXECUTOR")) {
+    // Each read records its name, so a `return false` names the culprit.
+    auto env = [&malformed](const char *name) {
+        malformed = name;
+        return std::getenv(name);
+    };
+    if (const char *v = env("ILLIXR_EXECUTOR")) {
         if (!parseExecutorKind(v, executor))
             return false;
     }
-    if (const char *v = std::getenv("ILLIXR_POOL_WORKERS")) {
+    if (const char *v = env("ILLIXR_POOL_WORKERS")) {
         unsigned long n = 0;
         if (!parseUnsigned(v, n) || n == 0)
             return false;
         pool_workers = n;
     }
-    if (const char *v = std::getenv("ILLIXR_KERNEL_THREADS")) {
+    if (const char *v = env("ILLIXR_KERNEL_THREADS")) {
         unsigned long n = 0;
         if (!parseUnsigned(v, n) || n == 0)
             return false;
         kernel_threads = n;
     }
-    if (const char *v = std::getenv("ILLIXR_DETERMINISTIC"))
+    if (const char *v = env("ILLIXR_DETERMINISTIC"))
         deterministic = std::string(v) != "0";
-    if (const char *v = std::getenv("ILLIXR_SEED")) {
+    if (const char *v = env("ILLIXR_SEED")) {
         unsigned long n = 0;
         if (!parseUnsigned(v, n))
             return false;
         seed = static_cast<unsigned>(n);
     }
-    if (const char *v = std::getenv("ILLIXR_FAULT_PLAN")) {
+    if (const char *v = env("ILLIXR_FAULT_PLAN")) {
         if (!parseFaultPlan(v, resilience.fault_plan))
             return false;
     }
-    if (const char *v = std::getenv("ILLIXR_RESILIENCE")) {
+    if (const char *v = env("ILLIXR_RESILIENCE")) {
         const bool on = std::string(v) != "0";
         resilience.supervise = on;
         resilience.degrade = on;
     }
-    if (const char *v = std::getenv("ILLIXR_SCENARIO")) {
+    if (const char *v = env("ILLIXR_SCENARIO")) {
         std::string error;
         if (!applyScenarioSpec(v, error)) {
             std::fprintf(stderr, "ILLIXR_SCENARIO: %s\n", error.c_str());
             return false;
         }
     }
-    if (const char *v = std::getenv("ILLIXR_EDGE"))
+    if (const char *v = env("ILLIXR_EDGE"))
         edge.enabled = std::string(v) != "0";
-    if (const char *v = std::getenv("ILLIXR_EDGE_LINK")) {
+    if (const char *v = env("ILLIXR_EDGE_LINK")) {
         if (*v == '\0')
             return false;
         edge.link = v;
     }
-    if (const char *v = std::getenv("ILLIXR_EDGE_SLO_MS")) {
+    if (const char *v = env("ILLIXR_EDGE_SLO_MS")) {
         if (!parsePositiveDouble(v, edge.slo_ms))
             return false;
     }
-    if (const char *v = std::getenv("ILLIXR_EDGE_BATCH")) {
+    if (const char *v = env("ILLIXR_EDGE_BATCH")) {
         unsigned long n = 0;
         if (!parseUnsigned(v, n) || n == 0)
             return false;
         edge.max_batch = n;
     }
-    if (const char *v = std::getenv("ILLIXR_TAIL"))
+    if (const char *v = env("ILLIXR_TAIL"))
         tail.enabled = std::string(v) != "0";
-    if (const char *v = std::getenv("ILLIXR_TAIL_THRESHOLD_MS")) {
+    if (const char *v = env("ILLIXR_TAIL_THRESHOLD_MS")) {
         if (!parsePositiveDouble(v, tail.threshold_ms))
             return false;
         tail.enabled = true;
     }
-    if (const char *v = std::getenv("ILLIXR_TAIL_RING")) {
+    if (const char *v = env("ILLIXR_TAIL_RING")) {
         unsigned long n = 0;
         if (!parseUnsigned(v, n))
             return false;
@@ -258,9 +263,11 @@ SessionConfig::Parse
 SessionConfig::fromEnvAndArgs(int argc, const char *const *argv)
 {
     Parse parse;
-    if (!parse.config.applyEnv()) {
+    std::string var;
+    if (!parse.config.applyEnv(var)) {
         parse.ok = false;
-        parse.error = "malformed ILLIXR_* environment override";
+        parse.error = "malformed environment variable: " + var + "=" +
+                      std::getenv(var.c_str());
         return parse;
     }
     for (int i = 1; i < argc; ++i) {
@@ -463,17 +470,8 @@ Session::runBody()
         }
         KernelPool::MetricsScope kernel_scope(metrics.get(), sink.get());
 
-        DatasetConfig ds_cfg;
-        ds_cfg.duration_s = toSeconds(config.duration) + 0.5;
-        ds_cfg.image_width = config.camera_width;
-        ds_cfg.image_height = config.camera_height;
-        ds_cfg.camera_rate_hz = tuning.camera_hz;
-        ds_cfg.imu_rate_hz = tuning.imu_hz;
-        ds_cfg.preset = DatasetConfig::Preset::LabWalk;
-        ds_cfg.seed = config.seed;
-        ds_cfg.scenario = config.scenario;
-        auto data =
-            std::make_shared<PreloadedDataset>(ds_cfg, config.duration);
+        auto data = std::make_shared<PreloadedDataset>(
+            datasetConfigFor(config), config.duration);
         phonebook.registerService(data);
 
         // --- Plugins (Table II components in the integrated config) ---

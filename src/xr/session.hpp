@@ -84,9 +84,9 @@ struct SessionConfig : IntegratedConfig
      * `ILLIXR_EDGE` (0|1), `ILLIXR_EDGE_LINK`, `ILLIXR_EDGE_SLO_MS`,
      * `ILLIXR_EDGE_BATCH`. Unset variables leave the field untouched.
      * @return false on a malformed value (the config is left
-     * partially updated).
+     * partially updated) and @p malformed names the variable.
      */
-    bool applyEnv();
+    bool applyEnv(std::string &malformed);
 
     /**
      * Parse one config CLI flag into *this: `--executor=sim|pool`,

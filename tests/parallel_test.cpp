@@ -28,9 +28,12 @@
 #include "visual/hologram.hpp"
 #include "visual/timewarp.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace illixr {
@@ -104,6 +107,33 @@ TEST(KernelTiles, EmptyAndDegenerateRanges)
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one[0].begin, 4u);
     EXPECT_EQ(one[0].end, 5u);
+}
+
+TEST(KernelTiles, LaunchedTilesMatchKernelTiles)
+{
+    // [3, 100) by 8 ends in a ragged one-index tile; grain 0 means 1.
+    struct Range
+    {
+        std::size_t begin, end, grain;
+    };
+    using Bounds = std::vector<std::pair<std::size_t, std::size_t>>;
+    for (const Range r : {Range{3, 100, 8}, Range{5, 23, 0}}) {
+        Bounds expected;
+        for (const KernelTile &t : kernelTiles(r.begin, r.end, r.grain))
+            expected.emplace_back(t.begin, t.end);
+        for (std::size_t width : {1u, 4u}) {
+            WidthGuard guard(width);
+            std::mutex m;
+            Bounds seen;
+            parallelFor("test_tiles", r.begin, r.end, r.grain,
+                        [&](std::size_t b, std::size_t e) {
+                            std::lock_guard<std::mutex> lk(m);
+                            seen.emplace_back(b, e);
+                        });
+            std::sort(seen.begin(), seen.end());
+            EXPECT_EQ(seen, expected) << "width " << width;
+        }
+    }
 }
 
 // ----------------------------------------------------------- The pool

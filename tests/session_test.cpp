@@ -293,7 +293,35 @@ TEST(SessionConfigTest, MalformedEnvIsAnError)
     const SessionConfig::Parse parse =
         SessionConfig::fromEnvAndArgs(1, argv);
     EXPECT_FALSE(parse.ok);
-    EXPECT_FALSE(parse.error.empty());
+    EXPECT_NE(parse.error.find("ILLIXR_POOL_WORKERS=zero"),
+              std::string::npos)
+        << parse.error;
+}
+
+TEST(SessionConfigTest, DatasetFollowsTheRunScenario)
+{
+    // The offline ground truth (Table V, pose error) comes from the
+    // same config as the run's own dataset, so it must fly the
+    // scenario's path, not the default lab walk.
+    SessionConfig cfg = quickConfig("scenario-dataset");
+    cfg.scenario = Scenario::fromFamily(PathFamily::Circular);
+    const SyntheticDataset flown(datasetConfigFor(cfg));
+    const Trajectory circular = cfg.scenario->makeTrajectory(cfg.seed);
+    const Trajectory lab = Trajectory::labWalk(cfg.seed);
+    for (double t : {0.1, 0.2, 0.3}) {
+        const Vec3 p = flown.groundTruthPose(fromSeconds(t)).position;
+        const Vec3 c = circular.pose(t).position;
+        EXPECT_EQ(p.x, c.x);
+        EXPECT_EQ(p.y, c.y);
+        EXPECT_EQ(p.z, c.z);
+        EXPECT_GT((p - lab.pose(t).position).norm(), 0.1);
+    }
+
+    cfg.scenario.reset();
+    const SyntheticDataset walked(datasetConfigFor(cfg));
+    const Vec3 p = walked.groundTruthPose(fromSeconds(0.2)).position;
+    EXPECT_EQ(p.x, lab.pose(0.2).position.x);
+    EXPECT_EQ(p.z, lab.pose(0.2).position.z);
 }
 
 } // namespace
