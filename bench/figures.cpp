@@ -772,11 +772,11 @@ printTab7()
     const std::size_t block = 1024;
     AudioEncoder encoder(block);
     AudioSource src1, src2;
-    src1.pcm = toPcm16(
-        synthesizeClip(ClipKind::SpeechLike, 48000 * 2, 48000.0, 7));
+    src1.pcm = std::make_shared<const std::vector<std::int16_t>>(toPcm16(
+        synthesizeClip(ClipKind::SpeechLike, 48000 * 2, 48000.0, 7)));
     src1.direction = Vec3(1, 0, 0);
-    src2.pcm =
-        toPcm16(synthesizeClip(ClipKind::Music, 48000 * 2, 48000.0, 8));
+    src2.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::Music, 48000 * 2, 48000.0, 8)));
     src2.direction = Vec3(0, 1, 0);
     encoder.addSource(std::move(src1));
     encoder.addSource(std::move(src2));

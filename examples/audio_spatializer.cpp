@@ -27,13 +27,13 @@ main()
 
     AudioEncoder encoder(kBlock);
     AudioSource lecture;
-    lecture.pcm = toPcm16(
-        synthesizeClip(ClipKind::SpeechLike, 48000 * 3, kRate, 11));
+    lecture.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::SpeechLike, 48000 * 3, kRate, 11)));
     lecture.direction = Vec3(1.0, 0.4, 0.0).normalized(); // Front-left.
     encoder.addSource(std::move(lecture));
     AudioSource radio;
-    radio.pcm =
-        toPcm16(synthesizeClip(ClipKind::Music, 48000 * 3, kRate, 12));
+    radio.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::Music, 48000 * 3, kRate, 12)));
     radio.direction = Vec3(-0.5, -0.8, 0.1).normalized(); // Back-right.
     encoder.addSource(std::move(radio));
 

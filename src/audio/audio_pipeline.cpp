@@ -37,10 +37,10 @@ AudioEncoder::encodeBlock(std::size_t index)
         // --- Normalization: INT16 -> FP. ---
         {
             ScopedTask timer(profile_, "normalization");
-            const std::size_t n = src.pcm.size();
+            const std::size_t n = src.pcm->size();
             std::size_t s = (index * blockSize_) % n;
             for (std::size_t i = 0; i < blockSize_; ++i) {
-                mono[i] = static_cast<double>(src.pcm[s]) / 32768.0;
+                mono[i] = static_cast<double>((*src.pcm)[s]) / 32768.0;
                 if (++s == n)
                     s = 0;
             }

@@ -21,10 +21,13 @@
 
 namespace illixr {
 
-/** A positioned mono sound source with int16 PCM (sensor format). */
+/**
+ * A positioned mono sound source with int16 PCM (sensor format). The
+ * PCM is immutable and may be shared by any number of encoders.
+ */
 struct AudioSource
 {
-    std::vector<std::int16_t> pcm;
+    std::shared_ptr<const std::vector<std::int16_t>> pcm;
     Vec3 direction{1.0, 0.0, 0.0}; ///< Ambisonic frame: x fwd, y left.
 };
 

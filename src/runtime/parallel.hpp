@@ -4,8 +4,9 @@
  * fixed worker set (KernelPool). Only the kernels whose time is in
  * wide data-parallel loops launch through it: the rasterizer
  * (raster_xform, raster_tiles), scene reconstruction (tsdf_integrate,
- * tsdf_raycast) and reprojection (timewarp, timewarp_pos). Every
- * other kernel is a plain serial loop.
+ * tsdf_raycast), reprojection (timewarp, timewarp_pos) and the
+ * session's camera preload (dataset_render, one launch per session).
+ * Every other kernel is a plain serial loop.
  *
  * Determinism is a hard contract (DESIGN.md §6):
  *

@@ -64,12 +64,20 @@ CameraFrame
 SyntheticDataset::cameraFrame(std::size_t index) const
 {
     CameraFrame frame;
+    frame.image = ImageF(rig_.intrinsics.width, rig_.intrinsics.height);
+    renderCameraFrame(index, frame);
+    return frame;
+}
+
+void
+SyntheticDataset::renderCameraFrame(std::size_t index,
+                                    CameraFrame &frame) const
+{
     frame.time = cameraTimes_[index];
     frame.sequence = index;
     const Pose body = trajectory_.pose(toSeconds(frame.time));
-    frame.image =
-        world_.renderGray(rig_.intrinsics, rig_.worldToCamera(body));
-    return frame;
+    world_.renderGrayInto(rig_.intrinsics, rig_.worldToCamera(body),
+                          frame.image);
 }
 
 DepthFrame

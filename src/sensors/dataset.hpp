@@ -97,6 +97,12 @@ class SyntheticDataset
     /** Render (lazily) camera frame @p index. */
     CameraFrame cameraFrame(std::size_t index) const;
 
+    /**
+     * cameraFrame(@p index) into @p frame, whose image must already be
+     * rig().intrinsics sized (pixels only; no allocation).
+     */
+    void renderCameraFrame(std::size_t index, CameraFrame &frame) const;
+
     /** Render (lazily) a depth frame at camera timestamp @p index. */
     DepthFrame depthFrame(std::size_t index,
                           double dropout_fraction = 0.01) const;

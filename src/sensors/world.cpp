@@ -222,13 +222,22 @@ ImageF
 SyntheticWorld::renderGray(const CameraIntrinsics &intr,
                            const Pose &world_to_camera) const
 {
+    ImageF img(intr.width, intr.height);
+    renderGrayInto(intr, world_to_camera, img);
+    return img;
+}
+
+void
+SyntheticWorld::renderGrayInto(const CameraIntrinsics &intr,
+                               const Pose &world_to_camera,
+                               ImageF &img) const
+{
     const Pose camera_to_world = world_to_camera.inverse();
     const Vec3 origin = camera_to_world.position;
     // Fixed distant light plus ambient: static shading so image
     // intensity at a world point is view-independent (good for KLT).
     const Vec3 light = Vec3(0.3, 1.0, 0.45).normalized();
 
-    ImageF img(intr.width, intr.height);
     for (int y = 0; y < intr.height; ++y) {
         for (int x = 0; x < intr.width; ++x) {
             const Vec3 ray_cam = intr.unproject(Vec2(x + 0.5, y + 0.5));
@@ -246,7 +255,6 @@ SyntheticWorld::renderGray(const CameraIntrinsics &intr,
             img.at(x, y) = static_cast<float>(std::clamp(shade, 0.0, 1.0));
         }
     }
-    return img;
 }
 
 DepthImage

@@ -108,6 +108,14 @@ class SyntheticWorld
                       const Pose &world_to_camera) const;
 
     /**
+     * renderGray into @p img, which must already be intr.width x
+     * intr.height: writes pixels only and allocates nothing, so
+     * concurrent calls into distinct images are safe.
+     */
+    void renderGrayInto(const CameraIntrinsics &intr,
+                        const Pose &world_to_camera, ImageF &img) const;
+
+    /**
      * Render a depth frame (meters along the optical axis; 0 where
      * invalid). @p dropout_fraction randomly invalidates pixels to
      * emulate depth-sensor holes.

@@ -2,6 +2,7 @@
 
 #include "audio/clips.hpp"
 #include "resilience/fault_injector.hpp"
+#include "runtime/parallel.hpp"
 
 #include <algorithm>
 
@@ -9,15 +10,25 @@ namespace illixr {
 
 PreloadedDataset::PreloadedDataset(const DatasetConfig &config,
                                    Duration duration)
-    : dataset(config)
+    : dataset(config), imu_samples(dataset.imuSamples())
 {
-    // Pre-render every camera frame the run can consume.
-    for (std::size_t i = 0; i < dataset.cameraFrameCount(); ++i) {
-        if (dataset.cameraTime(i) > duration)
-            break;
-        camera_frames.push_back(dataset.cameraFrame(i));
-    }
-    imu_samples = dataset.imuSamples();
+    // Pre-render every camera frame the run can consume, one tile per
+    // frame. The images are allocated here, on the launching thread;
+    // the tiles only write pixels, and a frame is a pure function of
+    // its pose, so the frames are bit-identical at every kernel width.
+    std::size_t n = 0;
+    while (n < dataset.cameraFrameCount() &&
+           dataset.cameraTime(n) <= duration)
+        ++n;
+    const CameraIntrinsics &intr = dataset.rig().intrinsics;
+    camera_frames.resize(n);
+    for (CameraFrame &frame : camera_frames)
+        frame.image = ImageF(intr.width, intr.height);
+    parallelFor("dataset_render", 0, n, 1,
+                [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i)
+                        dataset.renderCameraFrame(i, camera_frames[i]);
+                });
 }
 
 // ---------------------------------------------------------------- Camera
@@ -346,16 +357,39 @@ AudioEncoderPlugin::AudioEncoderPlugin(const Phonebook &pb,
 {
     // Two positioned sources (the paper's lecture + radio clips).
     AudioSource lecture;
-    lecture.pcm = toPcm16(
-        synthesizeClip(ClipKind::SpeechLike, 48000 * 4, 48000.0, 3));
+    lecture.pcm = lectureClip();
     lecture.direction = Vec3(1.0, 0.3, 0.0).normalized();
     encoder_.addSource(std::move(lecture));
 
     AudioSource radio;
-    radio.pcm =
-        toPcm16(synthesizeClip(ClipKind::Music, 48000 * 4, 48000.0, 4));
+    radio.pcm = radioClip();
     radio.direction = Vec3(-0.4, -0.8, 0.2).normalized();
     encoder_.addSource(std::move(radio));
+}
+
+namespace {
+
+std::shared_ptr<const std::vector<std::int16_t>>
+fourSecondClip(ClipKind kind, unsigned seed)
+{
+    return std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(kind, 48000 * 4, 48000.0, seed)));
+}
+
+} // namespace
+
+std::shared_ptr<const std::vector<std::int16_t>>
+AudioEncoderPlugin::lectureClip()
+{
+    static const auto clip = fourSecondClip(ClipKind::SpeechLike, 3);
+    return clip;
+}
+
+std::shared_ptr<const std::vector<std::int16_t>>
+AudioEncoderPlugin::radioClip()
+{
+    static const auto clip = fourSecondClip(ClipKind::Music, 4);
+    return clip;
 }
 
 void

@@ -264,6 +264,14 @@ class AudioEncoderPlugin : public Plugin
     std::size_t blocksEncoded() const { return block_; }
     std::size_t callsCoalesced() const { return callsCoalesced_; }
 
+    /**
+     * The lecture (SpeechLike, seed 3) and radio (Music, seed 4)
+     * clips every encoder plays: 4 s of 48 kHz PCM, synthesized once
+     * per process on first use (thread-safe) and shared read-only.
+     */
+    static std::shared_ptr<const std::vector<std::int16_t>> lectureClip();
+    static std::shared_ptr<const std::vector<std::int16_t>> radioClip();
+
   private:
     SystemTuning tuning_;
     Switchboard::Writer<SoundfieldEvent> soundfieldWriter_;

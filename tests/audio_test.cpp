@@ -193,11 +193,12 @@ TEST(EncoderComponentTest, TaskProfileAndOutput)
     const std::size_t block = 1024; // Table III block size.
     AudioEncoder encoder(block);
     AudioSource src1;
-    src1.pcm =
-        toPcm16(synthesizeClip(ClipKind::SpeechLike, 48000, 48000.0));
+    src1.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::SpeechLike, 48000, 48000.0)));
     src1.direction = Vec3(1, 0, 0);
     AudioSource src2;
-    src2.pcm = toPcm16(synthesizeClip(ClipKind::Music, 48000, 48000.0));
+    src2.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::Music, 48000, 48000.0)));
     src2.direction = Vec3(0, 1, 0);
     encoder.addSource(std::move(src1));
     encoder.addSource(std::move(src2));
@@ -224,7 +225,8 @@ TEST(PlaybackComponentTest, TaskProfileAndRotationConsistency)
     const std::size_t block = 1024;
     AudioEncoder encoder(block);
     AudioSource src;
-    src.pcm = toPcm16(synthesizeClip(ClipKind::Noise, 48000, 48000.0));
+    src.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::Noise, 48000, 48000.0)));
     src.direction = Vec3(1, 0, 0); // Straight ahead.
     encoder.addSource(std::move(src));
     const Soundfield field = encoder.encodeBlock(0);

@@ -29,8 +29,8 @@ renderBinaural(const Vec3 &dir, int blocks, std::vector<double> &left,
     const std::size_t block = 1024;
     AudioEncoder enc(block);
     AudioSource src;
-    src.pcm =
-        toPcm16(synthesizeClip(ClipKind::SpeechLike, 48000, 48000.0, 5));
+    src.pcm = std::make_shared<const std::vector<std::int16_t>>(
+        toPcm16(synthesizeClip(ClipKind::SpeechLike, 48000, 48000.0, 5)));
     src.direction = dir;
     enc.addSource(std::move(src));
     AudioPlayback play(block);

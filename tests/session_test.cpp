@@ -4,16 +4,23 @@
  * runtime's state machine (Idle -> Queued -> Running -> Finished /
  * Evicted), the cooperative early-stop path, FIFO admission beyond
  * `max_concurrent`, eviction of queued vs running sessions, and the
- * one-stop SessionConfig parser (env + CLI layering).
+ * one-stop SessionConfig parser (env + CLI layering), and the
+ * session's set-up: the preloaded camera frames and the shared audio
+ * clips.
  */
 
+#include "audio/clips.hpp"
+#include "runtime/parallel.hpp"
 #include "xr/illixr_system.hpp"
+#include "xr/plugins.hpp"
 #include "xr/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -322,6 +329,90 @@ TEST(SessionConfigTest, DatasetFollowsTheRunScenario)
     const Vec3 p = walked.groundTruthPose(fromSeconds(0.2)).position;
     EXPECT_EQ(p.x, lab.pose(0.2).position.x);
     EXPECT_EQ(p.z, lab.pose(0.2).position.z);
+}
+
+// ---------------------------------------------------------------------
+// Session set-up: preloaded camera frames and shared audio clips
+// ---------------------------------------------------------------------
+
+/** RAII kernel-pool width override (restores the prior width). */
+class KernelWidth
+{
+  public:
+    explicit KernelWidth(std::size_t width)
+        : prev_(KernelPool::instance().width())
+    {
+        KernelPool::instance().setWidth(width);
+    }
+    ~KernelWidth() { KernelPool::instance().setWidth(prev_); }
+
+    KernelWidth(const KernelWidth &) = delete;
+    KernelWidth &operator=(const KernelWidth &) = delete;
+
+  private:
+    std::size_t prev_;
+};
+
+TEST(KernelEquivalence, PreloadedFramesMatchSerialRender)
+{
+    DatasetConfig cfg;
+    cfg.duration_s = 1.0;
+    cfg.image_width = 96;
+    cfg.image_height = 72;
+    const SyntheticDataset serial(cfg);
+    ASSERT_GT(serial.cameraFrameCount(), 6u);
+
+    // The preload keeps exactly the frames with cameraTime(i) <=
+    // duration: a duration on frame 5's timestamp keeps frame 5, one
+    // nanosecond less drops it, and one past the end keeps them all.
+    const Duration on_frame = serial.cameraTime(5);
+    const std::pair<Duration, std::size_t> cases[] = {
+        {on_frame, 6},
+        {on_frame - 1, 5},
+        {fromSeconds(cfg.duration_s + 1.0), serial.cameraFrameCount()},
+    };
+    for (std::size_t width : {1, 4}) {
+        KernelWidth guard(width);
+        for (const auto &[duration, count] : cases) {
+            const PreloadedDataset data(cfg, duration);
+            ASSERT_EQ(data.camera_frames.size(), count)
+                << "width " << width << ", duration " << duration;
+            for (std::size_t i = 0; i < count; ++i) {
+                const CameraFrame want = serial.cameraFrame(i);
+                const CameraFrame &got = data.camera_frames[i];
+                EXPECT_EQ(got.time, want.time);
+                EXPECT_EQ(got.sequence, want.sequence);
+                ASSERT_EQ(got.image.width(), want.image.width());
+                ASSERT_EQ(got.image.height(), want.image.height());
+                EXPECT_EQ(std::memcmp(got.image.data(), want.image.data(),
+                                      want.image.pixelCount() *
+                                          sizeof(float)),
+                          0)
+                    << "width " << width << ", frame " << i;
+            }
+        }
+    }
+}
+
+TEST(SessionClipsTest, SynthesizedOncePerProcessAndShared)
+{
+    std::shared_ptr<const std::vector<std::int16_t>> lecture_other;
+    std::shared_ptr<const std::vector<std::int16_t>> radio_other;
+    std::thread other([&] {
+        lecture_other = AudioEncoderPlugin::lectureClip();
+        radio_other = AudioEncoderPlugin::radioClip();
+    });
+    const auto lecture = AudioEncoderPlugin::lectureClip();
+    const auto radio = AudioEncoderPlugin::radioClip();
+    other.join();
+
+    EXPECT_EQ(lecture.get(), lecture_other.get());
+    EXPECT_EQ(radio.get(), radio_other.get());
+    EXPECT_EQ(lecture.get(), AudioEncoderPlugin::lectureClip().get());
+    EXPECT_EQ(*lecture, toPcm16(synthesizeClip(ClipKind::SpeechLike,
+                                               48000 * 4, 48000.0, 3)));
+    EXPECT_EQ(*radio, toPcm16(synthesizeClip(ClipKind::Music, 48000 * 4,
+                                             48000.0, 4)));
 }
 
 } // namespace
