@@ -7,9 +7,10 @@
  * Platformer-desktop cell. Fig 8 and Tables VI/VII then profile
  * standalone components on their own datasets (§III-D).
  *
- * Method: rates, MTP and CPU shares come from the grid's virtual
- * timeline (measured work time, or a seeded modeled cost under
- * `--deterministic`; the line after the grid says which). Power and
+ * Method: rates and MTP come from the grid's virtual timeline
+ * (measured work time, or a seeded modeled cost under
+ * `--deterministic`; the line after the grid says which). Fig 5's CPU
+ * shares are host time, or under `--deterministic` the modeled costs. Power and
  * IPC are modeled by src/perfmodel; Table VI/VII shares are host-timed.
  *
  * Flags: the SessionConfig flags (`--executor=`, `--deterministic`,
@@ -280,10 +281,11 @@ printFig4(const IntegratedResult &r)
 }
 
 void
-printFig5(const Grid &grid)
+printFig5(const Grid &grid, bool deterministic)
 {
     banner("Figure 5: CPU time breakdown by component",
-           "Fig 5, §IV-A1");
+           deterministic ? "Fig 5, §IV-A1; modeled: seeded virtual costs"
+                         : "Fig 5, §IV-A1; measured host time");
     for (PlatformId platform : kPlatforms) {
         std::printf("--- %s ---\n", platformName(platform));
         TextTable table;
@@ -845,7 +847,7 @@ main(int argc, char **argv)
     ::mkdir("results", 0755); // CSV artifacts of Fig 4 and Fig 7.
     printFig3(grid);
     printFig4(grid.at({PlatformId::Desktop, AppId::Platformer}));
-    printFig5(grid);
+    printFig5(grid, opt.deterministic);
     printFig6(grid);
     printFig7(grid);
     printTab1(grid);

@@ -19,22 +19,6 @@ ImageF::atClamped(int x, int y) const
     return data_[idx(x, y)];
 }
 
-float
-ImageF::sampleBilinear(double x, double y) const
-{
-    x = std::clamp(x, 0.0, static_cast<double>(width_ - 1));
-    y = std::clamp(y, 0.0, static_cast<double>(height_ - 1));
-    const int x0 = static_cast<int>(x);
-    const int y0 = static_cast<int>(y);
-    const int x1 = std::min(x0 + 1, width_ - 1);
-    const int y1 = std::min(y0 + 1, height_ - 1);
-    const double fx = x - x0;
-    const double fy = y - y0;
-    const double top = at(x0, y0) * (1.0 - fx) + at(x1, y0) * fx;
-    const double bot = at(x0, y1) * (1.0 - fx) + at(x1, y1) * fx;
-    return static_cast<float>(top * (1.0 - fy) + bot * fy);
-}
-
 double
 ImageF::mean() const
 {

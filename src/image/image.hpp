@@ -13,6 +13,7 @@
 
 #include "foundation/vec.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -37,8 +38,23 @@ class ImageF
     float atClamped(int x, int y) const;
 
     /** Bilinear sample at continuous coordinates (pixel centers at
-     *  integer coordinates); clamps to the image border. */
-    float sampleBilinear(double x, double y) const;
+     *  integer coordinates); clamps to the image border. Inline: KLT
+     *  and ICP call it in their innermost loops. */
+    float
+    sampleBilinear(double x, double y) const
+    {
+        x = std::clamp(x, 0.0, static_cast<double>(width_ - 1));
+        y = std::clamp(y, 0.0, static_cast<double>(height_ - 1));
+        const int x0 = static_cast<int>(x);
+        const int y0 = static_cast<int>(y);
+        const int x1 = std::min(x0 + 1, width_ - 1);
+        const int y1 = std::min(y0 + 1, height_ - 1);
+        const double fx = x - x0;
+        const double fy = y - y0;
+        const double top = at(x0, y0) * (1.0 - fx) + at(x1, y0) * fx;
+        const double bot = at(x0, y1) * (1.0 - fx) + at(x1, y1) * fx;
+        return static_cast<float>(top * (1.0 - fy) + bot * fy);
+    }
 
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }

@@ -1,5 +1,7 @@
 #include "slam/klt.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -7,15 +9,43 @@ namespace illixr {
 
 namespace {
 
-/** Central-difference gradient at a continuous location. */
-inline void
-sampleGradient(const ImageF &img, double x, double y, double &gx,
-               double &gy)
+/** Windows up to this radius live on the stack; larger ones on the heap. */
+constexpr int kStackWindowRadius = 8;
+constexpr std::size_t kStackWindowValues =
+    3 * (2 * kStackWindowRadius + 1) * (2 * kStackWindowRadius + 1);
+
+/**
+ * ImageF::sampleBilinear. A caller that knows 0 <= x < w-1 and
+ * 0 <= y < h-1 passes @p interior: the clamps are then no-ops and are
+ * skipped, with the same operations on the same pixels.
+ */
+inline float
+sample(const ImageF &img, double x, double y, bool interior)
 {
-    gx = 0.5 * (img.sampleBilinear(x + 1.0, y) -
-                img.sampleBilinear(x - 1.0, y));
-    gy = 0.5 * (img.sampleBilinear(x, y + 1.0) -
-                img.sampleBilinear(x, y - 1.0));
+    if (!interior)
+        return img.sampleBilinear(x, y);
+    const int x0 = static_cast<int>(x);
+    const int y0 = static_cast<int>(y);
+    const double fx = x - x0;
+    const double fy = y - y0;
+    const float *p =
+        img.data() + static_cast<std::size_t>(y0) * img.width() + x0;
+    const float *q = p + img.width();
+    const double top = p[0] * (1.0 - fx) + p[1] * fx;
+    const double bot = q[0] * (1.0 - fx) + q[1] * fx;
+    return static_cast<float>(top * (1.0 - fy) + bot * fy);
+}
+
+/**
+ * True when every coordinate in [x_lo, x_hi] x [y_lo, y_hi] samples
+ * @p img without clamping (false for NaN bounds).
+ */
+inline bool
+interior(const ImageF &img, double x_lo, double x_hi, double y_lo,
+         double y_hi)
+{
+    return x_lo >= 0.0 && y_lo >= 0.0 && x_hi < img.width() - 1 &&
+           y_hi < img.height() - 1;
 }
 
 /**
@@ -32,18 +62,31 @@ trackLevel(const ImageF &prev, const ImageF &next, const Vec2 &point,
 
     // The spatial gradient matrix is evaluated once in the previous
     // image (standard inverse-compositional-style optimization).
-    std::vector<double> window(3 * static_cast<std::size_t>(n));
-    double *gx = window.data();
+    std::array<double, kStackWindowValues> stack_window;
+    std::vector<double> heap_window;
+    double *gx = stack_window.data();
+    if (r > kStackWindowRadius) {
+        heap_window.resize(3 * static_cast<std::size_t>(n));
+        gx = heap_window.data();
+    }
     double *gy = gx + n;
     double *tmpl = gy + n;
     double gxx = 0.0, gxy = 0.0, gyy = 0.0;
+    // Rounding is monotone, so every window sample lies between the
+    // extreme coordinates.
+    const bool prev_inside =
+        interior(prev, (point.x + -r) - 1.0, (point.x + r) + 1.0,
+                 (point.y + -r) - 1.0, (point.y + r) + 1.0);
     int idx = 0;
     for (int dy = -r; dy <= r; ++dy) {
         for (int dx = -r; dx <= r; ++dx, ++idx) {
             const double px = point.x + dx;
             const double py = point.y + dy;
-            tmpl[idx] = prev.sampleBilinear(px, py);
-            sampleGradient(prev, px, py, gx[idx], gy[idx]);
+            tmpl[idx] = sample(prev, px, py, prev_inside);
+            gx[idx] = 0.5 * (sample(prev, px + 1.0, py, prev_inside) -
+                             sample(prev, px - 1.0, py, prev_inside));
+            gy[idx] = 0.5 * (sample(prev, px, py + 1.0, prev_inside) -
+                             sample(prev, px, py - 1.0, prev_inside));
             gxx += gx[idx] * gx[idx];
             gxy += gx[idx] * gy[idx];
             gyy += gy[idx] * gy[idx];
@@ -62,13 +105,17 @@ trackLevel(const ImageF &prev, const ImageF &next, const Vec2 &point,
     for (int iter = 0; iter < p.max_iterations; ++iter) {
         // Photometric error over the window at the current estimate.
         double bx = 0.0, by = 0.0, res = 0.0;
+        const double cx = point.x + d.x;
+        const double cy = point.y + d.y;
+        const bool next_inside =
+            interior(next, cx + -r, cx + r, cy + -r, cy + r);
         idx = 0;
         for (int dy = -r; dy <= r; ++dy) {
             for (int dx = -r; dx <= r; ++dx, ++idx) {
                 const double nx = point.x + d.x + dx;
                 const double ny = point.y + d.y + dy;
                 const double diff =
-                    next.sampleBilinear(nx, ny) - tmpl[idx];
+                    sample(next, nx, ny, next_inside) - tmpl[idx];
                 bx += diff * gx[idx];
                 by += diff * gy[idx];
                 res += std::fabs(diff);

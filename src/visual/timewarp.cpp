@@ -1,8 +1,12 @@
 #include "visual/timewarp.hpp"
 
+#include "foundation/simd.hpp"
 #include "runtime/parallel.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace illixr {
@@ -11,6 +15,38 @@ namespace {
 
 /** Sentinel marking an off-frame / behind-camera mesh node. */
 constexpr double kInvalidUv = -1e9;
+
+/**
+ * ImageF::sampleBilinear at four points, with the same operations in
+ * the same order per lane (the clamp keeps std::clamp's operand order,
+ * so even the sign of a zero matches).
+ */
+simd::VecD4
+sampleBilinear4(const ImageF &img, simd::VecD4 x, simd::VecD4 y)
+{
+    using simd::VecD4;
+    const VecD4 zero = VecD4::zero();
+    const VecD4 one = VecD4::broadcast(1.0);
+    const VecD4 x_max = VecD4::broadcast(img.width() - 1);
+    const VecD4 y_max = VecD4::broadcast(img.height() - 1);
+    const VecD4 stride = VecD4::broadcast(img.width());
+    x = simd::vmin(x_max, simd::vmax(zero, x));
+    y = simd::vmin(y_max, simd::vmax(zero, y));
+    const VecD4 x0 = simd::truncInt(x);
+    const VecD4 y0 = simd::truncInt(y);
+    const VecD4 x1 = simd::vmin(x0 + one, x_max);
+    const VecD4 y1 = simd::vmin(y0 + one, y_max);
+    const VecD4 fx = x - x0;
+    const VecD4 fy = y - y0;
+    const VecD4 row0 = y0 * stride;
+    const VecD4 row1 = y1 * stride;
+    VecD4 p00, p01, p10, p11;
+    simd::gatherWiden2(img.data(), row0 + x0, row0 + x1, p00, p01);
+    simd::gatherWiden2(img.data(), row1 + x0, row1 + x1, p10, p11);
+    const VecD4 top = p00 * (one - fx) + p01 * fx;
+    const VecD4 bot = p10 * (one - fx) + p11 * fx;
+    return top * (one - fy) + bot * fy;
+}
 
 } // namespace
 
@@ -81,6 +117,25 @@ Timewarp::buildMesh(const Mat3 &delta_rotation, int width, int height)
         meshUv_[1] = meshUv_[0];
         meshUv_[2] = meshUv_[0];
     }
+
+    cellValid_.assign(
+        static_cast<std::size_t>(params_.mesh_rows) * params_.mesh_cols,
+        1);
+    for (int ch = 0; ch < 3; ++ch) {
+        for (int r = 0; r < params_.mesh_rows; ++r) {
+            for (int col = 0; col < params_.mesh_cols; ++col) {
+                const Vec2 *node =
+                    &meshUv_[ch][static_cast<std::size_t>(r) * cols + col];
+                if (node[0].x <= kInvalidUv / 2 ||
+                    node[1].x <= kInvalidUv / 2 ||
+                    node[cols].x <= kInvalidUv / 2 ||
+                    node[cols + 1].x <= kInvalidUv / 2)
+                    cellValid_[static_cast<std::size_t>(r) *
+                                   params_.mesh_cols +
+                               col] = 0;
+            }
+        }
+    }
 }
 
 RgbImage
@@ -112,69 +167,125 @@ Timewarp::reproject(const RgbImage &rendered, const Pose &render_pose,
     {
         ScopedTask timer(profile_, "reprojection");
         const int cols = params_.mesh_cols + 1;
+        const int rows = params_.mesh_rows + 1;
         const double cell_w =
             static_cast<double>(w) / params_.mesh_cols;
         const double cell_h =
             static_cast<double>(h) / params_.mesh_rows;
+        const int wpad = (w + 3) & ~3;
 
-        // Scanline blocks: output rows are independent (reads only
-        // touch the mesh and the rendered frame).
-        parallelFor("timewarp", 0, static_cast<std::size_t>(h), 8,
-                    [&](std::size_t yb, std::size_t ye) {
-        for (int y = static_cast<int>(yb); y < static_cast<int>(ye);
-             ++y) {
-            const double gy = (y + 0.5) / cell_h;
-            const int r0 = std::min(static_cast<int>(gy),
-                                    params_.mesh_rows - 1);
-            const double fy = gy - r0;
-            for (int x = 0; x < w; ++x) {
-                const double gx = (x + 0.5) / cell_w;
-                const int c0 = std::min(static_cast<int>(gx),
-                                        params_.mesh_cols - 1);
-                const double fx = gx - c0;
+        // Each pixel column's mesh cell and weight.
+        colCell_.resize(static_cast<std::size_t>(w));
+        colFx_.resize(static_cast<std::size_t>(w));
+        for (int x = 0; x < w; ++x) {
+            const double gx = (x + 0.5) / cell_w;
+            const int c0 =
+                std::min(static_cast<int>(gx), params_.mesh_cols - 1);
+            colCell_[x] = c0;
+            colFx_[x] = gx - c0;
+        }
 
-                double rgb[3];
-                bool ok = true;
-                for (int ch = 0; ch < 3; ++ch) {
-                    const Vec2 &uv00 =
-                        meshUv_[ch][static_cast<std::size_t>(r0) * cols +
-                                    c0];
-                    const Vec2 &uv01 =
-                        meshUv_[ch][static_cast<std::size_t>(r0) * cols +
-                                    c0 + 1];
-                    const Vec2 &uv10 =
-                        meshUv_[ch][static_cast<std::size_t>(r0 + 1) *
-                                        cols +
-                                    c0];
-                    const Vec2 &uv11 =
-                        meshUv_[ch][static_cast<std::size_t>(r0 + 1) *
-                                        cols +
-                                    c0 + 1];
-                    if (uv00.x <= kInvalidUv / 2 ||
-                        uv01.x <= kInvalidUv / 2 ||
-                        uv10.x <= kInvalidUv / 2 ||
-                        uv11.x <= kInvalidUv / 2) {
-                        ok = false;
-                        break;
-                    }
-                    const Vec2 top = uv00 * (1.0 - fx) + uv01 * fx;
-                    const Vec2 bot = uv10 * (1.0 - fx) + uv11 * fx;
-                    const Vec2 uv = top * (1.0 - fy) + bot * fy;
-                    if (uv.x < -0.5 || uv.y < -0.5 || uv.x > w - 0.5 ||
-                        uv.y > h - 0.5) {
-                        ok = false;
-                        break;
-                    }
-                    const ImageF &plane =
-                        ch == 0 ? rendered.r
-                                : (ch == 1 ? rendered.g : rendered.b);
-                    rgb[ch] = plane.sampleBilinear(uv.x, uv.y);
+        // A pixel's UV lerps across its cell's top edge, then its
+        // bottom edge, then between the two. The edge lerps depend
+        // only on the mesh row and the pixel column, so they are
+        // computed once per mesh row here, in the same operations.
+        for (int ch = 0; ch < 3; ++ch) {
+            rowU_[ch].assign(static_cast<std::size_t>(rows) * wpad, 0.0);
+            rowV_[ch].assign(static_cast<std::size_t>(rows) * wpad, 0.0);
+            for (int r = 0; r < rows; ++r) {
+                const Vec2 *node =
+                    &meshUv_[ch][static_cast<std::size_t>(r) * cols];
+                double *u = &rowU_[ch][static_cast<std::size_t>(r) * wpad];
+                double *v = &rowV_[ch][static_cast<std::size_t>(r) * wpad];
+                for (int x = 0; x < w; ++x) {
+                    const double fx = colFx_[x];
+                    const Vec2 uv = node[colCell_[x]] * (1.0 - fx) +
+                                    node[colCell_[x] + 1] * fx;
+                    u[x] = uv.x;
+                    v[x] = uv.y;
                 }
-                if (ok)
-                    out.setPixel(x, y, Vec3(rgb[0], rgb[1], rgb[2]));
             }
         }
-                    });
+
+        // All-ones lanes where the pixel's cell is valid; the padding
+        // columns are never valid.
+        const double on = std::bit_cast<double>(~std::uint64_t(0));
+        pixValid_.assign(
+            static_cast<std::size_t>(params_.mesh_rows) * wpad, 0.0);
+        for (int r = 0; r < params_.mesh_rows; ++r) {
+            for (int x = 0; x < w; ++x) {
+                if (cellValid_[static_cast<std::size_t>(r) *
+                                   params_.mesh_cols +
+                               colCell_[x]])
+                    pixValid_[static_cast<std::size_t>(r) * wpad + x] = on;
+            }
+        }
+
+        const ImageF *planes[3] = {&rendered.r, &rendered.g, &rendered.b};
+        ImageF *targets[3] = {&out.r, &out.g, &out.b};
+
+        // Scanline blocks: output rows are independent (reads only
+        // touch the tables above and the rendered frame).
+        parallelFor("timewarp", 0, static_cast<std::size_t>(h), 8,
+                    [&](std::size_t yb, std::size_t ye) {
+            using simd::VecD4;
+            const VecD4 lo = VecD4::broadcast(-0.5);
+            const VecD4 u_hi = VecD4::broadcast(w - 0.5);
+            const VecD4 v_hi = VecD4::broadcast(h - 0.5);
+            for (int y = static_cast<int>(yb); y < static_cast<int>(ye);
+                 ++y) {
+                const double gy = (y + 0.5) / cell_h;
+                const int r0 =
+                    std::min(static_cast<int>(gy), params_.mesh_rows - 1);
+                const double fy = gy - r0;
+                const VecD4 wy = VecD4::broadcast(fy);
+                const VecD4 wy0 = VecD4::broadcast(1.0 - fy);
+                const std::size_t top = static_cast<std::size_t>(r0) * wpad;
+                const std::size_t bot = top + wpad;
+                const double *valid = pixValid_.data() + top;
+                const double *u_top[3], *u_bot[3], *v_top[3], *v_bot[3];
+                for (int ch = 0; ch < 3; ++ch) {
+                    u_top[ch] = rowU_[ch].data() + top;
+                    u_bot[ch] = rowU_[ch].data() + bot;
+                    v_top[ch] = rowV_[ch].data() + top;
+                    v_bot[ch] = rowV_[ch].data() + bot;
+                }
+                for (int x = 0; x < w; x += 4) {
+                    // A pixel is drawn only if its cell is valid and
+                    // every channel's UV lies inside the frame.
+                    VecD4 ok = VecD4::load(valid + x);
+                    if (simd::maskBits(ok) == 0)
+                        continue;
+                    VecD4 u[3], v[3];
+                    for (int ch = 0; ch < 3; ++ch) {
+                        u[ch] = VecD4::load(u_top[ch] + x) * wy0 +
+                                VecD4::load(u_bot[ch] + x) * wy;
+                        v[ch] = VecD4::load(v_top[ch] + x) * wy0 +
+                                VecD4::load(v_bot[ch] + x) * wy;
+                        const VecD4 out_of_frame = simd::bitOr(
+                            simd::bitOr(simd::cmpLT(u[ch], lo),
+                                        simd::cmpLT(v[ch], lo)),
+                            simd::bitOr(simd::cmpGT(u[ch], u_hi),
+                                        simd::cmpGT(v[ch], v_hi)));
+                        ok = simd::andNot(out_of_frame, ok);
+                    }
+                    if (simd::maskBits(ok) == 0)
+                        continue;
+                    for (int ch = 0; ch < 3; ++ch) {
+                        const VecD4 px = simd::bitAnd(
+                            ok, sampleBilinear4(*planes[ch], u[ch], v[ch]));
+                        float *dst = &targets[ch]->at(0, y) + x;
+                        if (x + 4 <= w) {
+                            simd::narrowStore4(px, dst);
+                        } else {
+                            float tail[4];
+                            simd::narrowStore4(px, tail);
+                            std::copy(tail, tail + (w - x), dst);
+                        }
+                    }
+                }
+            }
+        });
     }
     return out;
 }

@@ -87,6 +87,18 @@ class Timewarp
 
     // Mesh buffers: (mesh_rows+1) x (mesh_cols+1) UVs per channel.
     std::vector<Vec2> meshUv_[3];
+    // 1 where all four corners of a mesh cell are valid in all three
+    // channels; mesh_rows x mesh_cols, rebuilt with the mesh.
+    std::vector<unsigned char> cellValid_;
+
+    // Per-frame reprojection tables, kept to reuse the allocations.
+    // The row tables are padded to a multiple of 4 pixels.
+    std::vector<int> colCell_;     ///< Mesh column of each pixel column.
+    std::vector<double> colFx_;    ///< Its weight within that cell.
+    std::vector<double> rowU_[3];  ///< Mesh row UVs lerped to each
+    std::vector<double> rowV_[3];  ///< pixel column (SoA per channel).
+    std::vector<double> pixValid_; ///< Cell validity mask per cell row
+                                   ///< and pixel column.
 };
 
 /** Barrel distortion of normalized coordinates (r in [0, ~1.5]). */

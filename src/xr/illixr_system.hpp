@@ -151,7 +151,8 @@ struct IntegratedResult
     PowerBreakdown power;
     UtilizationSummary utilization;
 
-    /** Share of total host CPU work per component (Fig 5). */
+    /** Share of total work per component (Fig 5): measured host
+     *  seconds, or the modeled virtual durations in a seeded run. */
     std::map<std::string, double> cpu_share;
 
     /** VIO trajectory estimate (for offline QoE / accuracy). */

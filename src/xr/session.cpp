@@ -570,19 +570,24 @@ Session::runBody()
         IntegratedResult result;
         result.config = config;
         result.vsync = vsync;
-        double total_host = 0.0;
+        // Fig 5's work shares: measured host seconds, or in a seeded
+        // run the charged (modeled) virtual durations, so the shares
+        // repeat with the seed like every other seeded output.
+        double total_work = 0.0;
         for (const std::string &name : executor->taskNames()) {
             const TaskStats &stats = executor->stats(name);
             result.tasks.emplace(name, stats);
-            double host = 0.0;
+            double work = 0.0;
             for (const InvocationRecord &rec : stats.records)
-                host += rec.host_seconds;
-            result.cpu_share[name] = host;
-            total_host += host;
+                work += config.deterministic
+                            ? toSeconds(rec.virtual_duration)
+                            : rec.host_seconds;
+            result.cpu_share[name] = work;
+            total_work += work;
         }
-        if (total_host > 0.0) {
-            for (auto &[name, host] : result.cpu_share)
-                host /= total_host;
+        if (total_work > 0.0) {
+            for (auto &[name, work] : result.cpu_share)
+                work /= total_work;
         }
 
         result.target_hz["camera"] = tuning.camera_hz;

@@ -3,8 +3,9 @@
  * Tests of the data-parallel kernel runtime (runtime/parallel.hpp):
  * tiling purity, the determinism contract (bit-identical results for
  * every pool kernel at any worker count), the pin that every other
- * kernel stays serial, and executor interaction (nested launches never
- * deadlock).
+ * kernel stays serial, executor interaction (nested launches never
+ * deadlock), and the timewarp and KLT loops against reference copies
+ * of their earlier per-pixel forms.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "runtime/sim_scheduler.hpp"
 #include "sensors/dataset.hpp"
 #include "signal/fft.hpp"
+#include "slam/klt.hpp"
 #include "slam/msckf.hpp"
 #include "trace/metrics_registry.hpp"
 #include "trace/trace.hpp"
@@ -30,6 +32,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -578,6 +581,393 @@ TEST(KernelEquivalence, RasterizerTiles)
         [](const StereoFrame &a, const StereoFrame &b) {
             return sameRgb(a.left, b.left) && sameRgb(a.right, b.right);
         });
+}
+
+// ------------------------- Sampler-bound loops vs their reference copies
+//
+// The timewarp and KLT loops were rewritten around an inline sampler,
+// per-row tables and 4-pixel vectors. The copies below are the earlier
+// loops and the earlier out-of-line ImageF::sampleBilinear; the
+// rewritten kernels must match them byte for byte.
+
+/** Calls of referenceSample whose clamp moved the point. */
+std::size_t g_clamped_samples = 0;
+
+/** The earlier out-of-line bilinear sampler. */
+float
+referenceSample(const ImageF &img, double x, double y)
+{
+    g_clamped_samples += x < 0.0 || y < 0.0 || x > img.width() - 1 ||
+                         y > img.height() - 1;
+    x = std::clamp(x, 0.0, static_cast<double>(img.width() - 1));
+    y = std::clamp(y, 0.0, static_cast<double>(img.height() - 1));
+    const int x0 = static_cast<int>(x);
+    const int y0 = static_cast<int>(y);
+    const int x1 = std::min(x0 + 1, img.width() - 1);
+    const int y1 = std::min(y0 + 1, img.height() - 1);
+    const double fx = x - x0;
+    const double fy = y - y0;
+    const double top = img.at(x0, y0) * (1.0 - fx) + img.at(x1, y0) * fx;
+    const double bot = img.at(x0, y1) * (1.0 - fx) + img.at(x1, y1) * fx;
+    return static_cast<float>(top * (1.0 - fy) + bot * fy);
+}
+
+/** What the random warps reached, so the test can show its coverage. */
+struct WarpCoverage
+{
+    std::size_t invalid_cell_pixels = 0; ///< Cell with a behind-camera node.
+    std::size_t clamp_band_samples = 0;  ///< uv in [-0.5, 0) or (w-1, w-0.5].
+    std::size_t drawn_pixels = 0;
+};
+
+/** The earlier Timewarp::buildMesh and per-pixel reprojection loop. */
+RgbImage
+referenceReproject(const TimewarpParams &p, const RgbImage &rendered,
+                   const Pose &render_pose, const Pose &fresh_pose,
+                   WarpCoverage &cov)
+{
+    constexpr double kInvalidUv = -1e9;
+    const int w = rendered.width();
+    const int h = rendered.height();
+    RgbImage out(w, h, Vec3(0, 0, 0));
+    const Mat3 delta = render_pose.orientation.toMatrix().transpose() *
+                       fresh_pose.orientation.toMatrix();
+
+    const int cols = p.mesh_cols + 1;
+    const int rows = p.mesh_rows + 1;
+    const double tan_half = std::tan(p.fov_y_rad / 2.0);
+    const double aspect =
+        static_cast<double>(w) / static_cast<double>(h);
+    std::vector<Vec2> mesh[3];
+    for (int c = 0; c < 3; ++c)
+        mesh[c].assign(static_cast<std::size_t>(cols) * rows,
+                       Vec2(kInvalidUv, kInvalidUv));
+    const int channels = p.chromatic_correction ? 3 : 1;
+    for (int ch = 0; ch < channels; ++ch) {
+        const double scale =
+            p.chromatic_correction ? p.chroma_scale[ch] : 1.0;
+        for (int r = 0; r < rows; ++r) {
+            for (int col = 0; col < cols; ++col) {
+                const double nx =
+                    2.0 * static_cast<double>(col) / p.mesh_cols - 1.0;
+                const double ny =
+                    1.0 - 2.0 * static_cast<double>(r) / p.mesh_rows;
+                Vec2 d(nx, ny);
+                if (p.lens_distortion)
+                    d = distortRadial(d, p.k1, p.k2, scale);
+                else if (p.chromatic_correction)
+                    d = d * scale;
+                const Vec3 ray_fresh(d.x * tan_half * aspect,
+                                     d.y * tan_half, -1.0);
+                const Vec3 ray_render = delta * ray_fresh;
+                if (ray_render.z > -1e-6)
+                    continue;
+                const double sx =
+                    ray_render.x / (-ray_render.z) / (tan_half * aspect);
+                const double sy = ray_render.y / (-ray_render.z) / tan_half;
+                const double u = (sx + 1.0) / 2.0 * w - 0.5;
+                const double v = (1.0 - sy) / 2.0 * h - 0.5;
+                mesh[ch][static_cast<std::size_t>(r) * cols + col] =
+                    Vec2(u, v);
+            }
+        }
+    }
+    if (!p.chromatic_correction) {
+        mesh[1] = mesh[0];
+        mesh[2] = mesh[0];
+    }
+
+    const double cell_w = static_cast<double>(w) / p.mesh_cols;
+    const double cell_h = static_cast<double>(h) / p.mesh_rows;
+    for (int y = 0; y < h; ++y) {
+        const double gy = (y + 0.5) / cell_h;
+        const int r0 = std::min(static_cast<int>(gy), p.mesh_rows - 1);
+        const double fy = gy - r0;
+        for (int x = 0; x < w; ++x) {
+            const double gx = (x + 0.5) / cell_w;
+            const int c0 = std::min(static_cast<int>(gx), p.mesh_cols - 1);
+            const double fx = gx - c0;
+            double rgb[3];
+            bool ok = true;
+            for (int ch = 0; ch < 3; ++ch) {
+                const std::size_t i00 =
+                    static_cast<std::size_t>(r0) * cols + c0;
+                const Vec2 &uv00 = mesh[ch][i00];
+                const Vec2 &uv01 = mesh[ch][i00 + 1];
+                const Vec2 &uv10 = mesh[ch][i00 + cols];
+                const Vec2 &uv11 = mesh[ch][i00 + cols + 1];
+                if (uv00.x <= kInvalidUv / 2 || uv01.x <= kInvalidUv / 2 ||
+                    uv10.x <= kInvalidUv / 2 || uv11.x <= kInvalidUv / 2) {
+                    ++cov.invalid_cell_pixels;
+                    ok = false;
+                    break;
+                }
+                const Vec2 top = uv00 * (1.0 - fx) + uv01 * fx;
+                const Vec2 bot = uv10 * (1.0 - fx) + uv11 * fx;
+                const Vec2 uv = top * (1.0 - fy) + bot * fy;
+                if (uv.x < -0.5 || uv.y < -0.5 || uv.x > w - 0.5 ||
+                    uv.y > h - 0.5) {
+                    ok = false;
+                    break;
+                }
+                if (uv.x < 0.0 || uv.y < 0.0 || uv.x > w - 1 ||
+                    uv.y > h - 1)
+                    ++cov.clamp_band_samples;
+                const ImageF &plane =
+                    ch == 0 ? rendered.r
+                            : (ch == 1 ? rendered.g : rendered.b);
+                rgb[ch] = referenceSample(plane, uv.x, uv.y);
+            }
+            if (ok) {
+                ++cov.drawn_pixels;
+                out.setPixel(x, y, Vec3(rgb[0], rgb[1], rgb[2]));
+            }
+        }
+    }
+    return out;
+}
+
+/** A random unit axis. */
+Vec3
+randomAxis(Rng &rng)
+{
+    for (;;) {
+        const Vec3 a(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                     rng.uniform(-1, 1));
+        if (a.norm() > 0.1)
+            return a.normalized();
+    }
+}
+
+TEST(KernelEquivalence, TimewarpMatchesReferenceLoop)
+{
+    Rng rng(2024);
+    WarpCoverage cov;
+    std::size_t warps = 0;
+    // Frame sizes whose width is and is not a multiple of the 4-pixel
+    // vector, on square and non-square meshes.
+    const int sizes[3][4] = {{80, 80, 16, 16}, {37, 29, 7, 5},
+                             {64, 48, 16, 12}};
+    for (const auto &size : sizes) {
+        RgbImage frame(size[0], size[1]);
+        for (ImageF *plane : {&frame.r, &frame.g, &frame.b}) {
+            for (int y = 0; y < size[1]; ++y)
+                for (int x = 0; x < size[0]; ++x)
+                    plane->at(x, y) =
+                        rng.uniform() < 0.05
+                            ? -0.0f
+                            : static_cast<float>(rng.uniform());
+        }
+        for (int variant = 0; variant < 4; ++variant) {
+            TimewarpParams params;
+            params.mesh_cols = size[2];
+            params.mesh_rows = size[3];
+            params.chromatic_correction = (variant & 1) != 0;
+            params.lens_distortion = (variant & 2) != 0;
+            for (int pose = 0; pose < 12; ++pose) {
+                const Pose render(
+                    Quat::fromAxisAngle(randomAxis(rng),
+                                        rng.uniform(-3.0, 3.0)),
+                    Vec3(rng.uniform(-1, 1), 1.6, rng.uniform(-1, 1)));
+                // Half small corrections (uv near the frame edge), half
+                // large turns that put mesh nodes behind the camera.
+                const double angle = pose % 2 == 0
+                                         ? rng.uniform(0.0, 0.05)
+                                         : rng.uniform(0.3, 2.5);
+                const Pose fresh(
+                    render.orientation *
+                        Quat::fromAxisAngle(randomAxis(rng), angle),
+                    render.position);
+                const RgbImage want =
+                    referenceReproject(params, frame, render, fresh, cov);
+                for (std::size_t width : {1, 4}) {
+                    WidthGuard guard(width);
+                    Timewarp warp(params);
+                    EXPECT_TRUE(sameRgb(warp.reproject(frame, render, fresh),
+                                        want))
+                        << size[0] << "x" << size[1] << " variant "
+                        << variant << " pose " << pose << " width "
+                        << width;
+                }
+                ++warps;
+            }
+        }
+    }
+    EXPECT_EQ(warps, 144u);
+    EXPECT_GT(cov.invalid_cell_pixels, 1000u);
+    EXPECT_GT(cov.clamp_band_samples, 100u);
+    EXPECT_GT(cov.drawn_pixels, 10000u);
+}
+
+/** The earlier KLT trackLevel (heap window, clamped sampler). */
+bool
+referenceTrackLevel(const ImageF &prev, const ImageF &next,
+                    const Vec2 &point, Vec2 &d, double &residual_out,
+                    const KltParams &p)
+{
+    const int r = p.window_radius;
+    const int n = (2 * r + 1) * (2 * r + 1);
+    std::vector<double> window(3 * static_cast<std::size_t>(n));
+    double *gx = window.data();
+    double *gy = gx + n;
+    double *tmpl = gy + n;
+    double gxx = 0.0, gxy = 0.0, gyy = 0.0;
+    int idx = 0;
+    for (int dy = -r; dy <= r; ++dy) {
+        for (int dx = -r; dx <= r; ++dx, ++idx) {
+            const double px = point.x + dx;
+            const double py = point.y + dy;
+            tmpl[idx] = referenceSample(prev, px, py);
+            gx[idx] = 0.5 * (referenceSample(prev, px + 1.0, py) -
+                             referenceSample(prev, px - 1.0, py));
+            gy[idx] = 0.5 * (referenceSample(prev, px, py + 1.0) -
+                             referenceSample(prev, px, py - 1.0));
+            gxx += gx[idx] * gx[idx];
+            gxy += gx[idx] * gy[idx];
+            gyy += gy[idx] * gy[idx];
+        }
+    }
+    const double tr = gxx + gyy;
+    const double det = gxx * gyy - gxy * gxy;
+    const double disc = std::sqrt(std::max(0.0, tr * tr / 4.0 - det));
+    const double min_eig = (tr / 2.0 - disc) / n;
+    if (min_eig < p.min_eigenvalue)
+        return false;
+    const double inv_det = 1.0 / (gxx * gyy - gxy * gxy);
+    for (int iter = 0; iter < p.max_iterations; ++iter) {
+        double bx = 0.0, by = 0.0, res = 0.0;
+        idx = 0;
+        for (int dy = -r; dy <= r; ++dy) {
+            for (int dx = -r; dx <= r; ++dx, ++idx) {
+                const double nx = point.x + d.x + dx;
+                const double ny = point.y + d.y + dy;
+                const double diff =
+                    referenceSample(next, nx, ny) - tmpl[idx];
+                bx += diff * gx[idx];
+                by += diff * gy[idx];
+                res += std::fabs(diff);
+            }
+        }
+        residual_out = res / n;
+        const double ux = -(gyy * bx - gxy * by) * inv_det;
+        const double uy = -(-gxy * bx + gxx * by) * inv_det;
+        d.x += ux;
+        d.y += uy;
+        if (std::sqrt(ux * ux + uy * uy) < p.epsilon)
+            break;
+        if (point.x + d.x < r + 1 || point.y + d.y < r + 1 ||
+            point.x + d.x >= next.width() - r - 1 ||
+            point.y + d.y >= next.height() - r - 1)
+            return false;
+    }
+    return true;
+}
+
+/** The earlier trackPointPyramidal, on referenceTrackLevel. */
+KltResult
+referenceTrackPoint(const ImagePyramid &prev, const ImagePyramid &next,
+                    const Vec2 &point, const KltParams &params)
+{
+    KltResult result;
+    const int levels = std::min(prev.levels(), next.levels());
+    Vec2 d(0.0, 0.0);
+    double residual = 1e9;
+    for (int level = levels - 1; level >= 0; --level) {
+        const double scale = std::pow(2.0, level);
+        const Vec2 pt(point.x / scale, point.y / scale);
+        if (!referenceTrackLevel(prev.level(level), next.level(level), pt,
+                                 d, residual, params))
+            return result;
+        if (level > 0) {
+            d.x *= 2.0;
+            d.y *= 2.0;
+        }
+    }
+    result.position = point + d;
+    result.residual = residual;
+    const int r = params.window_radius;
+    const ImageF &base = next.level(0);
+    const bool in_bounds =
+        result.position.x >= r + 1 && result.position.y >= r + 1 &&
+        result.position.x < base.width() - r - 1 &&
+        result.position.y < base.height() - r - 1;
+    result.ok = in_bounds && residual <= params.max_residual;
+    return result;
+}
+
+bool
+sameKlt(const KltResult &a, const KltResult &b)
+{
+    return a.ok == b.ok &&
+           std::memcmp(&a.position, &b.position, sizeof(Vec2)) == 0 &&
+           std::memcmp(&a.residual, &b.residual, sizeof(double)) == 0;
+}
+
+TEST(KernelEquivalence, KltMatchesReferenceTracker)
+{
+    constexpr int kW = 128;
+    constexpr int kH = 96;
+    Rng rng(99);
+    std::size_t tracked = 0, compared = 0;
+    const std::size_t clamped_before = g_clamped_samples;
+    for (int pair = 0; pair < 10; ++pair) {
+        // Smooth random texture, shifted by a sub-pixel motion in the
+        // next frame, plus independent pixel noise.
+        double fx[4], fy[4], phase[4];
+        for (int k = 0; k < 4; ++k) {
+            fx[k] = rng.uniform(0.05, 0.6);
+            fy[k] = rng.uniform(0.05, 0.6);
+            phase[k] = rng.uniform(0.0, 6.28);
+        }
+        const double sx = rng.uniform(-3.0, 3.0);
+        const double sy = rng.uniform(-3.0, 3.0);
+        auto texture = [&](double x, double y) {
+            double v = 0.5;
+            for (int k = 0; k < 4; ++k)
+                v += 0.1 * std::sin(fx[k] * x + fy[k] * y + phase[k]);
+            return v;
+        };
+        ImageF a(kW, kH), b(kW, kH);
+        for (int y = 0; y < kH; ++y) {
+            for (int x = 0; x < kW; ++x) {
+                a.at(x, y) = static_cast<float>(texture(x, y) +
+                                                rng.uniform(-0.02, 0.02));
+                b.at(x, y) = static_cast<float>(texture(x - sx, y - sy) +
+                                                rng.uniform(-0.02, 0.02));
+            }
+        }
+        const ImagePyramid prev(a, 3);
+        const ImagePyramid next(b, 3);
+        // Points over the whole frame and a few pixels past it, so
+        // many windows touch or cross the border at some level.
+        std::vector<Vec2> points;
+        for (int i = 0; i < 80; ++i)
+            points.emplace_back(rng.uniform(-2.0, kW + 2.0),
+                                rng.uniform(-2.0, kH + 2.0));
+        for (int radius : {4, 2, 9}) {
+            KltParams params;
+            params.window_radius = radius;
+            std::vector<KltResult> want;
+            for (const Vec2 &pt : points) {
+                want.push_back(referenceTrackPoint(prev, next, pt, params));
+                tracked += want.back().ok;
+            }
+            for (std::size_t width : {1, 4}) {
+                WidthGuard guard(width);
+                const std::vector<KltResult> got =
+                    trackPoints(prev, next, points, params);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i, ++compared)
+                    EXPECT_TRUE(sameKlt(got[i], want[i]))
+                        << "pair " << pair << " radius " << radius
+                        << " point " << i << " width " << width;
+            }
+        }
+    }
+    EXPECT_EQ(compared, 10u * 3 * 80 * 2);
+    EXPECT_GT(tracked, 100u);
+    // Windows that cross the border at some pyramid level.
+    EXPECT_GT(g_clamped_samples - clamped_before, 1000u);
 }
 
 } // namespace

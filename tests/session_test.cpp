@@ -89,6 +89,28 @@ TEST(SessionTest, RunsToCompletion)
     EXPECT_EQ(&session.result(), &r);
 }
 
+TEST(SessionTest, SeededCpuShareRepeatsWithTheSeed)
+{
+    // Fig 5's shares come from the modeled costs in a seeded run, so
+    // two runs with the same seed agree exactly, like their poses.
+    ScopedEnv det("ILLIXR_DETERMINISTIC", "1");
+    ScopedEnv seed("ILLIXR_SEED", "3");
+    const char *argv[] = {"prog"};
+    SessionConfig::Parse parse = SessionConfig::fromEnvAndArgs(1, argv);
+    ASSERT_TRUE(parse.ok) << parse.error;
+    ASSERT_TRUE(parse.config.deterministic);
+    parse.config.duration = 500 * kMillisecond;
+    const IntegratedResult a = runIntegrated(parse.config);
+    const IntegratedResult b = runIntegrated(parse.config);
+    ASSERT_FALSE(a.cpu_share.empty());
+    EXPECT_EQ(a.cpu_share, b.cpu_share);
+    double total = 0.0;
+    for (const auto &[name, share] : a.cpu_share)
+        total += share;
+    EXPECT_NEAR(total, 1.0, 1e-12);
+    EXPECT_GT(a.cpu_share.at("vio"), 0.0);
+}
+
 TEST(SessionTest, DoubleStartThrows)
 {
     Session session{quickConfig("dup")};

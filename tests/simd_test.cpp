@@ -4,7 +4,8 @@
  * the vectorized kernels built on it:
  *
  *  - every lane op of the compiled backend matches the VecRef scalar
- *    oracle bit-for-bit (the cross-backend identity contract),
+ *    oracle or the scalar cast it mirrors bit-for-bit (the
+ *    cross-backend identity contract),
  *  - horizontal reductions use the documented fixed halving tree,
  *  - remainder loops (sizes that are not multiples of the vector
  *    width) match scalar references bit-for-bit,
@@ -213,6 +214,33 @@ TEST(SimdLaneOps, WidenAndNarrowRoundExactly)
     simd::narrowStore4(VecD4::load(d), narrow);
     for (int i = 0; i < 4; ++i)
         EXPECT_TRUE(bitEqual(narrow[i], static_cast<float>(d[i])));
+}
+
+TEST(SimdLaneOps, TruncIntAndGatherMatchScalarCasts)
+{
+    // Truncation toward zero, including the -0.0 and (-1, 0) lanes
+    // that std::trunc would keep negative but an int cast does not.
+    const double d[4] = {-0.0, -0.75, 2.999999999, 79.5};
+    double got[4];
+    simd::truncInt(VecD4::load(d)).store(got);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(bitEqual(
+            got[i], static_cast<double>(static_cast<int>(d[i]))));
+
+    const float table[6] = {0.5f, -2.25f, 1e-30f, 7.0f, -0.0f, 3.5f};
+    const double ia[4] = {4.0, 0.0, 5.0, 2.0};
+    const double ib[4] = {1.0, 1.0, 3.0, 0.0};
+    VecD4 a, b;
+    simd::gatherWiden2(table, VecD4::load(ia), VecD4::load(ib), a, b);
+    double got_b[4];
+    a.store(got);
+    b.store(got_b);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(bitEqual(
+            got[i], static_cast<double>(table[static_cast<int>(ia[i])])));
+        EXPECT_TRUE(bitEqual(
+            got_b[i], static_cast<double>(table[static_cast<int>(ib[i])])));
+    }
 }
 
 // ---------------------------------------------------------------------
