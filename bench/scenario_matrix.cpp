@@ -78,10 +78,8 @@ runCell(const SessionConfig &base, const CellSpec &cell)
         std::exit(2);
     }
     if (cell.chaos) {
-        if (!parseFaultPlan(kChaosPlan, cfg.resilience.fault_plan))
+        if (!parseFaultPlan(kChaosPlan, cfg.fault_plan))
             std::exit(2);
-        cfg.resilience.supervise = true;
-        cfg.resilience.degrade = true;
     }
 
     const IntegratedResult r = runIntegrated(cfg);

@@ -19,8 +19,8 @@
  *
  * Load mixes (pooled --frames display frames each):
  *   fleet — 4 clean concurrent sessions (baseline contention)
- *   chaos — 2 sessions under the canonical chaos fault plan with
- *           supervision + degradation on (drop-retry pressure)
+ *   chaos — 2 sessions under the canonical chaos fault plan
+ *           (drop-retry pressure)
  *   edge  — 2 edge-offloaded sessions (own server each, wifi6) under
  *           a mid-run link brownout (transport + breaker pressure)
  *
@@ -110,14 +110,11 @@ runMix(const SessionConfig &base, const MixSpec &spec,
         cfg.seed = base.seed + static_cast<unsigned>(i);
         cfg.duration = duration;
         if (spec.fault_plan) {
-            if (!parseFaultPlan(spec.fault_plan,
-                                cfg.resilience.fault_plan)) {
+            if (!parseFaultPlan(spec.fault_plan, cfg.fault_plan)) {
                 std::fprintf(stderr, "bad fault plan: %s\n",
                              spec.fault_plan);
                 std::exit(2);
             }
-            cfg.resilience.supervise = true;
-            cfg.resilience.degrade = true;
         }
         if (spec.edge) {
             cfg.edge.enabled = true;

@@ -7,12 +7,11 @@
  * application. `--workers=N` selects the pool size.
  *
  * `--fault-plan=SPEC` injects faults from a parseFaultPlan() spec
- * (e.g. "seed=7,crash=0.01,stall=0.02,drop=0.05") and
- * `--resilience` turns on plugin supervision + graceful degradation,
- * demonstrating chaos on the live runtime.
+ * (e.g. "seed=7,crash=0.01,stall=0.02,drop=0.05"), demonstrating
+ * chaos on the live runtime: the executor contains every crash and
+ * runs the plugin again at its next period.
  */
 
-#include "resilience/resilience.hpp"
 #include "runtime/pool_executor.hpp"
 #include "trace/trace.hpp"
 #include "trace/metrics_registry.hpp"
@@ -28,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     std::size_t workers = 4;
-    ResilienceConfig rcfg;
+    FaultPlan plan;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--workers=", 0) == 0) {
@@ -37,17 +36,13 @@ main(int argc, char **argv)
             if (workers == 0)
                 workers = 1;
         } else if (arg.rfind("--fault-plan=", 0) == 0) {
-            if (!parseFaultPlan(arg.substr(13), rcfg.fault_plan)) {
+            if (!parseFaultPlan(arg.substr(13), plan)) {
                 std::fprintf(stderr, "bad --fault-plan spec\n");
                 return 2;
             }
-        } else if (arg == "--resilience") {
-            rcfg.supervise = true;
-            rcfg.degrade = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: ar_demo_live [--workers=N] "
-                         "[--fault-plan=SPEC] [--resilience]\n");
+            std::fprintf(stderr, "usage: ar_demo_live [--workers=N] "
+                                 "[--fault-plan=SPEC]\n");
             return 2;
         }
     }
@@ -93,20 +88,12 @@ main(int argc, char **argv)
     switchboard->setTraceSink(sink);
     auto metrics = std::make_shared<MetricsRegistry>();
 
-    // Optional chaos: fault plan, supervision, degradation.
-    std::unique_ptr<ResilienceContext> resilience;
-    if (rcfg.enabled()) {
-        if (rcfg.fault_plan.topics.empty() &&
-            (rcfg.fault_plan.drop_rate > 0.0 ||
-             rcfg.fault_plan.corrupt_rate > 0.0))
-            rcfg.fault_plan.topics = {topics::kCamera, topics::kImu};
-        resilience = std::make_unique<ResilienceContext>(
-            rcfg, *switchboard, metrics.get());
-        if (resilience->injector())
-            registerSensorCorrupters(*resilience->injector());
-        std::printf("Resilience: %s\n\n",
-                    faultPlanSummary(rcfg.fault_plan).c_str());
-    }
+    // Optional chaos: the fault plan's injector.
+    const std::unique_ptr<FaultInjector> injector =
+        makeFaultInjector(plan, *switchboard, metrics.get());
+    if (injector)
+        std::printf("Fault plan: %s\n\n",
+                    faultPlanSummary(injector->plan()).c_str());
 
     PoolExecutorConfig pool_cfg;
     pool_cfg.workers = workers;
@@ -122,11 +109,7 @@ main(int argc, char **argv)
     exec.addPlugin(&timewarp);
     exec.addPlugin(&audio_enc);
     exec.addPlugin(&audio_play);
-    if (resilience) {
-        resilience->attach(executor);
-        if (resilience->degradationPlugin())
-            exec.addPlugin(resilience->degradationPlugin());
-    }
+    executor.setInterceptor(injector.get());
 
     exec.run(2 * kSecond);
 
@@ -145,26 +128,19 @@ main(int argc, char **argv)
                     switchboard->publishCount(topic));
     }
 
-    if (resilience) {
-        std::printf("\nResilience health summary:\n");
-        if (FaultInjector *inj = resilience->injector())
-            std::printf("  injected: %llu crashes, %llu stalls, "
-                        "%llu spikes, %llu drops, %llu corruptions\n",
-                        (unsigned long long)inj->injectedCrashes(),
-                        (unsigned long long)inj->injectedStalls(),
-                        (unsigned long long)inj->injectedSpikes(),
-                        (unsigned long long)inj->injectedDrops(),
-                        (unsigned long long)inj->injectedCorruptions());
-        if (Supervisor *sup = resilience->supervisor())
-            std::printf("  supervisor: %zu exceptions seen, "
-                        "%zu restarts\n",
-                        sup->exceptionsSeen(), sup->restarts());
-        if (DegradationPlugin *deg = resilience->degradationPlugin())
-            std::printf("  degradation: level %d now, max %d\n",
-                        deg->level(), deg->maxLevelReached());
-        std::printf("  health events on '%s': %zu\n",
-                    topics::kHealth.c_str(),
-                    switchboard->publishCount(topics::kHealth));
+    if (injector) {
+        std::printf("\nInjected: %llu crashes, %llu stalls, %llu spikes, "
+                    "%llu drops, %llu corruptions\n",
+                    (unsigned long long)injector->injectedCrashes(),
+                    (unsigned long long)injector->injectedStalls(),
+                    (unsigned long long)injector->injectedSpikes(),
+                    (unsigned long long)injector->injectedDrops(),
+                    (unsigned long long)injector->injectedCorruptions());
+        std::size_t exceptions = 0;
+        for (const std::string &name : exec.taskNames())
+            exceptions += exec.stats(name).exceptions;
+        std::printf("Exceptions contained by the executor: %zu\n",
+                    exceptions);
     }
 
     const char *trace_path = "/tmp/illixr_ar_live.trace.json";

@@ -9,21 +9,21 @@ computeMtp(const TaskStats &reproj, const std::vector<double> &imu_age_ms,
            Duration vsync)
 {
     MtpSeries out;
-    const std::size_t n =
-        std::min(reproj.records.size(), imu_age_ms.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        const InvocationRecord &rec = reproj.records[i];
+    std::size_t age = 0;
+    for (const InvocationRecord &rec : reproj.records) {
         // Display happens at the first vsync boundary at or after the
         // reprojection completes.
         const TimePoint display =
             ((rec.completion + vsync - 1) / vsync) * vsync;
         if (rec.target_vsync != 0 && display > rec.target_vsync)
             ++out.missed_vsync;
+        if (rec.exception || age == imu_age_ms.size())
+            continue;
+        const double imu_age = imu_age_ms[age++];
         const double swap_ms = toMilliseconds(display - rec.completion);
         const double reproj_ms = toMilliseconds(rec.virtual_duration);
-        const double latency = imu_age_ms[i] + reproj_ms + swap_ms;
-        out.latency_ms.add(latency);
-        out.imu_age_ms.add(imu_age_ms[i]);
+        out.latency_ms.add(imu_age + reproj_ms + swap_ms);
+        out.imu_age_ms.add(imu_age);
         out.reprojection_ms.add(reproj_ms);
         out.swap_ms.add(swap_ms);
     }

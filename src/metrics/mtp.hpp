@@ -30,16 +30,19 @@ struct MtpSeries
     SampleSeries imu_age_ms;
     SampleSeries reprojection_ms;
     SampleSeries swap_ms;
-    std::size_t missed_vsync = 0; ///< Frames completing after target.
+    std::size_t missed_vsync = 0; ///< Invocations completing after target.
 };
 
 /**
  * Combine the scheduler's reprojection invocation records with the
  * per-invocation IMU-age samples published by the reprojection
- * plugin (index-aligned).
+ * plugin. An invocation that threw logged no age, so the ages pair
+ * in order with the records that did not throw; a record that threw
+ * adds no latency sample. missed_vsync counts every record that
+ * completed after its target vsync, thrown or not.
  *
  * @param reproj       TaskStats of the vsync-aligned reprojection.
- * @param imu_age_ms   IMU age logged by the plugin per invocation.
+ * @param imu_age_ms   IMU age logged per invocation that returned.
  * @param vsync        Display refresh period.
  */
 MtpSeries computeMtp(const TaskStats &reproj,

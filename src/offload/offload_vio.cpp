@@ -16,8 +16,6 @@ OffloadedVioPlugin::OffloadedVioPlugin(const Phonebook &pb,
       imuReader_(pb.lookup<Switchboard>()->reader<ImuEvent>(topics::kImu)),
       slowPoseWriter_(
           pb.lookup<Switchboard>()->writer<PoseEvent>(topics::kSlowPose)),
-      healthWriter_(
-          pb.lookup<Switchboard>()->writer<HealthEvent>(topics::kHealth)),
       net_(config.link, config.link_seed), breaker_(config.breaker)
 {
     MsckfParams params;
@@ -36,31 +34,6 @@ OffloadedVioPlugin::OffloadedVioPlugin(const Phonebook &pb,
         injector_ = pb.lookup<FaultInjector>().get();
     if (config_.edge)
         config_.edge->connect(config_.client_id);
-}
-
-void
-OffloadedVioPlugin::publishBreakerTransition(TimePoint now)
-{
-    const CircuitBreaker::State state = breaker_.state();
-    if (state == lastState_)
-        return;
-    lastState_ = state;
-    auto ev = makeEvent<HealthEvent>();
-    ev->time = now;
-    ev->task = name();
-    ev->detail = CircuitBreaker::stateName(state);
-    switch (state) {
-    case CircuitBreaker::State::Open:
-        ev->kind = HealthKind::CircuitOpen;
-        break;
-    case CircuitBreaker::State::HalfOpen:
-        ev->kind = HealthKind::CircuitHalfOpen;
-        break;
-    case CircuitBreaker::State::Closed:
-        ev->kind = HealthKind::CircuitClosed;
-        break;
-    }
-    healthWriter_.put(std::move(ev));
 }
 
 void
@@ -97,7 +70,6 @@ OffloadedVioPlugin::collectEdgeCompletions(TimePoint now)
             else
                 ++edgeRejected_;
             breaker_.recordFailure(now);
-            publishBreakerTransition(now);
             publishLocalPose(now, frame.cam);
             continue;
         }
@@ -107,7 +79,6 @@ OffloadedVioPlugin::collectEdgeCompletions(TimePoint now)
         if (!down) {
             ++framesLost_; // Response lost on the downlink.
             breaker_.recordFailure(now);
-            publishBreakerTransition(now);
             publishLocalPose(now, frame.cam);
             continue;
         }
@@ -119,7 +90,6 @@ OffloadedVioPlugin::collectEdgeCompletions(TimePoint now)
             breaker_.recordFailure(now);
         else
             breaker_.recordSuccess(now);
-        publishBreakerTransition(now);
 
         trajectory_.push_back(
             {frame.cam->time, frame.event->state.pose()});
@@ -139,7 +109,6 @@ OffloadedVioPlugin::submitToEdge(
     if (!up) {
         ++framesLost_; // Frame lost on the uplink.
         breaker_.recordFailure(now);
-        publishBreakerTransition(now);
         publishLocalPose(now, cam);
         return;
     }
@@ -162,7 +131,6 @@ OffloadedVioPlugin::submitToEdge(
         // Rejected outright (queue full): no completion will come.
         ++edgeRejected_;
         breaker_.recordFailure(now);
-        publishBreakerTransition(now);
         publishLocalPose(now, cam);
         return;
     }
@@ -223,8 +191,6 @@ OffloadedVioPlugin::iterate(TimePoint now)
             publishLocalPose(now, cam);
             continue;
         }
-        publishBreakerTransition(now); // Open -> HalfOpen probe.
-
         // The filter computation happens on the remote server: run it
         // here for the real result, but exclude its host cost from
         // the local platform and model it as remote latency instead.
@@ -248,7 +214,6 @@ OffloadedVioPlugin::iterate(TimePoint now)
         if (!up || !down) {
             ++framesLost_; // Message lost; no pose update this frame.
             breaker_.recordFailure(now);
-            publishBreakerTransition(now);
             // Keep tracking through the loss with the local pose.
             publishLocalPose(now, cam);
             continue;
@@ -262,7 +227,6 @@ OffloadedVioPlugin::iterate(TimePoint now)
         } else {
             breaker_.recordSuccess(now);
         }
-        publishBreakerTransition(now);
 
         auto out = makeEvent<PoseEvent>();
         out->time = cam->time;

@@ -19,7 +19,6 @@
 #include "offload/edge_service.hpp"
 #include "offload/network.hpp"
 #include "resilience/circuit_breaker.hpp"
-#include "resilience/health_events.hpp"
 #include "slam/imu_integrator.hpp"
 #include "slam/msckf.hpp"
 #include "xr/illixr_system.hpp"
@@ -74,7 +73,6 @@ struct OffloadConfig
  * over-deadline frames trip it Open and head tracking fails over to a
  * local RK4 IMU integrator (corrected by the last accepted remote
  * poses) until HalfOpen probes succeed and the link closes again.
- * Breaker transitions surface as HealthEvents on resilience.health.
  */
 class OffloadedVioPlugin : public Plugin
 {
@@ -136,7 +134,6 @@ class OffloadedVioPlugin : public Plugin
         TimePoint deadline = 0;
     };
 
-    void publishBreakerTransition(TimePoint now);
     void publishLocalPose(TimePoint now,
                           const std::shared_ptr<const CameraFrameEvent> &cam);
     void collectEdgeCompletions(TimePoint now);
@@ -150,7 +147,6 @@ class OffloadedVioPlugin : public Plugin
     Switchboard::Reader<CameraFrameEvent> cameraReader_;
     Switchboard::Reader<ImuEvent> imuReader_;
     Switchboard::Writer<PoseEvent> slowPoseWriter_;
-    Switchboard::Writer<HealthEvent> healthWriter_;
     std::unique_ptr<VioSystem> vio_;
     NetworkModel net_;
     std::deque<PendingPose> pending_;
@@ -160,7 +156,6 @@ class OffloadedVioPlugin : public Plugin
     bool initialized_ = false;
 
     CircuitBreaker breaker_;
-    CircuitBreaker::State lastState_ = CircuitBreaker::State::Closed;
     ImuIntegrator fallback_; ///< Local failover integrator.
     std::size_t failoverPoses_ = 0;
     const FaultInjector *injector_ = nullptr;

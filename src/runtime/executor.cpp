@@ -62,6 +62,7 @@ ExecutorBase::recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
     const double exec_ms = toMilliseconds(rec.virtual_duration);
     TaskStats &stats = slot.stats;
     stats.records.push_back(rec);
+    stats.records.back().exception = out.exception;
     stats.exec_ms.add(exec_ms);
     stats.busy += rec.virtual_duration;
     ++stats.invocations;
@@ -90,14 +91,6 @@ ExecutorBase::recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
 }
 
 void
-ExecutorBase::recordSuppressed(TaskSlot &slot, TimePoint t)
-{
-    ++slot.stats.suppressed;
-    if (sink_)
-        sink_->recordSkip(slot.stats.name, t, SkipCause::Suppressed);
-}
-
-void
 ExecutorBase::recordOverrun(TaskSlot &slot, TimePoint t)
 {
     ++slot.stats.skips;
@@ -117,13 +110,6 @@ ExecutorBase::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
         pre = interceptor_->before(plugin, attempt, now);
     out.extra = std::max<Duration>(0, pre.stall);
     out.duration_scale = std::max(1.0, pre.duration_scale);
-
-    if (pre.suppress) {
-        out.suppressed = true;
-        if (interceptor_)
-            interceptor_->after(plugin, now, out);
-        return out;
-    }
 
     // Route kernel.* metrics/spans launched by this invocation to THIS
     // executor's sinks: with several sessions per process, the

@@ -9,8 +9,8 @@
  * The base class also unifies the plugin lifecycle and the per-task
  * bookkeeping: run() calls Plugin::start() in registration order
  * before the first iterate() and Plugin::stop() in reverse order
- * after the last one, and every executor books each invocation,
- * suppression and overrun through the same helpers.
+ * after the last one, and every executor books each invocation and
+ * overrun through the same helpers.
  *
  * Instrumentation: an attached TraceSink receives one Span per
  * invocation (task, exec unit, arrival/start/completion, skip
@@ -47,6 +47,7 @@ struct InvocationRecord
     TimePoint completion = 0;
     TimePoint target_vsync = 0; ///< 0 unless vsync-aligned.
     double host_seconds = 0.0;
+    bool exception = false; ///< iterate() (or an injected crash) threw.
 };
 
 /** Aggregated statistics of one scheduled task. */
@@ -57,9 +58,7 @@ struct TaskStats
     Duration period = 0;
     std::size_t invocations = 0;
     std::size_t skips = 0;       ///< Arrivals dropped due to overrun.
-    std::size_t attempts = 0;    ///< Dispatch attempts (incl. held).
     std::size_t exceptions = 0;  ///< Invocations that threw.
-    std::size_t suppressed = 0;  ///< Invocations held by a supervisor.
     Duration busy = 0;           ///< Total busy time.
     SampleSeries exec_ms;        ///< Per-invocation ms.
     std::vector<InvocationRecord> records;
@@ -84,11 +83,10 @@ struct InjectedFault : std::runtime_error
 
 /**
  * Decision taken at the invocation boundary, before iterate() runs.
- * Produced by an InvocationInterceptor (fault injection, supervision).
+ * Produced by an InvocationInterceptor (the FaultInjector).
  */
 struct PreInvocationAction
 {
-    bool suppress = false; ///< Hold this invocation (recorded as such).
     bool crash = false;    ///< Throw an InjectedFault inside the scope.
     Duration stall = 0;    ///< Extra occupancy (hang-then-complete).
     double duration_scale = 1.0; ///< Latency-spike cost multiplier.
@@ -98,7 +96,6 @@ struct PreInvocationAction
 struct InvocationOutcome
 {
     bool ran = false;        ///< iterate() returned normally.
-    bool suppressed = false; ///< Held back; iterate() never ran.
     bool exception = false;  ///< iterate() (or an injected crash) threw.
     std::string error;       ///< what() of the escaped exception.
     double host_seconds = 0.0;
@@ -108,10 +105,10 @@ struct InvocationOutcome
 
 /**
  * Hook consulted by every executor around every plugin invocation.
- * before() may suppress the invocation, inject a crash, or add
- * modeled latency; after() observes the outcome (including escaped
- * exceptions) outside the invocation's trace scope, so anything it
- * publishes does not inherit the invocation's lineage.
+ * before() may inject a crash or add modeled latency; after()
+ * observes the outcome (including escaped exceptions) outside the
+ * invocation's trace scope, so anything it publishes does not inherit
+ * the invocation's lineage.
  *
  * Called from executor worker threads: implementations must be
  * thread-safe, and under a seeded SimScheduler must make decisions
@@ -192,9 +189,6 @@ class ExecutorBase : public Executor
         phonebook_ = phonebook;
     }
 
-    /** The phonebook plugins were started with (may be nullptr). */
-    const Phonebook *phonebook() const { return phonebook_; }
-
     /**
      * Attach the invocation-boundary hook (nullptr detaches). Must be
      * set before run(); the interceptor must outlive the run.
@@ -260,18 +254,15 @@ class ExecutorBase : public Executor
                                     TimePoint now, std::uint64_t span_id);
 
     /**
-     * Book one invocation that was not suppressed: TaskStats (record,
-     * exec time, busy, invocations, exceptions), the per-task metrics
-     * and a Span. The caller builds @p rec on its own timeline;
-     * @p worker is the 1-based pool worker (0 = none). Callers that
-     * run workers concurrently hold their scheduling lock.
+     * Book one invocation: TaskStats (record, exec time, busy,
+     * invocations, exceptions), the per-task metrics and a Span. The
+     * caller builds @p rec on its own timeline; @p worker is the
+     * 1-based pool worker (0 = none). Callers that run workers
+     * concurrently hold their scheduling lock.
      */
     void recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
                           const InvocationOutcome &out,
                           std::uint64_t span_id, std::uint32_t worker);
-
-    /** Book an invocation the interceptor held back, at time @p t. */
-    void recordSuppressed(TaskSlot &slot, TimePoint t);
 
     /** Book an arrival dropped because the task was still busy. */
     void recordOverrun(TaskSlot &slot, TimePoint t);

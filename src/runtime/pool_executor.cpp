@@ -239,33 +239,31 @@ PoolExecutor::workerMain(std::size_t worker_index)
             cv_.notify_one();
 
         const std::uint64_t span_id = sink_ ? sink_->nextSpanId() : 0;
-        const std::uint64_t attempt = ++entry->stats.attempts;
+        // The entry is in flight, so no other worker books it before
+        // this invocation does.
+        const std::uint64_t attempt = entry->stats.invocations + 1;
         lock.unlock();
         const InvocationOutcome out =
             invokeGuarded(*entry->plugin, attempt, now, span_id);
         // Injected stalls hang the worker (bounded) so the occupancy
         // is real contention for the pool, like an actual hang.
-        if (!out.suppressed && out.extra > 0)
+        if (out.extra > 0)
             std::this_thread::sleep_for(std::chrono::nanoseconds(
                 std::min<Duration>(out.extra, 100 * kMillisecond)));
         const TimePoint done = wallNs();
         lock.lock();
 
-        if (out.suppressed) {
-            recordSuppressed(*entry, now);
-        } else {
-            InvocationRecord rec;
-            rec.arrival = release;
-            rec.start = now;
-            rec.virtual_duration = done - now;
-            rec.completion = done;
-            rec.host_seconds = out.host_seconds;
-            if (entry->vsync_aligned) {
-                const Duration vsync = entry->stats.period;
-                rec.target_vsync = ((now + vsync - 1) / vsync) * vsync;
-            }
-            recordWorker(*entry, rec, out, span_id, worker_index);
+        InvocationRecord rec;
+        rec.arrival = release;
+        rec.start = now;
+        rec.virtual_duration = done - now;
+        rec.completion = done;
+        rec.host_seconds = out.host_seconds;
+        if (entry->vsync_aligned) {
+            const Duration vsync = entry->stats.period;
+            rec.target_vsync = ((now + vsync - 1) / vsync) * vsync;
         }
+        recordWorker(*entry, rec, out, span_id, worker_index);
         entry->in_flight = false;
         // Rate limit: exactly one invocation per period boundary.
         const Duration period = entry->stats.period;

@@ -68,18 +68,12 @@ SimScheduler::dispatch(std::size_t task_index, TimePoint arrival,
     // Execute the plugin for real. The invocation scope makes every
     // switchboard read a causal input of every publish, all stamped
     // with this span's id. The guarded call contains plugin
-    // exceptions and applies any interceptor decision (suppression,
-    // injected crash/stall/spike).
+    // exceptions and applies any interceptor decision (injected
+    // crash/stall/spike).
     const std::uint64_t span_id = sink_ ? sink_->nextSpanId() : 0;
-    const std::uint64_t attempt = ++task.stats.attempts;
+    const std::uint64_t attempt = task.stats.invocations + 1;
     const InvocationOutcome out =
         invokeGuarded(*task.plugin, attempt, now, span_id);
-
-    if (out.suppressed) {
-        // No cost draw: the seeded stream stays aligned across runs.
-        recordSuppressed(task, now);
-        return;
-    }
 
     // The cost in host seconds: measured, or modeled when seeded.
     const double host_seconds = std::max(1e-9, out.host_seconds);

@@ -17,8 +17,6 @@ skipCauseName(SkipCause cause)
         return "overrun";
     case SkipCause::QueueDrop:
         return "queue_drop";
-    case SkipCause::Suppressed:
-        return "suppressed";
     case SkipCause::InjectedDrop:
         return "injected_drop";
     }

@@ -56,7 +56,6 @@ enum class SkipCause
 {
     Overrun,      ///< Previous instance still running (frame drop).
     QueueDrop,    ///< Reader queue overflow dropped the event.
-    Suppressed,   ///< Invocation held back (supervisor backoff).
     InjectedDrop, ///< Publish dropped by an injected fault.
 };
 

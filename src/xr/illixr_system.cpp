@@ -33,51 +33,6 @@ executorKindName(ExecutorKind kind)
     return kind == ExecutorKind::Pool ? "pool" : "sim";
 }
 
-std::unique_ptr<ResilienceContext>
-makeResilienceContext(const IntegratedConfig &config,
-                      Switchboard &switchboard, MetricsRegistry *metrics)
-{
-    if (!config.resilience.enabled())
-        return nullptr;
-    ResilienceConfig rcfg = config.resilience;
-    // Topic faults default to the sensor streams: a plan that asks
-    // for drops/corruption without naming topics hits camera + imu.
-    if (rcfg.fault_plan.topics.empty() &&
-        (rcfg.fault_plan.drop_rate > 0.0 ||
-         rcfg.fault_plan.corrupt_rate > 0.0))
-        rcfg.fault_plan.topics = {topics::kCamera, topics::kImu};
-    auto ctx = std::make_unique<ResilienceContext>(rcfg, switchboard,
-                                                   metrics);
-    if (ctx->injector())
-        registerSensorCorrupters(*ctx->injector());
-    return ctx;
-}
-
-void
-exportResilienceExtras(ResilienceContext *ctx,
-                       std::map<std::string, double> &extra)
-{
-    if (!ctx)
-        return;
-    if (FaultInjector *inj = ctx->injector()) {
-        extra["injected_faults"] =
-            static_cast<double>(inj->injectedTotal());
-        extra["injected_crashes"] =
-            static_cast<double>(inj->injectedCrashes());
-        extra["injected_drops"] =
-            static_cast<double>(inj->injectedDrops());
-    }
-    if (Supervisor *sup = ctx->supervisor()) {
-        extra["plugin_restarts"] = static_cast<double>(sup->restarts());
-        extra["plugin_exceptions"] =
-            static_cast<double>(sup->exceptionsSeen());
-    }
-    if (DegradationPlugin *deg = ctx->degradationPlugin()) {
-        extra["degradation_max_level"] =
-            static_cast<double>(deg->maxLevelReached());
-    }
-}
-
 DatasetConfig
 datasetConfigFor(const IntegratedConfig &config)
 {

@@ -11,7 +11,7 @@
 #include "metrics/mtp.hpp"
 #include "perfmodel/power.hpp"
 #include "render/scenes.hpp"
-#include "resilience/resilience.hpp"
+#include "resilience/fault_plan.hpp"
 #include "runtime/sim_scheduler.hpp"
 #include "sensors/dataset.hpp"
 #include "trace/metrics_registry.hpp"
@@ -101,8 +101,8 @@ struct IntegratedConfig
     /** Sim only: seeded modeled cost instead of measured host time;
      *  byte-reproducible per seed. */
     bool deterministic = false;
-    /** Fault injection / supervision / degradation (off by default). */
-    ResilienceConfig resilience;
+    /** Seeded fault injection (inactive by default). */
+    FaultPlan fault_plan;
     /**
      * Workload scenario (sensors/scenario.hpp). When set, the dataset
      * synthesizes the scenario's trajectory / world / IMU grade
@@ -166,17 +166,6 @@ struct IntegratedResult
 };
 
 /**
- * Build the run's ResilienceContext from @p config.resilience
- * (nullptr when disabled). Installs the publish hook on
- * @p switchboard, registers the sensor corrupters, and defaults topic
- * faults onto the camera + imu streams; attach() to the executor is
- * the caller's job.
- */
-std::unique_ptr<ResilienceContext>
-makeResilienceContext(const IntegratedConfig &config,
-                      Switchboard &switchboard, MetricsRegistry *metrics);
-
-/**
  * The dataset an integrated run replays: the lab walk, or
  * @p config.scenario's path, world and IMU grade when one is set,
  * at the Table III sensor rates and @p config's camera geometry and
@@ -184,10 +173,6 @@ makeResilienceContext(const IntegratedConfig &config,
  * from the same function, so it always follows the path the run flew.
  */
 DatasetConfig datasetConfigFor(const IntegratedConfig &config);
-
-/** Export resilience.* counters into IntegratedResult::extra. */
-void exportResilienceExtras(ResilienceContext *ctx,
-                            std::map<std::string, double> &extra);
 
 /**
  * Run the integrated system once: a thin blocking wrapper over one

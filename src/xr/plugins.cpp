@@ -1,7 +1,6 @@
 #include "xr/plugins.hpp"
 
 #include "audio/clips.hpp"
-#include "resilience/fault_injector.hpp"
 #include "runtime/parallel.hpp"
 
 #include <algorithm>
@@ -36,19 +35,13 @@ PreloadedDataset::PreloadedDataset(const DatasetConfig &config,
 CameraPlugin::CameraPlugin(const Phonebook &pb, const SystemTuning &tuning)
     : Plugin("camera"), tuning_(tuning), data_(pb.lookup<PreloadedDataset>()),
       cameraWriter_(
-          pb.lookup<Switchboard>()->writer<CameraFrameEvent>(topics::kCamera)),
-      degradeReader_(
-          pb.lookup<Switchboard>()->asyncReader<DegradationCommandEvent>(
-              topics::kDegradation))
+          pb.lookup<Switchboard>()->writer<CameraFrameEvent>(topics::kCamera))
 {
 }
 
 void
 CameraPlugin::iterate(TimePoint now)
 {
-    int stride = 1;
-    if (auto cmd = degradeReader_.peek())
-        stride = std::max(1, cmd->camera_stride);
     // Publish every recorded frame with capture time <= now. The
     // microsecond slack absorbs float-accumulated dataset timestamps
     // landing nanoseconds after the scheduler's integer period grid
@@ -56,12 +49,6 @@ CameraPlugin::iterate(TimePoint now)
     while (next_ < data_->camera_frames.size() &&
            data_->camera_frames[next_].time <= now + kMicrosecond) {
         const CameraFrame &src = data_->camera_frames[next_];
-        if (stride > 1 &&
-            src.sequence % static_cast<std::size_t>(stride) != 0) {
-            ++framesShed_;
-            ++next_;
-            continue;
-        }
         auto event = makeEvent<CameraFrameEvent>();
         event->time = src.time;
         event->sequence = src.sequence;
@@ -275,9 +262,6 @@ TimewarpPlugin::TimewarpPlugin(const Phonebook &pb,
           topics::kSubmittedFrame)),
       fastPoseReader_(
           pb.lookup<Switchboard>()->asyncReader<PoseEvent>(topics::kFastPose)),
-      degradeReader_(
-          pb.lookup<Switchboard>()->asyncReader<DegradationCommandEvent>(
-              topics::kDegradation)),
       qoeWriter_(pb.lookup<Switchboard>()->writer<QoeFeedbackEvent>(
           topics::kQoeFeedback)),
       displayWriter_(pb.lookup<Switchboard>()->writer<DisplayFrameEvent>(
@@ -289,19 +273,6 @@ TimewarpPlugin::TimewarpPlugin(const Phonebook &pb,
 void
 TimewarpPlugin::iterate(TimePoint now)
 {
-    // Reprojection skip under degradation: at stride N only every Nth
-    // vsync is warped. Shed invocations leave no imuAges_ entry, so
-    // MTP stays a mean over warps actually performed.
-    int stride = 1;
-    if (auto cmd = degradeReader_.peek())
-        stride = std::max(1, cmd->reprojection_stride);
-    const std::size_t warp_index = warpIndex_++;
-    if (stride > 1 &&
-        warp_index % static_cast<std::size_t>(stride) != 0) {
-        ++warpsShed_;
-        return;
-    }
-
     auto submitted = submittedReader_.latest();
     auto fast = fastPoseReader_.latest();
     if (!submitted) {
@@ -331,7 +302,6 @@ TimewarpPlugin::iterate(TimePoint now)
         imu_age_ms = toMilliseconds(std::max<Duration>(
             0, now - fast->state.time));
     }
-    imuAges_.push_back(imu_age_ms);
 
     auto out = makeEvent<DisplayFrameEvent>();
     out->time = now;
@@ -341,6 +311,9 @@ TimewarpPlugin::iterate(TimePoint now)
     out->right = warp_.reproject(submitted->frame.right,
                                  submitted->frame.render_pose, fresh);
     displayWriter_.put(std::move(out));
+    // Logged last: an invocation that throws leaves no age (computeMtp
+    // pairs ages with the records that did not throw).
+    imuAges_.push_back(imu_age_ms);
 }
 
 // ---------------------------------------------------------- Audio encode
@@ -350,9 +323,6 @@ AudioEncoderPlugin::AudioEncoderPlugin(const Phonebook &pb,
     : Plugin("audio_encoding"), tuning_(tuning),
       soundfieldWriter_(pb.lookup<Switchboard>()->writer<SoundfieldEvent>(
           topics::kSoundfield)),
-      degradeReader_(
-          pb.lookup<Switchboard>()->asyncReader<DegradationCommandEvent>(
-              topics::kDegradation)),
       encoder_(tuning.audio_block)
 {
     // Two positioned sources (the paper's lecture + radio clips).
@@ -395,26 +365,12 @@ AudioEncoderPlugin::radioClip()
 void
 AudioEncoderPlugin::iterate(TimePoint now)
 {
-    // Block coalescing under degradation: at coalesce N, N-1 of every
-    // N invocations return immediately and the Nth encodes the whole
-    // batch, so no audio is lost.
-    int coalesce = 1;
-    if (auto cmd = degradeReader_.peek())
-        coalesce = std::max(1, cmd->audio_coalesce);
-    const std::size_t call = call_++;
-    if (coalesce > 1 &&
-        call % static_cast<std::size_t>(coalesce) != 0) {
-        ++callsCoalesced_;
-        return;
-    }
-    for (int i = 0; i < coalesce; ++i) {
-        auto event = makeEvent<SoundfieldEvent>(tuning_.audio_block);
-        event->time = now;
-        event->block_index = block_;
-        event->field = encoder_.encodeBlock(block_);
-        ++block_;
-        soundfieldWriter_.put(std::move(event));
-    }
+    auto event = makeEvent<SoundfieldEvent>(tuning_.audio_block);
+    event->time = now;
+    event->block_index = block_;
+    event->field = encoder_.encodeBlock(block_);
+    ++block_;
+    soundfieldWriter_.put(std::move(event));
 }
 
 // -------------------------------------------------------- Audio playback
@@ -490,14 +446,23 @@ registerIllixrPlugins()
     });
 }
 
-// ------------------------------------------------------ Fault corrupters
+// ------------------------------------------------------ Fault injection
 
-void
-registerSensorCorrupters(FaultInjector &injector)
+std::unique_ptr<FaultInjector>
+makeFaultInjector(FaultPlan plan, Switchboard &switchboard,
+                  MetricsRegistry *metrics)
 {
+    if (!plan.active())
+        return nullptr;
+    if (plan.topics.empty() &&
+        (plan.drop_rate > 0.0 || plan.corrupt_rate > 0.0))
+        plan.topics = {topics::kCamera, topics::kImu};
+    auto injector = std::make_unique<FaultInjector>(std::move(plan), metrics);
+    switchboard.setPublishHook(injector->makePublishHook());
+
     // Camera: a saturated horizontal glitch band, the torn-readout
     // corruption a flaky sensor link produces.
-    injector.setCorrupter(topics::kCamera, [](Event &e, Rng &rng) {
+    injector->setCorrupter(topics::kCamera, [](Event &e, Rng &rng) {
         auto *frame = dynamic_cast<CameraFrameEvent *>(&e);
         if (!frame || frame->image.height() <= 0 ||
             frame->image.width() <= 0)
@@ -513,7 +478,7 @@ registerSensorCorrupters(FaultInjector &injector)
     });
     // IMU: a one-sample accelerometer spike (garbage decode of a
     // mangled transport packet).
-    injector.setCorrupter(topics::kImu, [](Event &e, Rng &rng) {
+    injector->setCorrupter(topics::kImu, [](Event &e, Rng &rng) {
         auto *imu = dynamic_cast<ImuEvent *>(&e);
         if (!imu)
             return;
@@ -521,6 +486,7 @@ registerSensorCorrupters(FaultInjector &injector)
         imu->sample.linear_acceleration.x += sign * rng.uniform(15.0, 40.0);
         imu->sample.linear_acceleration.z -= sign * rng.uniform(5.0, 20.0);
     });
+    return injector;
 }
 
 } // namespace illixr

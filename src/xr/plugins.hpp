@@ -16,7 +16,7 @@
 
 #include "audio/audio_pipeline.hpp"
 #include "render/app.hpp"
-#include "resilience/health_events.hpp"
+#include "resilience/fault_injector.hpp"
 #include "runtime/plugin.hpp"
 #include "sensors/dataset.hpp"
 #include "slam/imu_integrator.hpp"
@@ -30,8 +30,6 @@
 #include <vector>
 
 namespace illixr {
-
-class FaultInjector;
 
 /** Table III tuned system parameters. */
 struct SystemTuning
@@ -58,13 +56,7 @@ struct PreloadedDataset
     std::vector<ImuSample> imu_samples;
 };
 
-/**
- * Camera component (ZED-SDK stand-in): replays recorded frames.
- *
- * Honors the DegradationManager's camera_stride knob: at stride N it
- * publishes only every Nth recorded frame (by dataset sequence), the
- * paper's "reduce camera rate" load-shedding lever.
- */
+/** Camera component (ZED-SDK stand-in): replays recorded frames. */
 class CameraPlugin : public Plugin
 {
   public:
@@ -75,15 +67,11 @@ class CameraPlugin : public Plugin
         return periodFromHz(tuning_.camera_hz);
     }
 
-    std::size_t framesShed() const { return framesShed_; }
-
   private:
     SystemTuning tuning_;
     std::shared_ptr<PreloadedDataset> data_;
     Switchboard::Writer<CameraFrameEvent> cameraWriter_;
-    Switchboard::AsyncReader<DegradationCommandEvent> degradeReader_;
     std::size_t next_ = 0;
-    std::size_t framesShed_ = 0;
 };
 
 /** IMU component: replays recorded samples at the IMU rate. */
@@ -224,33 +212,22 @@ class TimewarpPlugin : public Plugin
     }
     ExecUnit execUnit() const override { return ExecUnit::GpuGraphics; }
 
-    /** Per-invocation IMU pose age (for the MTP computation). */
+    /** IMU pose age per invocation that returned (for computeMtp). */
     const std::vector<double> &imuAgesMs() const { return imuAges_; }
-
-    std::size_t warpsShed() const { return warpsShed_; }
 
   private:
     SystemTuning tuning_;
     Switchboard::AsyncReader<StereoFrameEvent> submittedReader_;
     Switchboard::AsyncReader<PoseEvent> fastPoseReader_;
-    Switchboard::AsyncReader<DegradationCommandEvent> degradeReader_;
     Switchboard::Writer<QoeFeedbackEvent> qoeWriter_;
     Switchboard::Writer<DisplayFrameEvent> displayWriter_;
     Timewarp warp_;
     std::vector<double> imuAges_;
     TimePoint lastSubmittedTime_ = -1;
     int staleStreak_ = 0;
-    std::size_t warpIndex_ = 0;
-    std::size_t warpsShed_ = 0;
 };
 
-/**
- * Ambisonic encoding of the scene's sound sources.
- *
- * Honors the audio_coalesce knob: at coalesce N only every Nth
- * invocation does work, encoding N blocks back to back — total audio
- * is preserved while per-invocation overhead amortizes N-fold.
- */
+/** Ambisonic encoding of the scene's sound sources. */
 class AudioEncoderPlugin : public Plugin
 {
   public:
@@ -262,7 +239,6 @@ class AudioEncoderPlugin : public Plugin
     }
 
     std::size_t blocksEncoded() const { return block_; }
-    std::size_t callsCoalesced() const { return callsCoalesced_; }
 
     /**
      * The lecture (SpeechLike, seed 3) and radio (Music, seed 4)
@@ -275,11 +251,8 @@ class AudioEncoderPlugin : public Plugin
   private:
     SystemTuning tuning_;
     Switchboard::Writer<SoundfieldEvent> soundfieldWriter_;
-    Switchboard::AsyncReader<DegradationCommandEvent> degradeReader_;
     AudioEncoder encoder_;
     std::size_t block_ = 0;
-    std::size_t call_ = 0;
-    std::size_t callsCoalesced_ = 0;
 };
 
 /** Binauralization of the soundfield with the listener's pose. */
@@ -305,10 +278,17 @@ class AudioPlaybackPlugin : public Plugin
 void registerIllixrPlugins();
 
 /**
- * Install the sensor-stream corrupters on @p injector: a torn-readout
- * glitch band for camera frames and an accelerometer spike for IMU
- * samples. What a corrupt= fault does to the "camera"/"imu" topics.
+ * The run's FaultInjector for @p plan, or nullptr when the plan is
+ * inactive. Its publish hook is installed on @p switchboard here, so
+ * build it before any plugin publishes; the caller installs it as the
+ * executor's interceptor and keeps it alive for the run. Topic faults
+ * of a plan that names no topics hit the sensor streams (camera +
+ * imu), and corrupt= faults there use the sensor corrupters: a
+ * torn-readout glitch band for camera frames and an accelerometer
+ * spike for IMU samples.
  */
-void registerSensorCorrupters(FaultInjector &injector);
+std::unique_ptr<FaultInjector> makeFaultInjector(FaultPlan plan,
+                                                 Switchboard &switchboard,
+                                                 MetricsRegistry *metrics);
 
 } // namespace illixr

@@ -1,6 +1,5 @@
 #include "xr/session.hpp"
 
-#include "resilience/fault_injector.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/phonebook.hpp"
 #include "runtime/pool_executor.hpp"
@@ -77,13 +76,8 @@ SessionConfig::applyEnv(std::string &malformed)
         seed = static_cast<unsigned>(n);
     }
     if (const char *v = env("ILLIXR_FAULT_PLAN")) {
-        if (!parseFaultPlan(v, resilience.fault_plan))
+        if (!parseFaultPlan(v, fault_plan))
             return false;
-    }
-    if (const char *v = env("ILLIXR_RESILIENCE")) {
-        const bool on = std::string(v) != "0";
-        resilience.supervise = on;
-        resilience.degrade = on;
     }
     if (const char *v = env("ILLIXR_SCENARIO")) {
         std::string error;
@@ -165,18 +159,13 @@ SessionConfig::parseFlag(const std::string &arg)
         return true;
     }
     if (value("--fault-plan=", v))
-        return parseFaultPlan(v, resilience.fault_plan);
+        return parseFaultPlan(v, fault_plan);
     if (value("--scenario=", v)) {
         std::string error;
         if (!applyScenarioSpec(v, error)) {
             std::fprintf(stderr, "--scenario: %s\n", error.c_str());
             return false;
         }
-        return true;
-    }
-    if (arg == "--resilience") {
-        resilience.supervise = true;
-        resilience.degrade = true;
         return true;
     }
     if (arg == "--edge") {
@@ -233,13 +222,7 @@ SessionConfig::applyScenario(const Scenario &s)
         duration = fromSeconds(s.duration_s);
     if (s.seed != 0)
         seed = s.seed;
-    if (!s.fault_plan.empty()) {
-        if (!parseFaultPlan(s.fault_plan, resilience.fault_plan))
-            return false;
-        resilience.supervise = true;
-        resilience.degrade = true;
-    }
-    return true;
+    return s.fault_plan.empty() || parseFaultPlan(s.fault_plan, fault_plan);
 }
 
 bool
@@ -482,18 +465,14 @@ Session::runBody()
         TimewarpParams tw_params;
         tw_params.fov_y_rad = app_cfg.fov_y_rad;
 
-        // Resilience: installed before any plugin publishes so the
-        // fault plan sees every event from the first one.
-        std::unique_ptr<ResilienceContext> resilience =
-            makeResilienceContext(config, *switchboard, metrics.get());
-        if (resilience && resilience->injector()) {
-            // Aliased, non-owning: the context owns the injector; the
-            // phonebook entry just lets factory-made plugins (the
-            // offloaded VIO's brownout feed) find it at construction.
-            phonebook.registerService(std::shared_ptr<FaultInjector>(
-                std::shared_ptr<FaultInjector>(),
-                resilience->injector()));
-        }
+        // Installed before any plugin publishes so the fault plan
+        // sees every event from the first one.
+        const std::shared_ptr<FaultInjector> injector = makeFaultInjector(
+            config.fault_plan, *switchboard, metrics.get());
+        // Factory-made plugins (the offloaded VIO's brownout feed)
+        // find it at construction.
+        if (injector)
+            phonebook.registerService(injector);
 
         CameraPlugin camera(phonebook, tuning);
         ImuPlugin imu(phonebook, tuning);
@@ -544,11 +523,7 @@ Session::runBody()
         executor->addVsyncAlignedPlugin(&timewarp, vsync);
         executor->addPlugin(&audio_enc);
         executor->addPlugin(&audio_play);
-        if (resilience) {
-            resilience->attach(*executor);
-            if (resilience->degradationPlugin())
-                executor->addPlugin(resilience->degradationPlugin());
-        }
+        executor->setInterceptor(injector.get());
 
         // Publish the executor for eviction; a stop requested before
         // this point lands now (requestStop() is one-way).
@@ -642,7 +617,14 @@ Session::runBody()
             static_cast<double>(application.currentEyeResolution());
         result.extra["min_eye_resolution"] =
             static_cast<double>(application.minEyeResolution());
-        exportResilienceExtras(resilience.get(), result.extra);
+        if (injector) {
+            result.extra["injected_faults"] =
+                static_cast<double>(injector->injectedTotal());
+            result.extra["injected_crashes"] =
+                static_cast<double>(injector->injectedCrashes());
+            result.extra["injected_drops"] =
+                static_cast<double>(injector->injectedDrops());
+        }
 
         // The KernelPool's handle cache holds Counter/Histogram
         // pointers into this session's registry; evict them before

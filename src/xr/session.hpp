@@ -65,8 +65,8 @@ struct SessionConfig : IntegratedConfig
      * assembly without xr linking them. The produced plugin can
      * publish its trajectory and run metrics into the result via
      * Plugin::vioTrajectory()/exportExtras(); MetricsRegistry and
-     * (when resilience is on) FaultInjector are in the Phonebook by
-     * the time the factory runs.
+     * (when the fault plan is active) FaultInjector are in the
+     * Phonebook by the time the factory runs.
      */
     std::function<std::unique_ptr<Plugin>(
         const Phonebook &, const SystemTuning &)>
@@ -79,7 +79,7 @@ struct SessionConfig : IntegratedConfig
      * Apply the executor environment overrides to *this:
      * `ILLIXR_EXECUTOR` (sim|pool), `ILLIXR_POOL_WORKERS`,
      * `ILLIXR_KERNEL_THREADS`, `ILLIXR_DETERMINISTIC` (0|1),
-     * `ILLIXR_SEED`, `ILLIXR_FAULT_PLAN`, `ILLIXR_RESILIENCE` (0|1),
+     * `ILLIXR_SEED`, `ILLIXR_FAULT_PLAN`,
      * `ILLIXR_SCENARIO` (family name or scenario file),
      * `ILLIXR_EDGE` (0|1), `ILLIXR_EDGE_LINK`, `ILLIXR_EDGE_SLO_MS`,
      * `ILLIXR_EDGE_BATCH`. Unset variables leave the field untouched.
@@ -91,7 +91,7 @@ struct SessionConfig : IntegratedConfig
     /**
      * Parse one config CLI flag into *this: `--executor=sim|pool`,
      * `--workers=N`, `--kernel-threads=N`, `--deterministic`,
-     * `--seed=N`, `--fault-plan=SPEC`, `--resilience`,
+     * `--seed=N`, `--fault-plan=SPEC`,
      * `--scenario=NAME_OR_FILE`, `--edge`, `--edge-link=NAME`,
      * `--edge-slo-ms=MS`, `--edge-batch=N`. @return true when
      * @p arg was one of these flags and parsed cleanly; false
@@ -103,8 +103,7 @@ struct SessionConfig : IntegratedConfig
      * Install @p s as the run scenario: sets `scenario` and folds the
      * scenario-level run knobs into *this — duration when
      * s.duration_s > 0, seed when s.seed != 0, and a non-empty fault
-     * plan (parsed, with supervision + degradation switched on, as
-     * `--fault-plan= --resilience` would). @return false when the
+     * plan (parsed as `--fault-plan=` would). @return false when the
      * fault-plan spec is malformed (the scenario is still installed).
      */
     bool applyScenario(const Scenario &s);
@@ -143,7 +142,7 @@ struct SessionConfig::Parse
 /**
  * One XR session: owns its full runtime stack and runs it on a
  * dedicated thread. All per-run state (Switchboard, dataset, plugins,
- * executor, MetricsRegistry, TraceSink, ResilienceContext) lives
+ * executor, MetricsRegistry, TraceSink, FaultInjector) lives
  * inside the session; the result is identical to what the old
  * blocking runIntegrated() returned.
  */

@@ -78,10 +78,7 @@ detConfig(unsigned seed, const std::string &fault_spec = "",
     cfg.kernel_threads = kernel_threads;
     cfg.duration = 1 * kSecond;
     if (!fault_spec.empty()) {
-        EXPECT_TRUE(
-            parseFaultPlan(fault_spec, cfg.resilience.fault_plan));
-        cfg.resilience.supervise = true;
-        cfg.resilience.degrade = true;
+        EXPECT_TRUE(parseFaultPlan(fault_spec, cfg.fault_plan));
     }
     return cfg;
 }
@@ -160,11 +157,9 @@ TEST(DeterminismTest, TailAttributionMatchesAcrossKernelWidths)
 
 TEST(DeterminismTest, FaultedSameSeedIsByteIdentical)
 {
-    // The full resilience stack under a nonzero fault plan — injected
-    // crashes, stalls, drops, corruption, supervised restarts and
-    // degradation — must replay byte-for-byte: every fault decision
-    // is a pure function of (seed, boundary, name, attempt), and the
-    // supervisor/degradation clocks run on the virtual timeline.
+    // A nonzero fault plan — injected crashes, stalls, spikes, drops
+    // and corruption — must replay byte-for-byte: every fault
+    // decision is a pure function of (seed, boundary, name, attempt).
     const std::string spec =
         "seed=7,crash=0.02,stall=0.03,spike=0.03,drop=0.05,corrupt=0.02";
     const RunFiles a = runOnce(11, "fa", spec);
@@ -178,11 +173,23 @@ TEST(DeterminismTest, FaultedSameSeedIsByteIdentical)
     EXPECT_NE(a.pose, clean.pose);
 }
 
+TEST(DeterminismTest, PlanAimedAtMissingTaskMatchesClean)
+{
+    // An active plan whose every fault is aimed at a task that does
+    // not exist installs the injector on both boundaries but never
+    // fires: the run must be byte-identical to the clean one.
+    const RunFiles clean = runOnce(11, "mc");
+    const RunFiles missed =
+        runOnce(11, "mm", "tasks=nonexistent,crash=1,stall=1");
+    EXPECT_EQ(clean.pose, missed.pose);
+    EXPECT_EQ(clean.lineage, missed.lineage);
+}
+
 TEST(DeterminismTest, FaultedKernelWidthsAreByteIdentical)
 {
     // The two contracts composed: a chaos run (injected crashes,
-    // stalls, drops, corruption, plus supervised restarts and
-    // degradation) must STILL be invariant to the kernel-pool width.
+    // stalls, drops, corruption) must STILL be invariant to the
+    // kernel-pool width.
     // This pins the transport data plane too — publish fan-out, ring
     // eviction and slab recycling all happen under fault churn here,
     // and none of it may leak into the recorded pose or lineage.

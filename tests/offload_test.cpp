@@ -259,9 +259,7 @@ TEST(OffloadIntegrationTest, BrownoutFailsOverThenFailsBack)
     // growing and the breaker is Closed at exit; remote poses resume).
     IntegratedConfig cfg;
     cfg.duration = 4 * kSecond;
-    ASSERT_TRUE(parseFaultPlan("brownout=1500:1000:1.0:0",
-                               cfg.resilience.fault_plan));
-    cfg.resilience.supervise = true;
+    ASSERT_TRUE(parseFaultPlan("brownout=1500:1000:1.0:0", cfg.fault_plan));
 
     OffloadConfig offload;
     offload.link = NetworkLink::edgeEthernet();

@@ -100,6 +100,38 @@ TEST(MtpTest, LateCompletionCountsMissAndBigSwap)
     EXPECT_NEAR(mtp.swap_ms.mean(), 5.67, 0.02);
 }
 
+TEST(MtpTest, PairsAgesWithTheWarpsThatDidNotThrow)
+{
+    // Three warps at 120 Hz: ok, threw (no age logged), ok and late.
+    const Duration vsync = periodFromHz(120.0); // 8'333'333 ns
+    TaskStats stats;
+    InvocationRecord ok;
+    ok.completion = 7 * kMillisecond;
+    ok.virtual_duration = 1 * kMillisecond;
+    ok.target_vsync = vsync;
+    InvocationRecord threw;
+    threw.completion = 16 * kMillisecond;
+    threw.virtual_duration = 1 * kMillisecond;
+    threw.target_vsync = 2 * vsync;
+    threw.exception = true;
+    InvocationRecord late;
+    late.completion = 26 * kMillisecond;
+    late.virtual_duration = 2 * kMillisecond;
+    late.target_vsync = 3 * vsync;
+    stats.records = {ok, threw, late};
+
+    const MtpSeries mtp = computeMtp(stats, {1.0, 3.0}, vsync);
+    ASSERT_EQ(mtp.latency_ms.count(), 2u);
+    // ok:   age 1 + warp 1 + swap (8.333333 - 7)  = 3.333333 ms.
+    // late: age 3 + warp 2 + swap (33.333332 - 26) = 12.333332 ms,
+    //       displayed one vsync after its 24.999999 ms target.
+    EXPECT_NEAR(mtp.latency_ms.samples()[0], 3.333333, 1e-6);
+    EXPECT_NEAR(mtp.latency_ms.samples()[1], 12.333332, 1e-6);
+    EXPECT_EQ(mtp.imu_age_ms.samples(), (std::vector<double>{1.0, 3.0}));
+    // The thrown warp was on time; the third was late.
+    EXPECT_EQ(mtp.missed_vsync, 1u);
+}
+
 TEST(TelemetryTest, TableRendersAligned)
 {
     TextTable table;
