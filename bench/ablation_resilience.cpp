@@ -14,7 +14,7 @@
 
 #include "foundation/trajectory_error.hpp"
 #include "metrics/qoe.hpp"
-#include "offload/offload_vio.hpp"
+#include "edge/offload_vio.hpp"
 
 #include <fstream>
 
@@ -65,16 +65,14 @@ runScenario(const FaultScenario &scenario, SessionConfig cfg,
     if (!parseFaultPlan(scenario.plan, cfg.fault_plan))
         std::abort();
 
-    IntegratedResult r;
     if (scenario.offloaded) {
         OffloadConfig offload;
         offload.link = NetworkLink::edgeEthernet();
         offload.breaker.failure_threshold = 2;
         offload.breaker.open_hold = 200 * kMillisecond;
-        r = runIntegratedOffloaded(cfg, offload);
-    } else {
-        r = runIntegrated(cfg);
+        attachEdgeClient(cfg, offload);
     }
+    const IntegratedResult r = runSession(cfg);
 
     // Ground truth for pose error and QoE: the dataset the run used.
     const SyntheticDataset dataset(datasetConfigFor(cfg));

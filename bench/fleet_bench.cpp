@@ -26,7 +26,7 @@
  */
 
 #include "bench_common.hpp"
-#include "edge/edge_session.hpp"
+#include "edge/offload_vio.hpp"
 #include "foundation/stats.hpp"
 #include "xr/session.hpp"
 
@@ -61,7 +61,7 @@ runRound(const SessionConfig &base, std::size_t count)
     // stay pure functions of (seed, id).
     std::shared_ptr<EdgeServer> edge_server;
     if (base.edge.enabled)
-        edge_server = makeEdgeServer(base.edge);
+        edge_server = std::make_shared<EdgeServer>();
 
     SessionManager manager(count);
     std::vector<std::shared_ptr<Session>> fleet;
@@ -211,7 +211,7 @@ main(int argc, char **argv)
                 "[--duration-ms=M] [--json PATH] [--executor=sim|pool] "
                 "[--workers=N (pool)] [--deterministic (sim)] "
                 "[--seed=N] [--edge] "
-                "[--edge-link=NAME] [--edge-slo-ms=MS] [--edge-batch=N]\n",
+                "[--edge-link=NAME] [--edge-slo-ms=MS]\n",
                 arg.c_str());
             return 2;
         }

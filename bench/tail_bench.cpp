@@ -44,7 +44,7 @@
  */
 
 #include "bench_common.hpp"
-#include "edge/edge_session.hpp"
+#include "edge/offload_vio.hpp"
 #include "xr/session.hpp"
 
 #include <algorithm>

@@ -1,7 +1,6 @@
 #include "edge/edge_server.hpp"
 
 #include "trace/metrics_registry.hpp"
-#include "trace/trace.hpp"
 
 #include <algorithm>
 
@@ -20,12 +19,12 @@ requestBefore(const EdgeRequest &a, const EdgeRequest &b)
     return a.seq < b.seq;
 }
 
+const Duration kService = fromSeconds(kEdgeVioServiceMs / 1000.0);
+
 } // namespace
 
 EdgeServer::EdgeServer(const EdgeServerConfig &config) : config_(config)
 {
-    if (config_.max_batch == 0)
-        config_.max_batch = 1;
     if (config_.max_queue == 0)
         config_.max_queue = 1;
 }
@@ -35,27 +34,16 @@ EdgeServer::setMetrics(MetricsRegistry *metrics)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!metrics) {
-        servedCounter_ = shedCounter_ = rejectedCounter_ =
-            batchesCounter_ = nullptr;
-        batchSizeHist_ = serviceMsHist_ = waitMsHist_ = nullptr;
+        servedCounter_ = shedCounter_ = rejectedCounter_ = nullptr;
+        waitMsHist_ = nullptr;
         queueDepthGauge_ = nullptr;
         return;
     }
     servedCounter_ = &metrics->counter("edge.served");
     shedCounter_ = &metrics->counter("edge.shed");
     rejectedCounter_ = &metrics->counter("edge.rejected");
-    batchesCounter_ = &metrics->counter("edge.batches");
-    batchSizeHist_ = &metrics->histogram("edge.batch_size");
-    serviceMsHist_ = &metrics->histogram("edge.service_ms");
     waitMsHist_ = &metrics->histogram("edge.wait_ms");
     queueDepthGauge_ = &metrics->gauge("edge.queue_depth");
-}
-
-void
-EdgeServer::setTraceSink(TraceSink *sink)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    sink_ = sink;
 }
 
 bool
@@ -81,13 +69,19 @@ EdgeServer::disconnect(std::uint64_t client)
     clients_.erase(client);
 }
 
-double
-EdgeServer::batchServiceMs(std::size_t n) const
+void
+EdgeServer::shedLocked(ClientState &client, const EdgeRequest &request,
+                       TimePoint decided)
 {
-    if (n == 0)
-        return 0.0;
-    return config_.dispatch_overhead_ms +
-           config_.per_request_ms * static_cast<double>(n);
+    ++shed_;
+    if (shedCounter_)
+        shedCounter_->add();
+    EdgeCompletion c;
+    c.client = request.client;
+    c.seq = request.seq;
+    c.verdict = EdgeVerdict::Shed;
+    c.done = decided;
+    client.done.push_back(c);
 }
 
 bool
@@ -103,21 +97,11 @@ EdgeServer::submit(const EdgeRequest &request)
     }
 
     // Deadline-aware admission: if the pose cannot arrive in time even
-    // when served next — alone, with no batching wait — shed NOW so
-    // the client falls back immediately instead of queueing to death.
-    const TimePoint earliest =
-        std::max(busy_until_, request.arrival) +
-        fromSeconds(batchServiceMs(1) / 1000.0);
-    if (earliest > request.deadline) {
-        ++shed_;
-        if (shedCounter_)
-            shedCounter_->add();
-        EdgeCompletion c;
-        c.client = request.client;
-        c.seq = request.seq;
-        c.verdict = EdgeVerdict::Shed;
-        c.done = request.arrival;
-        it->second.done.push_back(c);
+    // when served next, shed NOW so the client falls back immediately
+    // instead of queueing to death.
+    if (std::max(busy_until_, request.arrival) + kService >
+        request.deadline) {
+        shedLocked(it->second, request, request.arrival);
         return true;
     }
 
@@ -128,115 +112,42 @@ EdgeServer::submit(const EdgeRequest &request)
     return true;
 }
 
-bool
-EdgeServer::tryRunBatchLocked(TimePoint now)
+void
+EdgeServer::pump(TimePoint now)
 {
-    // Launch trigger: the head batch fills, or the head request's
-    // window expires — a pure function of arrival times, never of
-    // pump cadence.
-    TimePoint trigger = pending_.front().arrival + config_.batch_window;
-    if (pending_.size() >= config_.max_batch)
-        trigger =
-            std::min(trigger, pending_[config_.max_batch - 1].arrival);
-    const TimePoint start = std::max(trigger, busy_until_);
-
-    // Members: everything that arrived by the start, up to the batch
-    // cap (pending_ is kept sorted).
-    std::size_t k = 0;
-    while (k < pending_.size() && k < config_.max_batch &&
-           pending_[k].arrival <= start)
-        ++k;
-    if (k == 0)
-        return false; // Head is in the future.
-
-    const TimePoint done_full =
-        start + fromSeconds(batchServiceMs(k) / 1000.0);
-    if (done_full > now)
-        return false; // Batch still in service at `now`.
-
-    // Shed members that would receive a pose already past its
-    // deadline; dropping them only makes the survivors *earlier*.
-    std::vector<EdgeRequest> members(
-        pending_.begin(),
-        pending_.begin() + static_cast<std::ptrdiff_t>(k));
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(k));
-    std::vector<BatchVioItem> items;
-    std::vector<const EdgeRequest *> run;
-    items.reserve(members.size());
-    for (const EdgeRequest &r : members) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // The head's start is exact once its service would end by `now`:
+    // any request submitted later arrives after `now`, so it queues
+    // behind the head in the canonical order.
+    std::size_t head = 0;
+    for (; head < pending_.size(); ++head) {
+        const EdgeRequest &r = pending_[head];
+        const TimePoint start = std::max(busy_until_, r.arrival);
+        const TimePoint done = start + kService;
+        if (done > now)
+            break;
         auto it = clients_.find(r.client);
-        if (it == clients_.end())
-            continue; // Disconnected while queued.
         --it->second.queued;
-        if (r.deadline < done_full) {
-            ++shed_;
-            if (shedCounter_)
-                shedCounter_->add();
-            EdgeCompletion c;
-            c.client = r.client;
-            c.seq = r.seq;
-            c.verdict = EdgeVerdict::Shed;
-            c.done = start;
-            it->second.done.push_back(c);
+        if (done > r.deadline) {
+            // Shed at the head: the server stays idle.
+            shedLocked(it->second, r, start);
             continue;
         }
-        items.push_back({r.client, r.seq});
-        run.push_back(&r);
-    }
-    if (run.empty())
-        return true; // All shed; the server never went busy.
-
-    const double service_ms = batchServiceMs(run.size());
-    const TimePoint done = start + fromSeconds(service_ms / 1000.0);
-    const std::vector<std::uint64_t> digests =
-        fusedMsckfUpdate(items, config_.vio);
-
-    for (std::size_t i = 0; i < run.size(); ++i) {
-        const EdgeRequest &r = *run[i];
-        ClientState &cs = clients_.at(r.client);
         EdgeCompletion c;
         c.client = r.client;
         c.seq = r.seq;
         c.verdict = EdgeVerdict::Served;
         c.done = done;
-        c.service_ms = service_ms;
-        c.batch_size = static_cast<std::uint32_t>(run.size());
-        c.digest = digests[i];
-        cs.done.push_back(c);
-        cs.service_ms.add(toMilliseconds(done - r.arrival));
+        it->second.done.push_back(c);
+        busy_until_ = done;
         ++served_;
         if (servedCounter_)
             servedCounter_->add();
         if (waitMsHist_)
             waitMsHist_->observe(toMilliseconds(start - r.arrival));
     }
-    busy_until_ = done;
-    ++batches_;
-    if (batchesCounter_)
-        batchesCounter_->add();
-    if (batchSizeHist_)
-        batchSizeHist_->observe(static_cast<double>(run.size()));
-    if (serviceMsHist_)
-        serviceMsHist_->observe(service_ms);
-    if (sink_) {
-        Span span;
-        span.task = "edge.batch";
-        span.arrival = run.front()->arrival;
-        span.start = start;
-        span.completion = done;
-        span.host_seconds = service_ms / 1000.0;
-        sink_->recordSpan(span);
-    }
-    return true;
-}
-
-void
-EdgeServer::pump(TimePoint now)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    while (!pending_.empty() && tryRunBatchLocked(now)) {
-    }
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(head));
     if (queueDepthGauge_)
         queueDepthGauge_->set(static_cast<double>(pending_.size()));
 }
@@ -286,22 +197,6 @@ EdgeServer::rejectedTotal() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return rejected_;
-}
-
-std::uint64_t
-EdgeServer::batchesTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return batches_;
-}
-
-SampleSeries
-EdgeServer::clientServiceMs(std::uint64_t client) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = clients_.find(client);
-    return it == clients_.end() ? SampleSeries{}
-                                : it->second.service_ms;
 }
 
 } // namespace illixr

@@ -1,7 +1,5 @@
 #include "edge/fleet_sim.hpp"
 
-#include "trace/metrics_registry.hpp"
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -10,16 +8,6 @@
 namespace illixr {
 
 namespace {
-
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xffULL;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /** One simulated client: link, breaker, outcome counters. */
 struct SimClient
@@ -46,12 +34,10 @@ runEdgeFleet(const EdgeFleetConfig &config)
     const Duration slo = fromSeconds(config.slo_ms / 1000.0);
 
     EdgeServer server(config.server);
-    server.setMetrics(config.metrics);
-    server.setTraceSink(config.sink);
 
     // Clients are keyed 1..n. Everything per-client is a pure
-    // function of (config.seed, id): link stream, frame phase, fused
-    // digests — never of the order connect() was called in.
+    // function of (config.seed, id): link stream and frame phase —
+    // never of the order connect() was called in.
     std::map<std::uint64_t, SimClient> clients;
     for (std::uint64_t id = 1; id <= n; ++id) {
         CircuitBreakerPolicy policy = config.breaker;
@@ -63,7 +49,6 @@ runEdgeFleet(const EdgeFleetConfig &config)
         c.stats.id = id;
         c.net = std::make_unique<NetworkModel>(
             config.link, NetworkModel::linkSeed(config.seed, id));
-        c.net->setMetrics(config.metrics);
         c.phase = static_cast<Duration>(
             period * static_cast<Duration>(id - 1) /
             static_cast<Duration>(n));
@@ -124,7 +109,6 @@ runEdgeFleet(const EdgeFleetConfig &config)
                     (done.done + *down) - frame_time;
                 ++c.stats.served;
                 c.stats.latency_ms.add(toMilliseconds(latency));
-                c.stats.digest = fnv1a(c.stats.digest, done.digest);
                 if (latency > slo) {
                     ++c.stats.stale;
                     c.breaker.recordFailure(now);
@@ -160,10 +144,8 @@ runEdgeFleet(const EdgeFleetConfig &config)
         EdgeRequest req;
         req.client = ev.client;
         req.seq = seq;
-        req.frame_time = ev.time;
         req.arrival = ev.time + *up;
         req.deadline = ev.time + slo;
-        req.bytes = config.frame_bytes;
         if (!server.submit(req)) {
             ++c.stats.rejected;
             ++c.stats.fallback;
@@ -171,18 +153,17 @@ runEdgeFleet(const EdgeFleetConfig &config)
         }
     }
 
-    // Drain: run out every queued batch and collect its completions.
+    // Drain: every request has arrived within a second of the end, and
+    // each queued one needs at most one service time.
     const TimePoint drain =
-        config.duration + config.server.batch_window +
-        fromSeconds(server.batchServiceMs(config.server.max_batch) *
-                    static_cast<double>(n) / 1000.0) +
-        kSecond;
+        config.duration + kSecond +
+        static_cast<Duration>(server.queueDepth()) *
+            fromSeconds(kEdgeVioServiceMs / 1000.0);
     server.pump(drain);
     deliver(drain);
 
     EdgeFleetReport report;
     SampleSeries all_latency;
-    report.digest = 0xcbf29ce484222325ULL;
     for (auto &[id, c] : clients) {
         report.sent += c.stats.sent;
         report.served += c.stats.served;
@@ -193,7 +174,6 @@ runEdgeFleet(const EdgeFleetConfig &config)
         report.fallback += c.stats.fallback;
         for (double ms : c.stats.latency_ms.samples())
             all_latency.add(ms);
-        report.digest = fnv1a(report.digest, c.stats.digest);
         report.clients.push_back(std::move(c.stats));
     }
     report.p50_ms = all_latency.percentile(50.0);
@@ -207,13 +187,12 @@ std::string
 EdgeFleetReport::csv() const
 {
     std::string out = "client,sent,served,stale,shed,rejected,lost,"
-                      "fallback,p50_ms,p99_ms,digest\n";
+                      "fallback,p50_ms,p99_ms\n";
     char line[256];
     for (const EdgeClientStats &c : clients) {
         std::snprintf(
             line, sizeof line,
-            "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f,"
-            "%016llx\n",
+            "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f\n",
             static_cast<unsigned long long>(c.id),
             static_cast<unsigned long long>(c.sent),
             static_cast<unsigned long long>(c.served),
@@ -223,13 +202,11 @@ EdgeFleetReport::csv() const
             static_cast<unsigned long long>(c.lost),
             static_cast<unsigned long long>(c.fallback),
             c.latency_ms.percentile(50.0),
-            c.latency_ms.percentile(99.0),
-            static_cast<unsigned long long>(c.digest));
+            c.latency_ms.percentile(99.0));
         out += line;
     }
     std::snprintf(line, sizeof line,
-                  "total,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f,"
-                  "%016llx\n",
+                  "total,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f\n",
                   static_cast<unsigned long long>(sent),
                   static_cast<unsigned long long>(served),
                   static_cast<unsigned long long>(stale),
@@ -237,7 +214,7 @@ EdgeFleetReport::csv() const
                   static_cast<unsigned long long>(rejected),
                   static_cast<unsigned long long>(lost),
                   static_cast<unsigned long long>(fallback), p50_ms,
-                  p99_ms, static_cast<unsigned long long>(digest));
+                  p99_ms);
     out += line;
     return out;
 }

@@ -20,8 +20,8 @@
 #pragma once
 
 #include "edge/edge_server.hpp"
+#include "edge/network.hpp"
 #include "foundation/stats.hpp"
-#include "offload/network.hpp"
 #include "resilience/circuit_breaker.hpp"
 
 #include <cstdint>
@@ -29,9 +29,6 @@
 #include <vector>
 
 namespace illixr {
-
-class MetricsRegistry;
-class TraceSink;
 
 /** One fleet run's knobs. */
 struct EdgeFleetConfig
@@ -53,10 +50,6 @@ struct EdgeFleetConfig
      * permutation (the admission-order-independence contract).
      */
     std::vector<std::uint64_t> admission_order;
-    /** Optional `edge.*` / `net.*` metrics sink. */
-    MetricsRegistry *metrics = nullptr;
-    /** Optional `edge.batch` span sink. */
-    TraceSink *sink = nullptr;
 };
 
 /** Per-client outcome counters. */
@@ -72,8 +65,6 @@ struct EdgeClientStats
     std::uint64_t fallback = 0; ///< Local-IMU poses (breaker/failure).
     /** Capture -> pose-delivered latency of served poses, ms. */
     SampleSeries latency_ms;
-    /** FNV-combined fused-update digests, in sequence order. */
-    std::uint64_t digest = 0xcbf29ce484222325ULL;
 };
 
 /** Whole-fleet outcome. */
@@ -91,7 +82,6 @@ struct EdgeFleetReport
     double p99_ms = 0.0;
     double p999_ms = 0.0;
     std::size_t latency_samples = 0; ///< Served frames pooled above.
-    std::uint64_t digest = 0; ///< FNV over per-client digests.
 
     double servedRatio() const
     {

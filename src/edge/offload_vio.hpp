@@ -1,0 +1,164 @@
+/**
+ * @file
+ * Offloaded head tracking: the VIO component served by an edge
+ * server over a modeled network link — the paper's §II footnote 2
+ * ("a local component can be easily swapped with a remote one without
+ * modifying the rest of the system") realized through the plugin
+ * interface.
+ *
+ * The plugin is a client stub: uplink, submit to the EdgeServer with
+ * a deadline derived from the frame's capture time, poll, downlink.
+ * Its *local* cost is only frame compression and bookkeeping (the
+ * filter computation is excluded from the local platform via
+ * Plugin::excludeHostSeconds; the server charges its calibrated
+ * per-request cost instead), and every pose is released onto the
+ * switchboard only once its modeled round trip has matured.
+ *
+ * attachEdgeClient() installs the client on a SessionConfig; a
+ * SessionManager fleet becomes a client swarm by attaching every
+ * session to ONE server with distinct client ids.
+ */
+
+#pragma once
+
+#include "edge/edge_server.hpp"
+#include "edge/network.hpp"
+#include "foundation/stats.hpp"
+#include "resilience/circuit_breaker.hpp"
+#include "slam/imu_integrator.hpp"
+#include "slam/msckf.hpp"
+#include "xr/plugins.hpp"
+#include "xr/session.hpp"
+
+#include <deque>
+#include <map>
+#include <memory>
+#include <string>
+
+namespace illixr {
+
+class FaultInjector;
+
+/** Offload configuration. */
+struct OffloadConfig
+{
+    NetworkLink link = NetworkLink::wifi6();
+    /** Link RNG seed. For fleet clients derive it with
+     *  NetworkModel::linkSeed(session seed, client id) so every
+     *  client draws an independent, admission-order-free stream. */
+    unsigned link_seed = 71;
+    /** Bytes per camera frame after on-device compression. */
+    double compression_ratio = 0.25;
+
+    /** Breaker guarding the remote path (see CircuitBreaker). */
+    CircuitBreakerPolicy breaker;
+
+    /** The edge server, shared by a client fleet. When null the
+     *  plugin builds a private one, whose `edge.*` metrics land in
+     *  the session's registry. */
+    std::shared_ptr<EdgeServer> server;
+    /** Stable client key on the edge server. */
+    std::uint64_t client_id = 1;
+    /** Pose-deadline budget from frame capture. A pose that cannot
+     *  be released by then (shed, or delivered late) counts as a
+     *  breaker failure: stale poses are as bad as lost ones. */
+    double deadline_slo_ms = 80.0;
+};
+
+/**
+ * Drop-in replacement for VioPlugin that runs the filter "remotely".
+ *
+ * A CircuitBreaker guards the remote path: consecutive lost, shed,
+ * rejected or over-deadline frames trip it Open and head tracking
+ * fails over to a local RK4 IMU integrator (corrected by the last
+ * accepted remote poses) until HalfOpen probes succeed and the link
+ * closes again.
+ */
+class OffloadedVioPlugin : public Plugin
+{
+  public:
+    OffloadedVioPlugin(const Phonebook &pb, const SystemTuning &tuning,
+                       const OffloadConfig &config);
+
+    void iterate(TimePoint now) override;
+    Duration period() const override
+    {
+        return periodFromHz(tuning_.camera_hz);
+    }
+
+    const std::vector<StampedPose> *vioTrajectory() const override
+    {
+        return &trajectory_;
+    }
+    void exportExtras(std::map<std::string, double> &extra) const override;
+
+  private:
+    struct PendingPose
+    {
+        TimePoint release = 0;
+        std::shared_ptr<PoseEvent> event;
+    };
+
+    /** A frame submitted to the edge server, awaiting its verdict. */
+    struct InflightFrame
+    {
+        std::shared_ptr<const CameraFrameEvent> cam;
+        std::shared_ptr<PoseEvent> event;
+        TimePoint deadline = 0;
+    };
+
+    void publishLocalPose(const std::shared_ptr<const CameraFrameEvent> &cam);
+    void collectCompletions(TimePoint now);
+    void submit(TimePoint now,
+                const std::shared_ptr<const CameraFrameEvent> &cam,
+                const ImuState &state);
+
+    SystemTuning tuning_;
+    OffloadConfig config_;
+    std::shared_ptr<PreloadedDataset> data_;
+    Switchboard::Reader<CameraFrameEvent> cameraReader_;
+    Switchboard::Reader<ImuEvent> imuReader_;
+    Switchboard::Writer<PoseEvent> slowPoseWriter_;
+    std::unique_ptr<VioSystem> vio_;
+    NetworkModel net_;
+    std::deque<PendingPose> pending_;
+    std::vector<StampedPose> trajectory_;
+    SampleSeries roundTrip_; ///< Capture to pose release, ms.
+    std::size_t framesLost_ = 0;
+    bool initialized_ = false;
+
+    CircuitBreaker breaker_;
+    ImuIntegrator fallback_; ///< Local failover integrator.
+    std::size_t failoverPoses_ = 0;
+    const FaultInjector *injector_ = nullptr;
+
+    std::map<std::uint64_t, InflightFrame> inflight_;
+    std::uint64_t nextSeq_ = 0;
+    std::size_t served_ = 0;
+    std::size_t shed_ = 0;
+    std::size_t rejected_ = 0;
+};
+
+/**
+ * Install the offloaded VIO client on @p config: its head tracker
+ * becomes a client stub configured by @p offload. The session uses
+ * offload.link and offload.link_seed as given.
+ */
+void attachEdgeClient(SessionConfig &config, const OffloadConfig &offload);
+
+/**
+ * Install the client a session's EdgeOptions (`--edge`,
+ * `ILLIXR_EDGE_*`) ask for: link preset config.edge.link, deadline
+ * config.edge.slo_ms, key @p client_id on @p server (a private server
+ * when null), and the jitter/loss stream seeded
+ * NetworkModel::linkSeed(config.seed, client_id) — the
+ * admission-order-free per-client stream of the determinism contract.
+ *
+ * @return false (with the diagnostic in @p error, if given) on an
+ * unknown link name; @p config is then left untouched.
+ */
+bool attachEdgeClient(SessionConfig &config, std::uint64_t client_id,
+                      std::shared_ptr<EdgeServer> server = nullptr,
+                      std::string *error = nullptr);
+
+} // namespace illixr

@@ -50,8 +50,6 @@ struct EdgeOptions
     std::string link = "wifi6";
     /** Pose-latency SLO: deadline = frame capture + this budget. */
     double slo_ms = 80.0;
-    /** Server batch cap; 1 = unbatched serving. */
-    std::size_t max_batch = 8;
 };
 
 /**

@@ -97,12 +97,6 @@ SessionConfig::applyEnv(std::string &malformed)
         if (!parsePositiveDouble(v, edge.slo_ms))
             return false;
     }
-    if (const char *v = env("ILLIXR_EDGE_BATCH")) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        edge.max_batch = n;
-    }
     if (const char *v = env("ILLIXR_TAIL"))
         tail.enabled = std::string(v) != "0";
     if (const char *v = env("ILLIXR_TAIL_THRESHOLD_MS")) {
@@ -185,14 +179,6 @@ SessionConfig::parseFlag(const std::string &arg)
         edge.enabled = true;
         return true;
     }
-    if (value("--edge-batch=", v)) {
-        unsigned long n = 0;
-        if (!parseUnsigned(v, n) || n == 0)
-            return false;
-        edge.enabled = true;
-        edge.max_batch = n;
-        return true;
-    }
     if (arg == "--tail") {
         tail.enabled = true;
         return true;
@@ -263,7 +249,7 @@ SessionConfig::fromEnvAndArgs(int argc, const char *const *argv)
         static const char *const kOwned[] = {
             "--executor=",  "--workers=",     "--kernel-threads=",
             "--seed=",      "--fault-plan=",  "--scenario=",
-            "--edge-link=", "--edge-slo-ms=", "--edge-batch=",
+            "--edge-link=", "--edge-slo-ms=",
             "--tail-threshold-ms=", "--tail-ring="};
         bool owned = false;
         for (const char *prefix : kOwned)
@@ -774,15 +760,21 @@ SessionManager::onSessionFinished(Session &session)
 }
 
 // ---------------------------------------------------------------------
-// runIntegrated: the thin one-session wrapper
+// runSession / runIntegrated: the thin one-session wrappers
 // ---------------------------------------------------------------------
+
+IntegratedResult
+runSession(SessionConfig config)
+{
+    Session session{std::move(config)};
+    session.start();
+    return session.result();
+}
 
 IntegratedResult
 runIntegrated(const IntegratedConfig &config)
 {
-    Session session{SessionConfig(config)};
-    session.start();
-    return session.result();
+    return runSession(SessionConfig(config));
 }
 
 } // namespace illixr

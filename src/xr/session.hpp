@@ -81,8 +81,8 @@ struct SessionConfig : IntegratedConfig
      * `ILLIXR_KERNEL_THREADS`, `ILLIXR_DETERMINISTIC` (0|1),
      * `ILLIXR_SEED`, `ILLIXR_FAULT_PLAN`,
      * `ILLIXR_SCENARIO` (family name or scenario file),
-     * `ILLIXR_EDGE` (0|1), `ILLIXR_EDGE_LINK`, `ILLIXR_EDGE_SLO_MS`,
-     * `ILLIXR_EDGE_BATCH`. Unset variables leave the field untouched.
+     * `ILLIXR_EDGE` (0|1), `ILLIXR_EDGE_LINK`, `ILLIXR_EDGE_SLO_MS`.
+     * Unset variables leave the field untouched.
      * @return false on a malformed value (the config is left
      * partially updated) and @p malformed names the variable.
      */
@@ -93,7 +93,7 @@ struct SessionConfig : IntegratedConfig
      * `--workers=N`, `--kernel-threads=N`, `--deterministic`,
      * `--seed=N`, `--fault-plan=SPEC`,
      * `--scenario=NAME_OR_FILE`, `--edge`, `--edge-link=NAME`,
-     * `--edge-slo-ms=MS`, `--edge-batch=N`. @return true when
+     * `--edge-slo-ms=MS`. @return true when
      * @p arg was one of these flags and parsed cleanly; false
      * otherwise (unrecognised flags are the caller's business).
      */
@@ -285,5 +285,10 @@ class SessionManager
     std::vector<std::shared_ptr<Session>> to_join_;
     std::uint64_t admitted_ = 0;
 };
+
+/** Run one session and block until its result is ready: the
+ *  runIntegrated() of a full SessionConfig, whose vio_factory a plain
+ *  IntegratedConfig cannot carry. */
+IntegratedResult runSession(SessionConfig config);
 
 } // namespace illixr

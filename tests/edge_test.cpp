@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the edge-offload server: deadline-aware admission and
- * shedding, same-window batching and its amortization, pump-cadence
- * independence, the fleet simulation's capacity/SLO math (including
- * the headline "batched serving sustains >= 2x the clients of
- * unbatched at the same p99 SLO"), and the session glue.
+ * shedding, FIFO service at the calibrated per-request cost,
+ * pump-cadence independence, the fleet simulation's capacity/SLO math
+ * (with an exact oracle on a jitter-free link), and the session glue.
  */
 
-#include "edge/edge_session.hpp"
 #include "edge/fleet_sim.hpp"
+#include "edge/offload_vio.hpp"
 #include "trace/metrics_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -31,12 +30,13 @@ makeRequest(std::uint64_t client, std::uint64_t seq, TimePoint arrival,
     EdgeRequest r;
     r.client = client;
     r.seq = seq;
-    r.frame_time = arrival;
     r.arrival = arrival;
     r.deadline = deadline;
-    r.bytes = 1000;
     return r;
 }
+
+/** The server's per-request service time on the virtual clock. */
+const Duration kS = ms(kEdgeVioServiceMs);
 
 TEST(EdgeServerTest, RejectsUnknownClientAndFullQueue)
 {
@@ -76,11 +76,9 @@ TEST(EdgeServerTest, ShedsUnmeetableDeadlineAtSubmit)
     EdgeServer server;
     ASSERT_TRUE(server.connect(1));
 
-    // Even served immediately and alone, the pose would complete at
-    // arrival + svc(1) — a deadline before that is shed at submit.
-    const double svc1 = server.batchServiceMs(1);
-    EdgeRequest r =
-        makeRequest(1, 0, ms(10), ms(10) + ms(svc1) - ms(0.1));
+    // Even served immediately, the pose would complete at
+    // arrival + S — a deadline before that is shed at submit.
+    EdgeRequest r = makeRequest(1, 0, ms(10), ms(10) + kS - ms(0.1));
     EXPECT_TRUE(server.submit(r)); // Admitted (completion follows)...
     EXPECT_EQ(server.shedTotal(), 1u);
     EXPECT_EQ(server.queueDepth(), 0u); // ...but never queued.
@@ -92,109 +90,71 @@ TEST(EdgeServerTest, ShedsUnmeetableDeadlineAtSubmit)
     EXPECT_EQ(done[0].done, r.arrival); // Client learns immediately.
 }
 
-TEST(EdgeServerTest, BatchesSameWindowRequestsAndStampsSharedDone)
+TEST(EdgeServerTest, ServesBackToBackArrivalsInFifoOrder)
 {
-    EdgeServerConfig cfg;
-    cfg.max_batch = 8;
-    cfg.batch_window = ms(2);
-    EdgeServer server(cfg);
+    // Arrivals at t0 and t1 complete at t0 + S and max(t1, t0 + S) + S:
+    // the second waits for the first only while it is in service.
+    for (const TimePoint t1 : {ms(11), ms(20)}) {
+        EdgeServer server;
+        ASSERT_TRUE(server.connect(1));
+        ASSERT_TRUE(server.connect(2));
+        const TimePoint t0 = ms(10);
+        EXPECT_TRUE(server.submit(makeRequest(1, 0, t0, ms(1000))));
+        EXPECT_TRUE(server.submit(makeRequest(2, 0, t1, ms(1000))));
+        server.pump(ms(1000));
+
+        const std::vector<EdgeCompletion> a = server.poll(1);
+        const std::vector<EdgeCompletion> b = server.poll(2);
+        ASSERT_EQ(a.size(), 1u);
+        ASSERT_EQ(b.size(), 1u);
+        EXPECT_EQ(a[0].verdict, EdgeVerdict::Served);
+        EXPECT_EQ(b[0].verdict, EdgeVerdict::Served);
+        EXPECT_EQ(a[0].done, t0 + kS);
+        EXPECT_EQ(b[0].done, std::max(t1, t0 + kS) + kS);
+        EXPECT_EQ(server.servedTotal(), 2u);
+    }
+}
+
+TEST(EdgeServerTest, ShedsAtQueueHeadWhenCompletionMissesDeadline)
+{
+    EdgeServer server;
     ASSERT_TRUE(server.connect(1));
     ASSERT_TRUE(server.connect(2));
 
-    // Two requests inside one window fuse into one batch.
-    EXPECT_TRUE(server.submit(makeRequest(1, 0, ms(10), ms(1000))));
+    // Request 1 clears admission (arrival + S meets its deadline), but
+    // at the head it starts behind request 0, at t0 + S, and would
+    // finish at t0 + 2S: shed there, stamped with that start.
+    const TimePoint t0 = ms(10);
+    EXPECT_TRUE(server.submit(makeRequest(1, 0, t0, ms(1000))));
+    EXPECT_TRUE(
+        server.submit(makeRequest(1, 1, t0, t0 + 2 * kS - ms(0.1))));
+    // Client 2 arrives later; the shed request never held the server.
     EXPECT_TRUE(server.submit(makeRequest(2, 0, ms(11), ms(1000))));
     server.pump(ms(1000));
 
     const std::vector<EdgeCompletion> a = server.poll(1);
     const std::vector<EdgeCompletion> b = server.poll(2);
-    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(a.size(), 2u);
     ASSERT_EQ(b.size(), 1u);
     EXPECT_EQ(a[0].verdict, EdgeVerdict::Served);
+    EXPECT_EQ(a[0].done, t0 + kS);
+    EXPECT_EQ(a[1].verdict, EdgeVerdict::Shed);
+    EXPECT_EQ(a[1].done, t0 + kS);
     EXPECT_EQ(b[0].verdict, EdgeVerdict::Served);
-    EXPECT_EQ(a[0].batch_size, 2u);
-    EXPECT_EQ(b[0].batch_size, 2u);
-    EXPECT_EQ(a[0].done, b[0].done); // One fused completion time.
-    EXPECT_DOUBLE_EQ(a[0].service_ms, server.batchServiceMs(2));
-    // Launched at window expiry (head arrival + window), not earlier.
-    EXPECT_EQ(a[0].done,
-              ms(10) + cfg.batch_window + ms(server.batchServiceMs(2)));
-    EXPECT_EQ(server.batchesTotal(), 1u);
-    // Distinct clients get distinct fused-update digests.
-    EXPECT_NE(a[0].digest, b[0].digest);
-}
-
-TEST(EdgeServerTest, FullBatchLaunchesBeforeWindowExpiry)
-{
-    EdgeServerConfig cfg;
-    cfg.max_batch = 2;
-    cfg.batch_window = ms(50);
-    EdgeServer server(cfg);
-    ASSERT_TRUE(server.connect(1));
-    EXPECT_TRUE(server.submit(makeRequest(1, 0, ms(10), ms(1000))));
-    EXPECT_TRUE(server.submit(makeRequest(1, 1, ms(12), ms(1000))));
-    server.pump(ms(1000));
-    const std::vector<EdgeCompletion> done = server.poll(1);
-    ASSERT_EQ(done.size(), 2u);
-    // The fill trigger (second arrival, 12 ms) beats the 60 ms window.
-    EXPECT_EQ(done[0].done, ms(12) + ms(server.batchServiceMs(2)));
-}
-
-TEST(EdgeServerTest, BatchingAmortizesDispatchOverhead)
-{
-    EdgeServer server;
-    const double unbatched = server.batchServiceMs(1);
-    const double batched_per_req =
-        server.batchServiceMs(server.config().max_batch) /
-        static_cast<double>(server.config().max_batch);
-    // The headline economics: a full batch costs well under half the
-    // per-request time of serving alone (sub-linear scaling).
-    EXPECT_LT(batched_per_req, 0.5 * unbatched);
-}
-
-TEST(EdgeServerTest, ShedsAtLaunchWhenBatchCompletionMissesDeadline)
-{
-    EdgeServerConfig cfg;
-    cfg.max_batch = 8;
-    cfg.batch_window = ms(2);
-    EdgeServer server(cfg);
-    ASSERT_TRUE(server.connect(1));
-    ASSERT_TRUE(server.connect(2));
-
-    // Both arrive together; the batch completes at
-    // arrival + window + svc(2). Client 2's deadline clears the
-    // admission test (arrival + svc(1)) but not the batch completion:
-    // it must be shed at launch, and client 1 then rides alone.
-    const TimePoint arrival = ms(10);
-    const double svc1 = server.batchServiceMs(1);
-    EXPECT_TRUE(
-        server.submit(makeRequest(1, 0, arrival, ms(1000))));
-    EXPECT_TRUE(server.submit(
-        makeRequest(2, 0, arrival, arrival + ms(svc1) + ms(0.1))));
-    server.pump(ms(1000));
-
-    const std::vector<EdgeCompletion> a = server.poll(1);
-    const std::vector<EdgeCompletion> b = server.poll(2);
-    ASSERT_EQ(a.size(), 1u);
-    ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(b[0].verdict, EdgeVerdict::Shed);
-    EXPECT_EQ(a[0].verdict, EdgeVerdict::Served);
-    // The survivor's batch shrank to 1 — shedding made it earlier.
-    EXPECT_EQ(a[0].batch_size, 1u);
+    EXPECT_EQ(b[0].done, t0 + 2 * kS);
     EXPECT_EQ(server.shedTotal(), 1u);
-    EXPECT_EQ(server.servedTotal(), 1u);
+    EXPECT_EQ(server.servedTotal(), 2u);
 }
 
 TEST(EdgeServerTest, PumpCadenceDoesNotChangeOutcomes)
 {
-    // Batch composition and completion times are pure functions of
-    // the request arrivals: pumping every millisecond and pumping
-    // once at the end must produce identical completion streams.
+    // Service order and completion times are pure functions of the
+    // request arrivals: pumping every millisecond and pumping once at
+    // the end must produce identical completion streams.
     auto run = [](Duration step) {
         EdgeServerConfig cfg;
-        cfg.max_batch = 4;
         // Deep queues: admission (a bounded buffer, inherently
-        // timing-coupled) must not mask the batch-engine invariant.
+        // timing-coupled) must not mask the service-order invariant.
         cfg.max_queue = 64;
         EdgeServer server(cfg);
         server.connect(1);
@@ -235,11 +195,10 @@ TEST(EdgeServerTest, PumpCadenceDoesNotChangeOutcomes)
         EXPECT_EQ(fine[i].seq, coarse[i].seq);
         EXPECT_EQ(fine[i].verdict, coarse[i].verdict);
         EXPECT_EQ(fine[i].done, coarse[i].done);
-        EXPECT_EQ(fine[i].digest, coarse[i].digest);
     }
 }
 
-TEST(EdgeServerTest, MetricsCountVerdictsAndBatches)
+TEST(EdgeServerTest, MetricsCountVerdicts)
 {
     MetricsRegistry metrics;
     EdgeServer server;
@@ -253,51 +212,41 @@ TEST(EdgeServerTest, MetricsCountVerdictsAndBatches)
     EXPECT_EQ(metrics.counter("edge.served").value(), 1u);
     EXPECT_EQ(metrics.counter("edge.shed").value(), 1u);
     EXPECT_EQ(metrics.counter("edge.rejected").value(), 1u);
-    EXPECT_EQ(metrics.counter("edge.batches").value(), 1u);
-    EXPECT_EQ(metrics.histogram("edge.service_ms").count(), 1u);
+    EXPECT_EQ(metrics.histogram("edge.wait_ms").count(), 1u);
 }
 
-/** Largest fleet that still meets the SLO, by doubling + bisection. */
-std::size_t
-maxClientsMeetingSlo(const NetworkLink &link, std::size_t max_batch,
-                     std::size_t limit)
+TEST(EdgeFleetTest, ServesEveryFrameExactlyUpToPeriodOverServiceClients)
 {
-    auto meets = [&](std::size_t n) {
-        EdgeFleetConfig cfg;
-        cfg.clients = n;
-        cfg.link = link;
-        cfg.duration = 4 * kSecond;
-        cfg.server.max_batch = max_batch;
-        const EdgeFleetReport report = runEdgeFleet(cfg);
-        return report.meetsSlo(cfg.slo_ms);
-    };
-    if (!meets(1))
-        return 0;
-    std::size_t lo = 1, hi = 2;
-    while (hi <= limit && meets(hi)) {
-        lo = hi;
-        hi *= 2;
-    }
-    if (hi > limit)
-        return lo;
-    while (hi - lo > 1) {
-        const std::size_t mid = (lo + hi) / 2;
-        (meets(mid) ? lo : hi) = mid;
-    }
-    return lo;
-}
+    // On a link with no jitter and no loss, N = floor(period / S)
+    // phase-staggered clients never queue: every frame is served at
+    // exactly uplink + S + downlink. Twice that many overload the
+    // server and the fleet misses its SLO.
+    EdgeFleetConfig cfg;
+    cfg.duration = 2 * kSecond;
+    cfg.link.jitter_ms = 0.0;
+    cfg.link.loss_rate = 0.0;
+    const std::size_t n = static_cast<std::size_t>(
+        toMilliseconds(periodFromHz(cfg.frame_hz)) / kEdgeVioServiceMs);
+    ASSERT_GE(n, 2u);
 
-TEST(EdgeFleetTest, BatchedServingSustainsTwiceTheUnbatchedClients)
-{
-    // The acceptance headline: at wifi6, batched serving sustains at
-    // least 2x the client count of unbatched serving at the same p99
-    // pose-latency SLO.
-    const NetworkLink link = NetworkLink::wifi6();
-    const std::size_t unbatched = maxClientsMeetingSlo(link, 1, 128);
-    ASSERT_GE(unbatched, 1u);
-    const std::size_t batched = maxClientsMeetingSlo(link, 8, 128);
-    EXPECT_GE(batched, 2 * unbatched)
-        << "unbatched=" << unbatched << " batched=" << batched;
+    NetworkModel net(cfg.link);
+    const Duration up = net.transferDelay(cfg.frame_bytes, true).value();
+    const Duration down = net.transferDelay(256, false).value();
+    const double expected_ms = toMilliseconds(up + kS + down);
+
+    cfg.clients = n;
+    const EdgeFleetReport fits = runEdgeFleet(cfg);
+    EXPECT_EQ(fits.served, fits.sent);
+    EXPECT_EQ(fits.shed + fits.stale + fits.fallback, 0u);
+    for (const EdgeClientStats &c : fits.clients) {
+        ASSERT_GT(c.latency_ms.count(), 0u);
+        EXPECT_EQ(c.latency_ms.min(), expected_ms) << c.id;
+        EXPECT_EQ(c.latency_ms.max(), expected_ms) << c.id;
+    }
+    EXPECT_TRUE(fits.meetsSlo(cfg.slo_ms));
+
+    cfg.clients = 2 * n;
+    EXPECT_FALSE(runEdgeFleet(cfg).meetsSlo(cfg.slo_ms));
 }
 
 TEST(EdgeFleetTest, ReportAccountsForEveryFrame)
@@ -331,13 +280,12 @@ TEST(EdgeFleetTest, LossyLinkDrivesLocalFallback)
 
 TEST(EdgeFleetTest, OverloadShedsInsteadOfQueueingToDeath)
 {
-    // Far past capacity on unbatched serving: the server must shed /
-    // reject (bounded queues, deadline admission) rather than serve
-    // everything arbitrarily late.
+    // Far past capacity: the server must shed / reject (bounded
+    // queues, deadline admission) rather than serve everything
+    // arbitrarily late.
     EdgeFleetConfig cfg;
     cfg.clients = 48;
     cfg.duration = 2 * kSecond;
-    cfg.server.max_batch = 1;
     const EdgeFleetReport report = runEdgeFleet(cfg);
     EXPECT_GT(report.shed + report.rejected, 0u);
     // Served poses stay near the SLO: lateness is bounded by
@@ -385,7 +333,7 @@ TEST(EdgeSessionTest, FleetOfSessionsSharesOneServer)
 {
     // Three sessions as a client swarm on ONE server: every client
     // connects under its own key and gets served.
-    auto server = makeEdgeServer(EdgeOptions{});
+    auto server = std::make_shared<EdgeServer>();
     SessionManager manager(3);
     std::vector<std::shared_ptr<Session>> sessions;
     for (std::uint64_t id = 1; id <= 3; ++id) {

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the offloading substrate: link model math and the
- * offloaded-VIO plugin's latency/exclusion semantics.
+ * offloaded-VIO client's latency/exclusion and failover semantics.
  */
 
-#include "offload/network.hpp"
-#include "offload/offload_vio.hpp"
+#include "edge/network.hpp"
+#include "edge/offload_vio.hpp"
 #include "resilience/fault_plan.hpp"
 #include "trace/metrics_registry.hpp"
 
@@ -13,6 +13,15 @@
 
 namespace illixr {
 namespace {
+
+/** @p config with its VIO served over @p offload's link. */
+IntegratedResult
+runOffloaded(const IntegratedConfig &config, const OffloadConfig &offload)
+{
+    SessionConfig sc{config};
+    attachEdgeClient(sc, offload);
+    return runSession(std::move(sc));
+}
 
 TEST(NetworkLinkTest, PresetsOrderedByLatency)
 {
@@ -185,7 +194,7 @@ TEST(OffloadIntegrationTest, OffloadRestoresVioRateOnJetsonLp)
     const IntegratedResult local = runIntegrated(cfg);
     OffloadConfig offload;
     offload.link = NetworkLink::edgeEthernet();
-    const IntegratedResult remote = runIntegratedOffloaded(cfg, offload);
+    const IntegratedResult remote = runOffloaded(cfg, offload);
 
     // Remote VIO meets the camera rate even when local misses it,
     // and its local CPU share collapses (compression only).
@@ -213,7 +222,7 @@ TEST(OffloadIntegrationTest, LossyLinkTripsBreakerAndLocalFailoverServes)
     offload.breaker.failure_threshold = 2;
     offload.breaker.open_hold = 200 * kMillisecond;
 
-    const IntegratedResult result = runIntegratedOffloaded(cfg, offload);
+    const IntegratedResult result = runOffloaded(cfg, offload);
 
     EXPECT_GE(result.extra.at("circuit_opens"), 1.0);
     EXPECT_GT(result.extra.at("failover_poses"), 0.0);
@@ -237,7 +246,7 @@ TEST(OffloadIntegrationTest, CleanLinkNeverTripsTheBreaker)
     offload.link = NetworkLink::edgeEthernet();
     offload.link.loss_rate = 0.0;
 
-    const IntegratedResult result = runIntegratedOffloaded(cfg, offload);
+    const IntegratedResult result = runOffloaded(cfg, offload);
 
     EXPECT_EQ(result.extra.at("circuit_opens"), 0.0);
     EXPECT_EQ(result.extra.at("failover_poses"), 0.0);
@@ -266,7 +275,7 @@ TEST(OffloadIntegrationTest, BrownoutFailsOverThenFailsBack)
     offload.breaker.failure_threshold = 2;
     offload.breaker.open_hold = 200 * kMillisecond;
 
-    const IntegratedResult result = runIntegratedOffloaded(cfg, offload);
+    const IntegratedResult result = runOffloaded(cfg, offload);
 
     // Failed over during the window...
     EXPECT_GE(result.extra.at("circuit_opens"), 1.0);

@@ -8,7 +8,7 @@
  */
 
 #include "foundation/trajectory_error.hpp"
-#include "offload/offload_vio.hpp"
+#include "edge/offload_vio.hpp"
 #include "resilience/circuit_breaker.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/fault_plan.hpp"
@@ -462,7 +462,9 @@ TEST(IntegratedChaosTest, BrownoutTripsBreakerFailsOverAndRecovers)
     offload.breaker.failure_threshold = 2;
     offload.breaker.open_hold = 200 * kMillisecond;
 
-    const IntegratedResult result = runIntegratedOffloaded(cfg, offload);
+    SessionConfig sc{cfg};
+    attachEdgeClient(sc, offload);
+    const IntegratedResult result = runSession(std::move(sc));
 
     // The breaker tripped during the brownout and local failover
     // poses kept head tracking alive.
