@@ -68,6 +68,8 @@ runScenario(const FaultScenario &scenario, SessionConfig cfg,
     if (scenario.offloaded) {
         OffloadConfig offload;
         offload.link = NetworkLink::edgeEthernet();
+        // One loss and jitter stream per seed, as for fleet client 1.
+        offload.link_seed = NetworkModel::linkSeed(cfg.seed, 1);
         offload.breaker.failure_threshold = 2;
         offload.breaker.open_hold = 200 * kMillisecond;
         attachEdgeClient(cfg, offload);

@@ -43,9 +43,11 @@ class FaultInjector;
 struct OffloadConfig
 {
     NetworkLink link = NetworkLink::wifi6();
-    /** Link RNG seed. For fleet clients derive it with
-     *  NetworkModel::linkSeed(session seed, client id) so every
-     *  client draws an independent, admission-order-free stream. */
+    /** Link RNG seed. The default is one fixed stream, so a seeded
+     *  sweep or a fleet must derive it with
+     *  NetworkModel::linkSeed(session seed, client id): every seed
+     *  and client then draws an independent, admission-order-free
+     *  stream. */
     unsigned link_seed = 71;
     /** Bytes per camera frame after on-device compression. */
     double compression_ratio = 0.25;

@@ -66,11 +66,11 @@ Conv2d::forward(const Tensor &input) const
     // 8 output channels ride one Vec<float, 8> lane set, weights are
     // packed [ic][ky][kx][8] per block, and the input is repacked
     // once into zero-padded planes so the inner loop is a pure
-    // broadcast * packed-load madd chain. Per lane the accumulation
-    // is bias then ic->ky->kx serial — the exact op sequence of the
-    // scalar original, so results are bit-identical to it (and
-    // across backends). Leftover channels (< 8) take the original
-    // scalar path.
+    // broadcast * packed-load madd chain, 4 output pixels at a time.
+    // Per lane the accumulation is bias then ic->ky->kx serial — the
+    // exact op sequence of the scalar original, so results are
+    // bit-identical to it (and across backends). Leftover channels
+    // (< 8) take the original scalar path.
     constexpr int kBlock = 8;
     const int blocks = outChannels_ / kBlock;
     const int ph = h + 2 * pad;
@@ -116,7 +116,43 @@ Conv2d::forward(const Tensor &input) const
         const VecF8 bias_v = VecF8::load(bias8);
 
         for (int y = 0; y < h; ++y) {
-            for (int x = 0; x < w; ++x) {
+            // 4 output pixels per step, in 4 independent accumulators
+            // that share each packed weight load; the x tail runs one
+            // pixel at a time.
+            int x = 0;
+            for (; x + 4 <= w; x += 4) {
+                VecF8 acc0 = bias_v, acc1 = bias_v, acc2 = bias_v,
+                      acc3 = bias_v;
+                const float *wq = wp.data();
+                for (int ic = 0; ic < inChannels_; ++ic) {
+                    const float *plane =
+                        padded + static_cast<std::size_t>(ic) * src_ph *
+                                     src_pw;
+                    for (int ky = 0; ky < k; ++ky) {
+                        const float *row =
+                            plane +
+                            static_cast<std::size_t>(y + ky) * src_pw + x;
+                        for (int kx = 0; kx < k; ++kx) {
+                            const VecF8 wv = VecF8::load(wq);
+                            acc0 = simd::madd(
+                                acc0, VecF8::broadcast(row[kx]), wv);
+                            acc1 = simd::madd(
+                                acc1, VecF8::broadcast(row[kx + 1]), wv);
+                            acc2 = simd::madd(
+                                acc2, VecF8::broadcast(row[kx + 2]), wv);
+                            acc3 = simd::madd(
+                                acc3, VecF8::broadcast(row[kx + 3]), wv);
+                            wq += kBlock;
+                        }
+                    }
+                }
+                float *o = orow.data() + static_cast<std::size_t>(x) * kBlock;
+                acc0.store(o);
+                acc1.store(o + kBlock);
+                acc2.store(o + 2 * kBlock);
+                acc3.store(o + 3 * kBlock);
+            }
+            for (; x < w; ++x) {
                 VecF8 acc = bias_v;
                 const float *wq = wp.data();
                 for (int ic = 0; ic < inChannels_; ++ic) {

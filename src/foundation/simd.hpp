@@ -35,6 +35,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -385,6 +386,15 @@ truncInt(VecRef<double, 4> v)
 {
     for (double &l : v.lane)
         l = static_cast<double>(static_cast<std::int32_t>(l));
+    return v;
+}
+
+/** std::floor per lane: exact, and -0.0 stays -0.0. */
+inline VecRef<double, 4>
+floor(VecRef<double, 4> v)
+{
+    for (double &l : v.lane)
+        l = std::floor(l);
     return v;
 }
 
@@ -741,6 +751,12 @@ truncInt(Vec<double, 4> v)
     return {_mm256_cvtepi32_pd(_mm256_cvttpd_epi32(v.v))};
 }
 
+inline Vec<double, 4>
+floor(Vec<double, 4> v)
+{
+    return {_mm256_floor_pd(v.v)};
+}
+
 inline void
 gatherWiden2(const float *base, Vec<double, 4> ia, Vec<double, 4> ib,
              Vec<double, 4> &a, Vec<double, 4> &b)
@@ -767,6 +783,22 @@ inline VecD4
 widenLoad(const float *p)
 {
     return widenLoad4(p, static_cast<VecD4 *>(nullptr));
+}
+
+/**
+ * Lane i = v_i widened to double (exact conversion): four scalar
+ * loads into one vector, the alternative to gatherWiden2 where a
+ * gather costs more than the loads it replaces.
+ */
+inline VecD4
+widen4(float v0, float v1, float v2, float v3)
+{
+#if defined(ILLIXR_SIMD_BACKEND_AVX2)
+    return {_mm256_cvtps_pd(_mm_setr_ps(v0, v1, v2, v3))};
+#else
+    return {static_cast<double>(v0), static_cast<double>(v1),
+            static_cast<double>(v2), static_cast<double>(v3)};
+#endif
 }
 
 /**

@@ -170,8 +170,7 @@ TsdfVolume::integrate(const DepthImage &depth, const CameraIntrinsics &intr,
                 });
 }
 
-// Inlined into the raycast march, its hottest caller.
-inline float
+float
 TsdfVolume::trilinear(int x0, int y0, int z0, double fx, double fy,
                       double fz) const
 {
@@ -226,22 +225,6 @@ TsdfVolume::gradientAt(const Vec3 &world) const
     return Vec3(gx, gy, gz) / (2.0 * h);
 }
 
-namespace {
-
-/**
- * The voxel std::lround(g) picks (weightAt), from fl = floor(g) and the
- * exact fraction f = g - fl: halves round away from zero. Bitwise, not
- * short-circuit, operators keep the unpredictable fraction test off
- * the branch predictor.
- */
-int
-nearestVoxel(double g, double fl, double f)
-{
-    return static_cast<int>(fl) + ((f > 0.5) | ((f == 0.5) & (g > 0.0)));
-}
-
-} // namespace
-
 void
 TsdfVolume::raycast(const CameraIntrinsics &intr,
                     const Pose &camera_to_world, std::vector<Vec3> &vertices,
@@ -275,6 +258,47 @@ TsdfVolume::raycast(const CameraIntrinsics &intr,
     // slots.
     parallelFor("tsdf_raycast", 0, static_cast<std::size_t>(h), 4,
                 [&](std::size_t yb, std::size_t ye) {
+    // The march evaluates 4 consecutive samples of a ray per VecD4
+    // (DESIGN.md "SIMD & data layout"). Each lane performs the scalar
+    // sample's IEEE operations in the same order: the point and its
+    // grid coordinate (a true division), floor and fraction, the
+    // std::lround nearest voxel (halves away from zero) and its weight,
+    // and sdfAt's trilinear sum (from 0.0, dz -> dy -> dx, unfused,
+    // narrowed to float). The lanes are then scanned in sample order,
+    // so vertices and normals are bit-identical to a one-sample march.
+    using simd::VecD4;
+    const VecD4 zero = VecD4::zero();
+    const VecD4 one = VecD4::broadcast(1.0);
+    const VecD4 half = VecD4::broadcast(0.5);
+    const VecD4 vs = VecD4::broadcast(voxelSize_);
+    const VecD4 res = VecD4::broadcast(params_.resolution);
+    const VecD4 cell_hi = VecD4::broadcast(params_.resolution - 1);
+    const VecD4 gox = VecD4::broadcast(params_.origin.x);
+    const VecD4 goy = VecD4::broadcast(params_.origin.y);
+    const VecD4 goz = VecD4::broadcast(params_.origin.z);
+    const VecD4 ox = VecD4::broadcast(origin.x);
+    const VecD4 oy = VecD4::broadcast(origin.y);
+    const VecD4 oz = VecD4::broadcast(origin.z);
+    // 1.0 where std::lround rounds up from fl = floor(g), f = g - fl:
+    // f > 0.5, or f == 0.5 and g > 0 (halves away from zero).
+    const auto roundsUp = [&](VecD4 g, VecD4 f) {
+        return simd::bitAnd(
+            simd::bitOr(simd::cmpGT(f, half),
+                        simd::bitAnd(simd::cmpGE(f, half),
+                                     simd::cmpGT(g, zero))),
+            one);
+    };
+    // All-ones where 0 <= v < limit.
+    const auto inRange = [&](VecD4 v, VecD4 limit) {
+        return simd::bitAnd(simd::cmpGE(v, zero), simd::cmpLT(v, limit));
+    };
+    // Index offset of cell corner k = dz*4 + dy*2 + dx, sdfAt's order.
+    const std::size_t sy = static_cast<std::size_t>(params_.resolution);
+    const std::size_t corner_offset[8] = {
+        0, 1, sy, sy + 1, sy * sy, sy * sy + 1, sy * sy + sy,
+        sy * sy + sy + 1};
+    alignas(32) double ts[4] = {}, lane_index[4] = {};
+    alignas(32) float sv[4] = {};
     for (int y = static_cast<int>(yb); y < static_cast<int>(ye); ++y) {
         for (int x = 0; x < w; ++x) {
             const Vec3 dir = camera_to_world.orientation.rotate(
@@ -301,40 +325,113 @@ TsdfVolume::raycast(const CameraIntrinsics &intr,
             double t = 0.3;
             while (t < t_in)
                 t += step;
+            const VecD4 dx = VecD4::broadcast(dir.x);
+            const VecD4 dy = VecD4::broadcast(dir.y);
+            const VecD4 dz = VecD4::broadcast(dir.z);
             float prev_sdf = 1.0f;
             bool prev_valid = false;
-            for (; t < max_range && t <= t_out; t += step) {
-                const Vec3 g = gridCoord(origin + dir * t);
-                const double flx = std::floor(g.x);
-                const double fly = std::floor(g.y);
-                const double flz = std::floor(g.z);
-                const double fx = g.x - flx, fy = g.y - fly, fz = g.z - flz;
-                const int nx = nearestVoxel(g.x, flx, fx);
-                const int ny = nearestVoxel(g.y, fly, fy);
-                const int nz = nearestVoxel(g.z, flz, fz);
-                if (!inGrid(nx, ny, nz) ||
-                    !(weight_[index(nx, ny, nz)] > 0.0f)) {
+            for (bool done = false; !done;) {
+                // Lanes past the range or the box pad the last block;
+                // they are computed but never scanned.
+                int live = 0;
+                for (int l = 0; l < 4; ++l, t += step) {
+                    ts[l] = t;
+                    live += t < max_range && t <= t_out;
+                }
+                done = live < 4;
+                const VecD4 tv = VecD4::load(ts);
+                const VecD4 gx = (ox + dx * tv - gox) / vs - half;
+                const VecD4 gy = (oy + dy * tv - goy) / vs - half;
+                const VecD4 gz = (oz + dz * tv - goz) / vs - half;
+                const VecD4 flx = simd::floor(gx);
+                const VecD4 fly = simd::floor(gy);
+                const VecD4 flz = simd::floor(gz);
+                const VecD4 fx = gx - flx, fy = gy - fly, fz = gz - flz;
+                const VecD4 nx = flx + roundsUp(gx, fx);
+                const VecD4 ny = fly + roundsUp(gy, fy);
+                const VecD4 nz = flz + roundsUp(gz, fz);
+                const VecD4 grid_mask = simd::bitAnd(
+                    simd::bitAnd(inRange(nx, res), inRange(ny, res)),
+                    inRange(nz, res));
+                const VecD4 nidx = simd::select(
+                    grid_mask, simd::madd(nx, simd::madd(ny, nz, res), res),
+                    zero);
+                // A lane outside the grid reads voxel 0 and is masked.
+                nidx.store(lane_index);
+                const VecD4 wgt = simd::widen4(
+                    weight_[static_cast<std::size_t>(lane_index[0])],
+                    weight_[static_cast<std::size_t>(lane_index[1])],
+                    weight_[static_cast<std::size_t>(lane_index[2])],
+                    weight_[static_cast<std::size_t>(lane_index[3])]);
+                const int observed =
+                    simd::maskBits(
+                        simd::bitAnd(grid_mask, simd::cmpGT(wgt, zero))) &
+                    ((1 << live) - 1);
+                if (!observed) {
                     prev_valid = false;
                     continue;
                 }
-                const float s =
-                    trilinear(static_cast<int>(flx), static_cast<int>(fly),
-                              static_cast<int>(flz), fx, fy, fz);
-                if (prev_valid && prev_sdf > 0.0f && s <= 0.0f) {
-                    // Linear zero-crossing interpolation.
-                    const double t_hit = t - step * s / (s - prev_sdf);
-                    const Vec3 hit = origin + dir * t_hit;
-                    const std::size_t i =
-                        static_cast<std::size_t>(y) * w + x;
-                    vertices[i] = hit;
-                    const Vec3 n = gradientAt(hit);
-                    const double nn = n.norm();
-                    if (nn > 1e-9)
-                        normals[i] = n / nn;
-                    break;
+
+                // The trilinear read, for cells wholly inside the grid
+                // (every other lane reads +1 and loads from cell 0).
+                // Scalar loads: a gather was slower here.
+                const VecD4 cell_mask = simd::bitAnd(
+                    simd::bitAnd(inRange(flx, cell_hi),
+                                 inRange(fly, cell_hi)),
+                    inRange(flz, cell_hi));
+                const int in_cell = simd::maskBits(cell_mask);
+                if (in_cell) {
+                    const VecD4 cell = simd::select(
+                        cell_mask,
+                        simd::madd(flx, simd::madd(fly, flz, res), res),
+                        zero);
+                    cell.store(lane_index);
+                    const float *c[4];
+                    for (int l = 0; l < 4; ++l)
+                        c[l] = sdf_.data() +
+                               static_cast<std::size_t>(lane_index[l]);
+                    VecD4 corner[8];
+                    for (int k = 0; k < 8; ++k) {
+                        const std::size_t o = corner_offset[k];
+                        corner[k] = simd::widen4(c[0][o], c[1][o], c[2][o],
+                                                 c[3][o]);
+                    }
+                    const VecD4 wx[2] = {one - fx, fx};
+                    const VecD4 wy[2] = {one - fy, fy};
+                    const VecD4 wz[2] = {one - fz, fz};
+                    VecD4 acc = zero;
+                    for (int k = 0; k < 8; ++k)
+                        acc = simd::madd(acc,
+                                         wx[k & 1] * wy[(k >> 1) & 1] *
+                                             wz[k >> 2],
+                                         corner[k]);
+                    simd::narrowStore4(acc, sv);
                 }
-                prev_sdf = s;
-                prev_valid = true;
+
+                for (int l = 0; l < live; ++l) {
+                    if (!((observed >> l) & 1)) {
+                        prev_valid = false;
+                        continue;
+                    }
+                    const float s = (in_cell >> l) & 1 ? sv[l] : 1.0f;
+                    if (prev_valid && prev_sdf > 0.0f && s <= 0.0f) {
+                        // Linear zero-crossing interpolation.
+                        const double t_hit =
+                            ts[l] - step * s / (s - prev_sdf);
+                        const Vec3 hit = origin + dir * t_hit;
+                        const std::size_t i =
+                            static_cast<std::size_t>(y) * w + x;
+                        vertices[i] = hit;
+                        const Vec3 n = gradientAt(hit);
+                        const double nn = n.norm();
+                        if (nn > 1e-9)
+                            normals[i] = n / nn;
+                        done = true;
+                        break;
+                    }
+                    prev_sdf = s;
+                    prev_valid = true;
+                }
             }
         }
     }

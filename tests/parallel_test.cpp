@@ -14,9 +14,11 @@
 #include "audio/binaural.hpp"
 #include "audio/clips.hpp"
 #include "eyetrack/eye_image.hpp"
+#include "eyetrack/layers.hpp"
 #include "eyetrack/ritnet.hpp"
 #include "foundation/profile.hpp"
 #include "foundation/rng.hpp"
+#include "foundation/simd.hpp"
 #include "recon/tsdf.hpp"
 #include "render/app.hpp"
 #include "runtime/parallel.hpp"
@@ -35,6 +37,8 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -968,6 +972,329 @@ TEST(KernelEquivalence, KltMatchesReferenceTracker)
     EXPECT_GT(tracked, 100u);
     // Windows that cross the border at some pyramid level.
     EXPECT_GT(g_clamped_samples - clamped_before, 1000u);
+}
+
+// ------------------------ Raycast march vs the one-sample reference
+//
+// TsdfVolume::raycast marches 4 samples per vector and clips each ray
+// to the grid. The reference below is the direct march, where every
+// sample from t = 0.3 to the far range reads both weightAt and sdfAt.
+
+/**
+ * Reference raycast. @p hit_sample (optional) receives, per pixel, the
+ * index from t = 0.3 of the sample that found the zero crossing, or -1.
+ */
+void
+referenceRaycast(const TsdfVolume &vol, const CameraIntrinsics &intr,
+                 const Pose &camera_to_world, std::vector<Vec3> &vertices,
+                 std::vector<Vec3> &normals, int step_divisor,
+                 std::vector<int> *hit_sample = nullptr)
+{
+    const int w = intr.width;
+    const int h = intr.height;
+    vertices.assign(static_cast<std::size_t>(w) * h, Vec3(0, 0, 0));
+    normals.assign(static_cast<std::size_t>(w) * h, Vec3(0, 0, 0));
+    if (hit_sample)
+        hit_sample->assign(static_cast<std::size_t>(w) * h, -1);
+    const Vec3 origin = camera_to_world.position;
+    const double step =
+        vol.params().truncation / std::max(1, step_divisor);
+    const double max_range = vol.params().side_meters * 1.8;
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            const Vec3 dir = camera_to_world.orientation.rotate(
+                intr.unproject(Vec2(x + 0.5, y + 0.5)));
+            double t = 0.3;
+            float prev_sdf = 1.0f;
+            bool prev_valid = false;
+            for (int sample = 0; t < max_range; ++sample) {
+                const Vec3 p = origin + dir * t;
+                const float wgt = vol.weightAt(p);
+                const float s = vol.sdfAt(p);
+                if (wgt > 0.0f) {
+                    if (prev_valid && prev_sdf > 0.0f && s <= 0.0f) {
+                        const double t_hit =
+                            t - step * s / (s - prev_sdf);
+                        const Vec3 hit = origin + dir * t_hit;
+                        const std::size_t i =
+                            static_cast<std::size_t>(y) * w + x;
+                        vertices[i] = hit;
+                        const Vec3 n = vol.gradientAt(hit);
+                        const double nn = n.norm();
+                        if (nn > 1e-9)
+                            normals[i] = n / nn;
+                        if (hit_sample)
+                            (*hit_sample)[i] = sample;
+                        break;
+                    }
+                    prev_sdf = s;
+                    prev_valid = true;
+                } else {
+                    prev_valid = false;
+                }
+                t += step;
+            }
+        }
+    }
+}
+
+bool
+sameVec3s(const std::vector<Vec3> &a, const std::vector<Vec3> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
+TEST(KernelEquivalence, RaycastMatchesReferenceMarch)
+{
+    // Odd image sides put the principal point on a pixel center, so
+    // with an identity orientation the middle column and row cast
+    // rays with an exactly zero x or y component.
+    const CameraIntrinsics intr = CameraIntrinsics::fromFov(63, 47, 1.2);
+    const std::size_t center = 23 * 63 + 31;
+    const double kHalfPi = 1.5707963267948966;
+    TsdfParams params;
+    params.resolution = 48;
+    params.side_meters = 2.4; // 0.05 m voxels, finer than every step.
+    params.origin = Vec3(-1.2, -1.2, 0.0);
+    TsdfVolume vol(params);
+    const double max_range = params.side_meters * 1.8;
+
+    // Three fronto-parallel depth frames. A's wall (z = 2.3) and C's
+    // wall (x = 1.1) lie 0.1 m inside a face of the grid, so rays leave
+    // (A) or enter (C) the grid right next to a zero crossing. A's
+    // central patch puts a surface at z = 0.03, just inside the z = 0
+    // face.
+    const Pose pose_a(Quat::identity(), Vec3(0.0, 0.0, -0.5));
+    const Pose pose_b(Quat::fromAxisAngle(Vec3(0, 1, 0), 0.35),
+                      Vec3(-0.3, 0.2, 0.3));
+    const Pose pose_c(Quat::fromAxisAngle(Vec3(0, 1, 0), -kHalfPi),
+                      Vec3(2.0, 0.05, 1.2));
+    DepthImage depth_a(63, 47, 2.8f);
+    for (int y = 19; y <= 27; ++y)
+        for (int x = 27; x <= 35; ++x)
+            depth_a.at(x, y) = 0.53f;
+    vol.integrate(depth_a, intr, pose_a);
+    DepthImage depth_b(63, 47, 1.6f);
+    for (int y = 0; y < 47; ++y)
+        for (int x = 0; x < 31; ++x)
+            depth_b.at(x, y) = 1.2f;
+    vol.integrate(depth_b, intr, pose_b);
+    vol.integrate(DepthImage(63, 47, 0.9f), intr, pose_c);
+
+    // A lone wall at z = wall_z, fused from 2 m in front of it.
+    auto wallVolume = [&](double wall_z) {
+        TsdfVolume wall(params);
+        wall.integrate(DepthImage(63, 47, 2.0f), intr,
+                       Pose(Quat::identity(), Vec3(0.0, 0.0, wall_z - 2.0)));
+        return wall;
+    };
+
+    struct Case
+    {
+        std::string name;
+        const TsdfVolume *volume;
+        Pose camera_to_world;
+        bool expect_hits;
+    };
+    auto expectMatches = [&](const Case &c, int divisor,
+                             std::vector<int> &hit_sample) {
+        SCOPED_TRACE(c.name + ", step_divisor " + std::to_string(divisor));
+        std::vector<Vec3> ref_vertices, ref_normals;
+        referenceRaycast(*c.volume, intr, c.camera_to_world, ref_vertices,
+                         ref_normals, divisor, &hit_sample);
+        for (std::size_t width : {1, 4}) {
+            WidthGuard guard(width);
+            std::vector<Vec3> vertices, normals;
+            c.volume->raycast(intr, c.camera_to_world, vertices, normals,
+                              divisor);
+            EXPECT_TRUE(sameVec3s(vertices, ref_vertices))
+                << "width " << width;
+            EXPECT_TRUE(sameVec3s(normals, ref_normals))
+                << "width " << width;
+        }
+        const auto hits = std::count_if(
+            ref_vertices.begin(), ref_vertices.end(),
+            [](const Vec3 &v) { return v.norm() > 0.0; });
+        if (c.expect_hits)
+            EXPECT_GT(hits, 0);
+        else
+            EXPECT_EQ(hits, 0);
+    };
+
+    for (int divisor = 1; divisor <= 3; ++divisor) {
+        // A march sample t = 0.3 + step + ... (summed as the raycast
+        // sums it) from a camera at z = -t lands exactly on the z = 0
+        // face: grid coordinate g.z = -0.5, whose nearest voxel is -1
+        // under std::lround but 0 under rounding half up. The central
+        // ray (0, 0, 1) then meets the patch surface one step later.
+        const double step = params.truncation / divisor;
+        double t_face = 0.3;
+        while (t_face < 0.5)
+            t_face += step;
+        const Case cases[] = {
+            {"inside", &vol,
+             Pose(Quat::fromAxisAngle(Vec3(0, 1, 0), 0.2),
+                  Vec3(0.2, -0.1, 0.6)),
+             true},
+            {"outside looking in", &vol, pose_c, true},
+            {"outside looking away", &vol,
+             Pose(Quat::fromAxisAngle(Vec3(0, 1, 0), kHalfPi),
+                  Vec3(2.0, 0.05, 1.2)),
+             false},
+            {"axis-aligned rays", &vol,
+             Pose(Quat::identity(), Vec3(0.1, 0.05, 0.2)), true},
+            {"negative half-boundary", &vol,
+             Pose(Quat::identity(), Vec3(0.0, 0.0, -t_face)), true},
+        };
+        std::vector<int> hit_sample;
+        for (const Case &c : cases)
+            expectMatches(c, divisor, hit_sample);
+
+        // A camera inside the grid marches from t = 0.3, so the central
+        // ray's crossing is on lane (sample index mod 4) of its 4-sample
+        // block. Moving the camera back one step at a time puts the
+        // wall's crossing on each lane in turn; on lane 0 the sample
+        // before it is lane 3 of the previous block.
+        const TsdfVolume wall = wallVolume(2.1);
+        std::set<int> hit_lanes;
+        for (int j = 0; j < 4; ++j) {
+            expectMatches({"lane shift " + std::to_string(j), &wall,
+                           Pose(Quat::identity(),
+                                Vec3(0.0, 0.0, 1.2 - j * step)),
+                           true},
+                          divisor, hit_sample);
+            ASSERT_GE(hit_sample[center], 0);
+            hit_lanes.insert(hit_sample[center] % 4);
+        }
+        EXPECT_EQ(hit_lanes.size(), 4u);
+
+        // A camera behind the grid whose central ray meets a wall half
+        // a step before the first sample past max_range: only that
+        // unscanned sample lies behind the wall. The ray enters the
+        // clip box (the grid widened by a voxel) at t_in, and moving
+        // the wall one step at a time moves the first unscanned sample
+        // across the lanes of the ray's last block.
+        double t_past = 0.3;
+        while (t_past < max_range)
+            t_past += step;
+        std::set<int> unscanned_lanes;
+        for (int j = 0; j < 4; ++j) {
+            const double wall_z = 2.1 - j * step;
+            const TsdfVolume far_wall = wallVolume(wall_z);
+            const double camera_z = wall_z - (t_past - step / 2);
+            expectMatches({"beyond range " + std::to_string(j), &far_wall,
+                           Pose(Quat::identity(), Vec3(0.0, 0.0, camera_z)),
+                           false},
+                          divisor, hit_sample);
+            EXPECT_EQ(hit_sample[center], -1);
+            const Vec3 unscanned(0.0, 0.0, camera_z + t_past);
+            EXPECT_GT(far_wall.weightAt(unscanned), 0.0f);
+            EXPECT_LE(far_wall.sdfAt(unscanned), 0.0f);
+            const double t_in = params.origin.z - vol.voxelSize() - camera_z;
+            int first = 0, past = 0;
+            for (double t = 0.3; t < t_past; t += step) {
+                first += t < t_in;
+                ++past;
+            }
+            unscanned_lanes.insert((past - first) % 4);
+        }
+        EXPECT_EQ(unscanned_lanes.size(), 4u);
+    }
+}
+
+// ------------------------ Conv2d vs the one-chain-per-pixel reference
+
+/**
+ * The earlier Conv2d::forward main loop: one 8-channel accumulator
+ * chain per output pixel (bias, then ic -> ky -> kx), and the scalar
+ * loop for the channels past the last full block of 8.
+ */
+Tensor
+referenceConvForward(const Conv2d &conv, const Tensor &input)
+{
+    const int h = input.height();
+    const int w = input.width();
+    const int k = conv.kernelSize();
+    const int pad = k / 2;
+    const int oc_blocked = conv.outChannels() / 8 * 8;
+    Tensor out(conv.outChannels(), h, w);
+    for (int oc0 = 0; oc0 < oc_blocked; oc0 += 8) {
+        alignas(32) float bias8[8];
+        for (int l = 0; l < 8; ++l)
+            bias8[l] = conv.bias(oc0 + l);
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                simd::VecF8 acc = simd::VecF8::load(bias8);
+                for (int ic = 0; ic < conv.inChannels(); ++ic)
+                    for (int ky = 0; ky < k; ++ky)
+                        for (int kx = 0; kx < k; ++kx) {
+                            alignas(32) float w8[8];
+                            for (int l = 0; l < 8; ++l)
+                                w8[l] = conv.weight(oc0 + l, ic, ky, kx);
+                            acc = simd::madd(
+                                acc,
+                                simd::VecF8::broadcast(input.atPadded(
+                                    ic, y + ky - pad, x + kx - pad)),
+                                simd::VecF8::load(w8));
+                        }
+                alignas(32) float lanes[8];
+                acc.store(lanes);
+                for (int l = 0; l < 8; ++l)
+                    out.at(oc0 + l, y, x) = lanes[l];
+            }
+        }
+    }
+    for (int oc = oc_blocked; oc < conv.outChannels(); ++oc)
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x) {
+                float acc = conv.bias(oc);
+                for (int ic = 0; ic < conv.inChannels(); ++ic)
+                    for (int ky = 0; ky < k; ++ky)
+                        for (int kx = 0; kx < k; ++kx)
+                            acc += conv.weight(oc, ic, ky, kx) *
+                                   input.atPadded(ic, y + ky - pad,
+                                                  x + kx - pad);
+                out.at(oc, y, x) = acc;
+            }
+    return out;
+}
+
+TEST(KernelEquivalence, Conv2dMatchesReferenceLoop)
+{
+    // RITnet's layer shapes (in, out, kernel); the 9 -> 4 head runs
+    // only the channel-tail loop, and 16 -> 8 at 1x1 runs the 4-pixel
+    // block without padding.
+    const int shapes[][3] = {{1, 8, 3},  {8, 8, 3},  {8, 16, 3},
+                             {16, 16, 3}, {32, 8, 3}, {16, 8, 3},
+                             {9, 4, 1},  {16, 8, 1}};
+    // Widths with w mod 4 = 0, 1, 2 and 3 (the one-pixel tail).
+    const int sizes[][2] = {{16, 6}, {13, 5}, {10, 7}, {7, 4}};
+    Rng rng(25);
+    for (const auto &shape : shapes) {
+        Conv2d conv(shape[0], shape[1], shape[2]);
+        conv.initializeHe(rng);
+        for (int oc = 0; oc < shape[1]; ++oc)
+            conv.bias(oc) = static_cast<float>(rng.uniform(-0.5, 0.5));
+        for (const auto &size : sizes) {
+            Tensor input(shape[0], size[1], size[0]);
+            for (int c = 0; c < shape[0]; ++c)
+                for (int y = 0; y < size[1]; ++y)
+                    for (int x = 0; x < size[0]; ++x)
+                        input.at(c, y, x) =
+                            rng.uniform() < 0.05
+                                ? -0.0f
+                                : static_cast<float>(rng.uniform(-1, 1));
+            const Tensor got = conv.forward(input);
+            const Tensor want = referenceConvForward(conv, input);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << shape[0] << "->" << shape[1] << " k" << shape[2]
+                << " at " << size[0] << "x" << size[1];
+        }
+    }
 }
 
 } // namespace

@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <string>
 
 namespace illixr {
 namespace {
@@ -103,153 +101,6 @@ TEST(TsdfTest, SurfacePointsLieNearWall)
     ASSERT_GT(points.size(), 20u);
     for (const Vec3 &p : points)
         EXPECT_NEAR(p.z, 2.0, 2.5 * vol.voxelSize());
-}
-
-/**
- * Reference raycast: the direct march, where every sample from
- * t = 0.3 to the far range reads both weightAt and sdfAt.
- * TsdfVolume::raycast must reproduce it byte for byte.
- */
-void
-referenceRaycast(const TsdfVolume &vol, const CameraIntrinsics &intr,
-                 const Pose &camera_to_world, std::vector<Vec3> &vertices,
-                 std::vector<Vec3> &normals, int step_divisor)
-{
-    const int w = intr.width;
-    const int h = intr.height;
-    vertices.assign(static_cast<std::size_t>(w) * h, Vec3(0, 0, 0));
-    normals.assign(static_cast<std::size_t>(w) * h, Vec3(0, 0, 0));
-    const Vec3 origin = camera_to_world.position;
-    const double step =
-        vol.params().truncation / std::max(1, step_divisor);
-    const double max_range = vol.params().side_meters * 1.8;
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const Vec3 dir = camera_to_world.orientation.rotate(
-                intr.unproject(Vec2(x + 0.5, y + 0.5)));
-            double t = 0.3;
-            float prev_sdf = 1.0f;
-            bool prev_valid = false;
-            while (t < max_range) {
-                const Vec3 p = origin + dir * t;
-                const float wgt = vol.weightAt(p);
-                const float s = vol.sdfAt(p);
-                if (wgt > 0.0f) {
-                    if (prev_valid && prev_sdf > 0.0f && s <= 0.0f) {
-                        const double t_hit =
-                            t - step * s / (s - prev_sdf);
-                        const Vec3 hit = origin + dir * t_hit;
-                        const std::size_t i =
-                            static_cast<std::size_t>(y) * w + x;
-                        vertices[i] = hit;
-                        const Vec3 n = vol.gradientAt(hit);
-                        const double nn = n.norm();
-                        if (nn > 1e-9)
-                            normals[i] = n / nn;
-                        break;
-                    }
-                    prev_sdf = s;
-                    prev_valid = true;
-                } else {
-                    prev_valid = false;
-                }
-                t += step;
-            }
-        }
-    }
-}
-
-bool
-sameBytes(const std::vector<Vec3> &a, const std::vector<Vec3> &b)
-{
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
-}
-
-TEST(TsdfTest, RaycastMatchesReferenceMarch)
-{
-    // Odd image sides put the principal point on a pixel center, so
-    // with an identity orientation the middle column and row cast
-    // rays with an exactly zero x or y component.
-    const CameraIntrinsics intr = CameraIntrinsics::fromFov(63, 47, 1.2);
-    const double kHalfPi = 1.5707963267948966;
-    TsdfParams params;
-    params.resolution = 48;
-    params.side_meters = 2.4; // 0.05 m voxels, finer than every step.
-    params.origin = Vec3(-1.2, -1.2, 0.0);
-    TsdfVolume vol(params);
-
-    // Three fronto-parallel depth frames. A's wall (z = 2.3) and C's
-    // wall (x = 1.1) lie 0.1 m inside a face of the grid, so rays leave
-    // (A) or enter (C) the grid right next to a zero crossing. A's
-    // central patch puts a surface at z = 0.03, just inside the z = 0
-    // face.
-    const Pose pose_a(Quat::identity(), Vec3(0.0, 0.0, -0.5));
-    const Pose pose_b(Quat::fromAxisAngle(Vec3(0, 1, 0), 0.35),
-                      Vec3(-0.3, 0.2, 0.3));
-    const Pose pose_c(Quat::fromAxisAngle(Vec3(0, 1, 0), -kHalfPi),
-                      Vec3(2.0, 0.05, 1.2));
-    DepthImage depth_a(63, 47, 2.8f);
-    for (int y = 19; y <= 27; ++y)
-        for (int x = 27; x <= 35; ++x)
-            depth_a.at(x, y) = 0.53f;
-    vol.integrate(depth_a, intr, pose_a);
-    DepthImage depth_b(63, 47, 1.6f);
-    for (int y = 0; y < 47; ++y)
-        for (int x = 0; x < 31; ++x)
-            depth_b.at(x, y) = 1.2f;
-    vol.integrate(depth_b, intr, pose_b);
-    vol.integrate(DepthImage(63, 47, 0.9f), intr, pose_c);
-
-    struct Case
-    {
-        const char *name;
-        Pose camera_to_world;
-        bool expect_hits;
-    };
-    for (int divisor = 1; divisor <= 3; ++divisor) {
-        // A march sample t = 0.3 + step + ... (summed as the raycast
-        // sums it) from a camera at z = -t lands exactly on the z = 0
-        // face: grid coordinate g.z = -0.5, whose nearest voxel is -1
-        // under std::lround but 0 under rounding half up. The central
-        // ray (0, 0, 1) then meets the patch surface one step later.
-        const double step = params.truncation / divisor;
-        double t_face = 0.3;
-        while (t_face < 0.5)
-            t_face += step;
-        const Case cases[] = {
-            {"inside", Pose(Quat::fromAxisAngle(Vec3(0, 1, 0), 0.2),
-                            Vec3(0.2, -0.1, 0.6)),
-             true},
-            {"outside looking in", pose_c, true},
-            {"outside looking away",
-             Pose(Quat::fromAxisAngle(Vec3(0, 1, 0), kHalfPi),
-                  Vec3(2.0, 0.05, 1.2)),
-             false},
-            {"axis-aligned rays",
-             Pose(Quat::identity(), Vec3(0.1, 0.05, 0.2)), true},
-            {"negative half-boundary",
-             Pose(Quat::identity(), Vec3(0.0, 0.0, -t_face)), true},
-        };
-        for (const Case &c : cases) {
-            SCOPED_TRACE(std::string(c.name) + ", step_divisor " +
-                         std::to_string(divisor));
-            std::vector<Vec3> vertices, normals, ref_vertices, ref_normals;
-            vol.raycast(intr, c.camera_to_world, vertices, normals,
-                        divisor);
-            referenceRaycast(vol, intr, c.camera_to_world, ref_vertices,
-                             ref_normals, divisor);
-            EXPECT_TRUE(sameBytes(vertices, ref_vertices));
-            EXPECT_TRUE(sameBytes(normals, ref_normals));
-            const auto hits = std::count_if(
-                ref_vertices.begin(), ref_vertices.end(),
-                [](const Vec3 &v) { return v.norm() > 0.0; });
-            if (c.expect_hits)
-                EXPECT_GT(hits, 0);
-            else
-                EXPECT_EQ(hits, 0);
-        }
-    }
 }
 
 TEST(VertexMapTest, BackProjectionMatchesIntrinsics)

@@ -37,6 +37,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -207,6 +208,9 @@ TEST(SimdLaneOps, WidenAndNarrowRoundExactly)
     simd::widenLoad(f).store(wide);
     for (int i = 0; i < 4; ++i)
         EXPECT_TRUE(bitEqual(wide[i], static_cast<double>(f[i])));
+    simd::widen4(f[0], f[1], f[2], f[3]).store(wide);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(bitEqual(wide[i], static_cast<double>(f[i])));
 
     // Values that round on the way back down.
     const double d[4] = {0.1, 1e20, -1.0000000001, 3.14159265358979};
@@ -240,6 +244,26 @@ TEST(SimdLaneOps, TruncIntAndGatherMatchScalarCasts)
             got[i], static_cast<double>(table[static_cast<int>(ia[i])])));
         EXPECT_TRUE(bitEqual(
             got_b[i], static_cast<double>(table[static_cast<int>(ib[i])])));
+    }
+}
+
+TEST(SimdLaneOps, FloorMatchesStdFloorBitwise)
+{
+    // Negative non-integers, signed zeros, halves, exact integers and
+    // magnitudes past 2^52 (already integers) and near 2^31.
+    const double d[] = {-0.75,     -1.5,           -2.0000000001,
+                        -1e-300,   -0.0,           0.0,
+                        0.5,       -0.5,           3.0,
+                        -7.0,      2.999999999999, 4503599627370497.0,
+                        -9.1e18,   2147483647.5,   -2147483648.25,
+                        1e308};
+    static_assert(std::size(d) % 4 == 0);
+    for (std::size_t i = 0; i < std::size(d); i += 4) {
+        double got[4];
+        simd::floor(VecD4::load(d + i)).store(got);
+        for (std::size_t l = 0; l < 4; ++l)
+            EXPECT_TRUE(bitEqual(got[l], std::floor(d[i + l])))
+                << d[i + l];
     }
 }
 
