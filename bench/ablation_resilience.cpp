@@ -18,6 +18,8 @@
 
 #include <fstream>
 
+#include <sys/stat.h>
+
 using namespace illixr;
 using namespace illixr::bench;
 
@@ -68,8 +70,6 @@ runScenario(const FaultScenario &scenario, SessionConfig cfg,
     if (scenario.offloaded) {
         OffloadConfig offload;
         offload.link = NetworkLink::edgeEthernet();
-        // One loss and jitter stream per seed, as for fleet client 1.
-        offload.link_seed = NetworkModel::linkSeed(cfg.seed, 1);
         offload.breaker.failure_threshold = 2;
         offload.breaker.open_hold = 200 * kMillisecond;
         attachEdgeClient(cfg, offload);
@@ -148,7 +148,10 @@ main()
         header.push_back(c.name);
     table.setHeader(header);
 
-    std::ofstream csv("results/ablation_resilience.csv");
+    const std::string csv_path = "results/ablation_resilience.csv";
+    ::mkdir("results", 0755);
+    std::ofstream csv(csv_path);
+    requireWritten(static_cast<bool>(csv), csv_path);
     csv << "scenario,seed,injected_faults,app_hz,mtp_ms,lineage_mtp_ms,"
            "missed_vsync,ate_cm,ssim,circuit_opens\n";
 
@@ -171,7 +174,9 @@ main()
         std::printf("[%s] done\n", scenario.name);
     }
     std::printf("\n%s\n", table.render().c_str());
-    std::printf("[wrote results/ablation_resilience.csv]\n\n");
+    csv.close();
+    requireWritten(static_cast<bool>(csv), csv_path);
+    std::printf("[wrote %s]\n\n", csv_path.c_str());
 
     // The reading states only where each faulted row's median falls
     // against the baseline's seed spread.

@@ -14,6 +14,7 @@
 #include "xr/session.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,19 @@ banner(const char *experiment, const char *paper_ref)
     std::printf("ILLIXR reproduction — %s\n", experiment);
     std::printf("Paper reference: %s\n", paper_ref);
     std::printf("==============================================\n\n");
+}
+
+/**
+ * Exit 1 naming @p path unless @p written: a bench never reports a
+ * result file it did not produce.
+ */
+inline void
+requireWritten(bool written, const std::string &path)
+{
+    if (written)
+        return;
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
 }
 
 } // namespace illixr::bench

@@ -12,10 +12,16 @@ pair; --pair may be repeated to check several baselines in a single run
 (e.g. the serial and kernel-threaded kernel runs). A pair
 fails when any benchmark present in BOTH of its files is more than PCT
 percent slower in CURRENT than in BASELINE (per-pair PCT, else
---threshold, default 25). Names present in only one file are reported
-but never fail the run, so adding or retiring benchmarks does not break
-CI. Baseline entries with ns <= 0 are skipped. Exit status is 1 when
-any pair regressed, 2 when a pair shares no benchmark names.
+--threshold, default 25), and when a BASELINE name is missing from
+CURRENT: a bench that stops reporting a key must not pass its gate.
+Names are namespaced by the text before their first "." ("avx2.",
+"tail.", none); a baseline namespace CURRENT does not report at all
+belongs to another run (one baseline file holds every SIMD backend),
+so its names are reported but not required. Names only in CURRENT are
+reported and never fail, so adding a benchmark does not break CI.
+Baseline entries with ns <= 0 are skipped. Exit status is 1 when any
+pair regressed or lost a name, 2 when a pair shares no benchmark
+names.
 
 --require-speedup KERNEL:FACTOR (repeatable) additionally demands that
 CURRENT is at least FACTOR times faster than BASELINE for KERNEL.
@@ -39,11 +45,19 @@ ctest so the gate logic itself is under regression.
 
 import argparse
 import json
+import subprocess
 import sys
 
 
+def namespace(name):
+    """The text before NAME's first ".", or "" for an unprefixed name."""
+    return name.split(".", 1)[0] if "." in name else ""
+
+
 def compare_pair(baseline_path, current_path, threshold):
-    """Print a per-benchmark delta table; return (regressions, shared)."""
+    """Print a per-benchmark delta table; return (regressions, shared,
+    missing): missing are the baseline names absent from CURRENT in a
+    namespace CURRENT reports."""
     with open(baseline_path) as f:
         baseline = json.load(f)
     with open(current_path) as f:
@@ -68,12 +82,18 @@ def compare_pair(baseline_path, current_path, threshold):
             f"{delta_pct:+7.1f}%{marker}"
         )
 
+    reported = {namespace(name) for name in current}
+    missing = []
     for name in sorted(set(baseline) - set(current)):
-        print(f"{name:32s} (only in baseline)")
+        if namespace(name) in reported:
+            missing.append(name)
+            print(f"{name:32s} (only in baseline)  << MISSING")
+        else:
+            print(f"{name:32s} (only in baseline, another run)")
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:32s} (only in current)")
 
-    return regressions, shared
+    return regressions, shared, missing
 
 
 def resolve_kernel(kernel, names):
@@ -257,10 +277,29 @@ def self_test() -> int:
             json.dump({"k1": 100.0, "k2": 100.0}, f)
         with open(cur, "w") as f:
             json.dump({"k1": 110.0, "k2": 200.0}, f)
-        regressions, shared = compare_pair(base, cur, 25.0)
+        regressions, shared, _missing = compare_pair(base, cur, 25.0)
         check("compare_pair shares names", len(shared) == 2)
         check("compare_pair flags only the regression",
               [name for name, _pct in regressions] == ["k2"])
+
+        # A key the current run stopped reporting fails the pair; a
+        # namespace it never reports (another backend's) does not.
+        with open(base, "w") as f:
+            json.dump({"k1": 100.0, "k2": 100.0,
+                       "avx2.k1": 50.0, "avx2.k2": 50.0}, f)
+        with open(cur, "w") as f:
+            json.dump({"k1": 100.0}, f)
+        rc = subprocess.call(
+            [sys.executable, __file__, "--pair", f"{base}:{cur}"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        check("pair fails on a baseline key missing from current",
+              rc == 1)
+        with open(cur, "w") as f:
+            json.dump({"k1": 100.0, "k2": 100.0}, f)
+        rc = subprocess.call(
+            [sys.executable, __file__, "--pair", f"{base}:{cur}"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        check("pair ignores a namespace current never reports", rc == 0)
 
     if failed:
         print(f"self-test: {len(failed)} check(s) failed", file=sys.stderr)
@@ -328,17 +367,19 @@ def main() -> int:
         parser.error("give BASELINE CURRENT or at least one --pair")
 
     all_regressions = []
+    all_missing = []
     status = 0
     empty_pairs = []
     for i, (base, cur, threshold) in enumerate(pairs):
         if i:
             print()
-        regressions, shared = compare_pair(base, cur, threshold)
+        regressions, shared, missing = compare_pair(base, cur, threshold)
         if not shared:
             empty_pairs.append((base, cur))
         all_regressions.extend(
             (base, name, pct, threshold) for name, pct in regressions
         )
+        all_missing.extend((cur, name) for name in missing)
 
     resolved_pairs = set()
     if args.require_speedup or args.require_max:
@@ -375,11 +416,17 @@ def main() -> int:
                   file=sys.stderr)
             status = max(status, 2)
 
+    if all_missing:
+        print(f"\n{len(all_missing)} baseline key(s) missing:",
+              file=sys.stderr)
+        for cur, name in all_missing:
+            print(f"  [{cur}] {name}", file=sys.stderr)
     if all_regressions:
         print(f"\n{len(all_regressions)} regression(s):", file=sys.stderr)
         for base, name, pct, threshold in all_regressions:
             print(f"  [{base}] {name}: +{pct:.1f}% (limit {threshold:.0f}%)",
                   file=sys.stderr)
+    if all_missing or all_regressions:
         return 1
     if status:
         return status

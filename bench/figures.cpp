@@ -240,7 +240,7 @@ printFig4(const IntegratedResult &r)
     for (const auto &[name, stats] : r.tasks) {
         const std::string csv =
             "results/timeseries-platformer-desktop-" + name + ".csv";
-        writeSeriesCsv(stats.exec_ms, csv, "exec_ms");
+        requireWritten(writeSeriesCsv(stats.exec_ms, csv, "exec_ms"), csv);
     }
     std::printf("[wrote results/timeseries-platformer-desktop-*.csv]\n");
 
@@ -359,8 +359,9 @@ printFig7(const Grid &grid)
         const IntegratedResult &r = grid.at({platform, AppId::Platformer});
         const std::string csv = std::string("results/mtp-platformer-") +
                                 platformName(platform) + ".csv";
-        if (writeSeriesCsv(r.mtp.latency_ms, csv, "mtp_ms"))
-            std::printf("[wrote %s]\n", csv.c_str());
+        requireWritten(writeSeriesCsv(r.mtp.latency_ms, csv, "mtp_ms"),
+                       csv);
+        std::printf("[wrote %s]\n", csv.c_str());
         const auto &samples = r.mtp.latency_ms.samples();
         std::printf("--- %s: MTP per frame (ms), every 8th frame ---\n",
                     platformName(platform));

@@ -56,9 +56,10 @@ FleetRow
 runRound(const SessionConfig &base, std::size_t count)
 {
     // With --edge the whole rung shares one in-process edge server —
-    // the fleet IS the client swarm (DESIGN.md §9b). Client ids are
-    // the 1-based session indices, so per-client link RNG streams
-    // stay pure functions of (seed, id).
+    // the fleet IS the client swarm, in virtual-time lockstep, so the
+    // rung must run all at once (DESIGN.md §9b). Client ids are the
+    // 1-based session indices, so per-client link RNG streams stay
+    // pure functions of (seed, id).
     std::shared_ptr<EdgeServer> edge_server;
     if (base.edge.enabled)
         edge_server = std::make_shared<EdgeServer>();

@@ -67,6 +67,7 @@ EdgeServer::disconnect(std::uint64_t client)
                                   }),
                    pending_.end());
     clients_.erase(client);
+    reached_.notify_all();
 }
 
 void
@@ -116,6 +117,33 @@ void
 EdgeServer::pump(TimePoint now)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    pumpLocked(now);
+}
+
+void
+EdgeServer::advance(std::uint64_t client, TimePoint now)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto self = clients_.find(client);
+    if (self != clients_.end() && self->second.reached < now) {
+        self->second.reached = now;
+        reached_.notify_all();
+    }
+    // A client behind `now` may still submit a request that arrives
+    // before it, so nothing that ends by `now` is decided until every
+    // client has reached it.
+    reached_.wait(lock, [&] {
+        return std::all_of(clients_.begin(), clients_.end(),
+                           [now](const auto &c) {
+                               return c.second.reached >= now;
+                           });
+    });
+    pumpLocked(now);
+}
+
+void
+EdgeServer::pumpLocked(TimePoint now)
+{
     // The head's start is exact once its service would end by `now`:
     // any request submitted later arrives after `now`, so it queues
     // behind the head in the canonical order.

@@ -23,16 +23,24 @@
  * request set, never of connection or submission order, and
  * pump(now) completes a request only once its modeled completion is
  * at or before `now` — so outcomes are independent of pump cadence.
- * Driven from a single virtual timeline (EdgeFleetSim, or one
- * deterministic session), the server replays byte-identically; shared
- * across free-running sessions it is thread-safe but the interleaving
- * is the host scheduler's.
+ *
+ * Lockstep: clients on free-running session threads advance() the
+ * server instead of pumping it. advance(client, now) waits until
+ * every connected client has reached `now` before it completes
+ * anything, so no client can decide a request that a slower client
+ * may still queue ahead of it: every client submits after its own
+ * advance() at the same virtual time, and sees the server exactly as
+ * of that time. A fleet of sessions sharing one server therefore
+ * replays byte-identically, whatever the host's thread interleaving.
+ * A server with one client never waits; a client that disconnects
+ * releases everyone waiting on it.
  */
 
 #pragma once
 
 #include "foundation/time.hpp"
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -98,9 +106,10 @@ struct EdgeServerConfig
 };
 
 /**
- * Lifecycle: connect() once per client, submit() per frame, pump() to
- * advance the server to the client's current virtual time, poll() to
- * collect matured completions. The server never reads a clock.
+ * Lifecycle: connect() once per client, submit() per frame,
+ * advance() to bring the server to the client's current virtual time
+ * (or pump() from a driver that owns every client's timeline), poll()
+ * to collect matured completions. The server never reads a clock.
  */
 class EdgeServer
 {
@@ -116,7 +125,8 @@ class EdgeServer
      *  the key is already connected. */
     bool connect(std::uint64_t client);
 
-    /** Drop @p client and its queued work. */
+    /** Drop @p client and its queued work, releasing any advance()
+     *  waiting on it. */
     void disconnect(std::uint64_t client);
 
     /**
@@ -129,6 +139,12 @@ class EdgeServer
 
     /** Complete every queued request whose service ends by @p now. */
     void pump(TimePoint now);
+
+    /**
+     * Client @p client has reached virtual time @p now: block until
+     * every connected client has reached it too, then pump(now).
+     */
+    void advance(std::uint64_t client, TimePoint now);
 
     /** Collect (and clear) @p client's matured completions. */
     std::vector<EdgeCompletion> poll(std::uint64_t client);
@@ -144,15 +160,18 @@ class EdgeServer
     struct ClientState
     {
         std::size_t queued = 0; ///< This client's share of pending_.
+        TimePoint reached = 0;  ///< Latest advance() time.
         std::vector<EdgeCompletion> done;
     };
 
+    void pumpLocked(TimePoint now);
     void shedLocked(ClientState &client, const EdgeRequest &request,
                     TimePoint decided);
 
     EdgeServerConfig config_;
 
     mutable std::mutex mutex_;
+    std::condition_variable reached_;
     std::map<std::uint64_t, ClientState> clients_;
     /** Admitted, unserved requests, kept sorted by
      *  (arrival, client, seq) — the one canonical order. */

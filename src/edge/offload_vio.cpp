@@ -4,19 +4,91 @@
 #include "runtime/parallel.hpp"
 #include "trace/metrics_registry.hpp"
 
+#include <atomic>
+
 namespace illixr {
 
-OffloadedVioPlugin::OffloadedVioPlugin(const Phonebook &pb,
-                                       const SystemTuning &tuning,
-                                       const OffloadConfig &config)
+/**
+ * One client's seat on an edge server, shared by every copy of the
+ * session's VIO factory and by the plugin it builds. The plugin
+ * closes it when it stops; otherwise the last holder does, so a
+ * session that is refused, or fails before its plugin runs, never
+ * leaves its peers waiting in EdgeServer::advance().
+ */
+class EdgeConnection
+{
+  public:
+    EdgeConnection(std::shared_ptr<EdgeServer> server, std::uint64_t client)
+        : server_(std::move(server)), client_(client)
+    {
+    }
+    ~EdgeConnection() { close(); }
+    EdgeConnection(const EdgeConnection &) = delete;
+    EdgeConnection &operator=(const EdgeConnection &) = delete;
+
+    EdgeServer &server() const { return *server_; }
+
+    void
+    close()
+    {
+        if (open_.exchange(false))
+            server_->disconnect(client_);
+    }
+
+  private:
+    std::shared_ptr<EdgeServer> server_;
+    std::uint64_t client_;
+    std::atomic<bool> open_{true};
+};
+
+namespace {
+
+MetricsRegistry *
+sessionMetrics(const Phonebook &pb)
+{
+    return pb.has<MetricsRegistry>() ? pb.lookup<MetricsRegistry>().get()
+                                     : nullptr;
+}
+
+/** A server of the session's own: one client, so it never waits, and
+ *  its edge.* metrics land in the session's registry. */
+std::shared_ptr<EdgeConnection>
+privateConnection(const Phonebook &pb, std::uint64_t client)
+{
+    auto server = std::make_shared<EdgeServer>();
+    server->setMetrics(sessionMetrics(pb));
+    server->connect(client);
+    return std::make_shared<EdgeConnection>(std::move(server), client);
+}
+
+/** @p policy with its jitter stream keyed by (session seed, client). */
+CircuitBreakerPolicy
+clientBreaker(CircuitBreakerPolicy policy, unsigned seed,
+              std::uint64_t client)
+{
+    policy.jitter_seed = seed * 0x9e3779b97f4a7c15ULL + client;
+    return policy;
+}
+
+} // namespace
+
+OffloadedVioPlugin::OffloadedVioPlugin(
+    const Phonebook &pb, const SystemTuning &tuning,
+    const OffloadConfig &config, std::shared_ptr<EdgeConnection> connection)
     : Plugin("vio"), tuning_(tuning), config_(config),
+      connection_(connection ? std::move(connection)
+                             : privateConnection(pb, config.client_id)),
       data_(pb.lookup<PreloadedDataset>()),
       cameraReader_(
           pb.lookup<Switchboard>()->reader<CameraFrameEvent>(topics::kCamera)),
       imuReader_(pb.lookup<Switchboard>()->reader<ImuEvent>(topics::kImu)),
       slowPoseWriter_(
           pb.lookup<Switchboard>()->writer<PoseEvent>(topics::kSlowPose)),
-      net_(config.link, config.link_seed), breaker_(config.breaker)
+      // The dataset is built from the session seed.
+      net_(config.link, NetworkModel::linkSeed(data_->dataset.config().seed,
+                                               config.client_id)),
+      breaker_(clientBreaker(config.breaker, data_->dataset.config().seed,
+                             config.client_id))
 {
     MsckfParams params;
     params.imu_noise = data_->dataset.config().imu_noise;
@@ -27,20 +99,22 @@ OffloadedVioPlugin::OffloadedVioPlugin(const Phonebook &pb,
 
     // Self-wire from the phonebook (both are registered by Session
     // before the vio_factory runs; standalone assemblies may lack
-    // them, hence the has<> guards). A private server belongs to this
-    // one session, so its edge.* metrics land in the session's
-    // registry; a shared server's metrics are its owner's business.
-    MetricsRegistry *metrics = pb.has<MetricsRegistry>()
-                                   ? pb.lookup<MetricsRegistry>().get()
-                                   : nullptr;
-    net_.setMetrics(metrics);
-    if (!config_.server) {
-        config_.server = std::make_shared<EdgeServer>();
-        config_.server->setMetrics(metrics);
-    }
+    // them, hence the has<> guards). A shared server's metrics are
+    // its owner's business.
+    net_.setMetrics(sessionMetrics(pb));
     if (pb.has<FaultInjector>())
         injector_ = pb.lookup<FaultInjector>().get();
-    config_.server->connect(config_.client_id);
+}
+
+OffloadedVioPlugin::~OffloadedVioPlugin()
+{
+    connection_->close();
+}
+
+void
+OffloadedVioPlugin::stop()
+{
+    connection_->close();
 }
 
 void
@@ -62,8 +136,9 @@ OffloadedVioPlugin::publishLocalPose(
 void
 OffloadedVioPlugin::collectCompletions(TimePoint now)
 {
-    config_.server->pump(now);
-    for (const EdgeCompletion &c : config_.server->poll(config_.client_id)) {
+    EdgeServer &server = connection_->server();
+    server.advance(config_.client_id, now);
+    for (const EdgeCompletion &c : server.poll(config_.client_id)) {
         auto it = inflight_.find(c.seq);
         if (it == inflight_.end())
             continue;
@@ -133,7 +208,7 @@ OffloadedVioPlugin::submit(
     out->state = state;
     out->parents = {cam->trace};
 
-    if (!config_.server->submit(req)) {
+    if (!connection_->server().submit(req)) {
         // Rejected outright (queue full): no completion will come.
         ++rejected_;
         breaker_.recordFailure(now);
@@ -219,14 +294,37 @@ OffloadedVioPlugin::exportExtras(std::map<std::string, double> &extra) const
     extra["edge_rejected"] = static_cast<double>(rejected_);
 }
 
-void
-attachEdgeClient(SessionConfig &config, const OffloadConfig &offload)
+bool
+attachEdgeClient(SessionConfig &config, const OffloadConfig &offload,
+                 std::string *error)
 {
-    config.edge.enabled = true;
-    config.vio_factory = [offload](const Phonebook &pb,
-                                   const SystemTuning &tuning) {
-        return std::make_unique<OffloadedVioPlugin>(pb, tuning, offload);
+    auto refuse = [error](const std::string &why) {
+        if (error)
+            *error = why;
+        return false;
     };
+    std::shared_ptr<EdgeConnection> connection;
+    if (const std::shared_ptr<EdgeServer> &server = offload.server) {
+        if (config.executor == ExecutorKind::Pool)
+            return refuse("a shared edge server keeps its clients in "
+                          "virtual-time lockstep; the pool executor "
+                          "runs on the wall clock");
+        if (!server->connect(offload.client_id))
+            return refuse("edge server is full or already has client " +
+                          std::to_string(offload.client_id));
+        connection =
+            std::make_shared<EdgeConnection>(server, offload.client_id);
+        config.lockstep_group = [server] {
+            return server->connectedClients();
+        };
+    }
+    config.edge.enabled = true;
+    config.vio_factory = [offload, connection](const Phonebook &pb,
+                                               const SystemTuning &tuning) {
+        return std::make_unique<OffloadedVioPlugin>(pb, tuning, offload,
+                                                    connection);
+    };
+    return true;
 }
 
 bool
@@ -239,12 +337,10 @@ attachEdgeClient(SessionConfig &config, std::uint64_t client_id,
             *error = "unknown edge link preset: " + config.edge.link;
         return false;
     }
-    offload.link_seed = NetworkModel::linkSeed(config.seed, client_id);
     offload.server = std::move(server);
     offload.client_id = client_id;
     offload.deadline_slo_ms = config.edge.slo_ms;
-    attachEdgeClient(config, offload);
-    return true;
+    return attachEdgeClient(config, offload, error);
 }
 
 } // namespace illixr

@@ -16,7 +16,9 @@
  *
  * attachEdgeClient() installs the client on a SessionConfig; a
  * SessionManager fleet becomes a client swarm by attaching every
- * session to ONE server with distinct client ids.
+ * session to ONE server with distinct client ids. The clients of a
+ * shared server run in virtual-time lockstep (EdgeServer::advance),
+ * so the fleet must run all at once on simulated executors.
  */
 
 #pragma once
@@ -38,26 +40,26 @@
 namespace illixr {
 
 class FaultInjector;
+class EdgeConnection;
 
 /** Offload configuration. */
 struct OffloadConfig
 {
+    /** The link. Its jitter/loss stream is seeded
+     *  NetworkModel::linkSeed(session seed, client_id), so every seed
+     *  and client draws an independent, admission-order-free stream. */
     NetworkLink link = NetworkLink::wifi6();
-    /** Link RNG seed. The default is one fixed stream, so a seeded
-     *  sweep or a fleet must derive it with
-     *  NetworkModel::linkSeed(session seed, client id): every seed
-     *  and client then draws an independent, admission-order-free
-     *  stream. */
-    unsigned link_seed = 71;
     /** Bytes per camera frame after on-device compression. */
     double compression_ratio = 0.25;
 
-    /** Breaker guarding the remote path (see CircuitBreaker). */
+    /** Breaker guarding the remote path (see CircuitBreaker). Its
+     *  jitter_seed is replaced by one derived from (session seed,
+     *  client_id), so a fleet's breakers never re-probe in step. */
     CircuitBreakerPolicy breaker;
 
-    /** The edge server, shared by a client fleet. When null the
-     *  plugin builds a private one, whose `edge.*` metrics land in
-     *  the session's registry. */
+    /** The edge server, shared by a client fleet (which then runs in
+     *  lockstep). When null the plugin builds a private one, whose
+     *  `edge.*` metrics land in the session's registry. */
     std::shared_ptr<EdgeServer> server;
     /** Stable client key on the edge server. */
     std::uint64_t client_id = 1;
@@ -79,10 +81,16 @@ struct OffloadConfig
 class OffloadedVioPlugin : public Plugin
 {
   public:
+    /** @p connection is this client's place on a shared server; null
+     *  builds a private server for the session. */
     OffloadedVioPlugin(const Phonebook &pb, const SystemTuning &tuning,
-                       const OffloadConfig &config);
+                       const OffloadConfig &config,
+                       std::shared_ptr<EdgeConnection> connection);
+    ~OffloadedVioPlugin() override;
 
     void iterate(TimePoint now) override;
+    /** Leaves the server, so no peer waits on a finished client. */
+    void stop() override;
     Duration period() const override
     {
         return periodFromHz(tuning_.camera_hz);
@@ -117,6 +125,7 @@ class OffloadedVioPlugin : public Plugin
 
     SystemTuning tuning_;
     OffloadConfig config_;
+    std::shared_ptr<EdgeConnection> connection_;
     std::shared_ptr<PreloadedDataset> data_;
     Switchboard::Reader<CameraFrameEvent> cameraReader_;
     Switchboard::Reader<ImuEvent> imuReader_;
@@ -143,21 +152,24 @@ class OffloadedVioPlugin : public Plugin
 
 /**
  * Install the offloaded VIO client on @p config: its head tracker
- * becomes a client stub configured by @p offload. The session uses
- * offload.link and offload.link_seed as given.
+ * becomes a client stub configured by @p offload, with its link and
+ * breaker jitter streams seeded from (config.seed, offload.client_id).
+ *
+ * A shared offload.server is joined here, before any session starts,
+ * so early sessions wait for late ones instead of running ahead. The
+ * attach is refused — false, with the diagnostic in @p error — when
+ * the session runs on the pool (wall-clock) executor, which has no
+ * virtual time to keep in step, or when the server is full or already
+ * has offload.client_id. @p config is then left untouched.
  */
-void attachEdgeClient(SessionConfig &config, const OffloadConfig &offload);
+bool attachEdgeClient(SessionConfig &config, const OffloadConfig &offload,
+                      std::string *error = nullptr);
 
 /**
  * Install the client a session's EdgeOptions (`--edge`,
  * `ILLIXR_EDGE_*`) ask for: link preset config.edge.link, deadline
  * config.edge.slo_ms, key @p client_id on @p server (a private server
- * when null), and the jitter/loss stream seeded
- * NetworkModel::linkSeed(config.seed, client_id) — the
- * admission-order-free per-client stream of the determinism contract.
- *
- * @return false (with the diagnostic in @p error, if given) on an
- * unknown link name; @p config is then left untouched.
+ * when null). Also refused on an unknown link name.
  */
 bool attachEdgeClient(SessionConfig &config, std::uint64_t client_id,
                       std::shared_ptr<EdgeServer> server = nullptr,

@@ -16,8 +16,7 @@ writeSeriesCsv(const SampleSeries &series, const std::string &path,
     const auto &samples = series.samples();
     for (std::size_t i = 0; i < samples.size(); ++i)
         std::fprintf(f, "%zu,%.9g\n", i, samples[i]);
-    std::fclose(f);
-    return true;
+    return std::fclose(f) == 0;
 }
 
 bool
@@ -36,8 +35,7 @@ writePoseCsv(const std::vector<StampedPose> &trajectory,
                      p.position.y, p.position.z, p.orientation.w,
                      p.orientation.x, p.orientation.y, p.orientation.z);
     }
-    std::fclose(f);
-    return true;
+    return std::fclose(f) == 0;
 }
 
 void

@@ -627,6 +627,10 @@ Session::runBody()
         std::lock_guard<std::mutex> state_lock(mutex_);
         error_ = std::current_exception();
     }
+    // The factory may hold this session's seat in a lockstep group:
+    // release it with the run, also when the run failed before the
+    // factory's plugin existed.
+    config_.vio_factory = nullptr;
 
     std::function<void(Session &)> on_finished;
     {
@@ -656,12 +660,22 @@ SessionManager::~SessionManager()
 std::shared_ptr<Session>
 SessionManager::submit(SessionConfig config)
 {
+    const std::size_t group =
+        config.lockstep_group ? config.lockstep_group() : 0;
     auto session = std::make_shared<Session>(std::move(config));
     session->setOnFinished(
         [this](Session &s) { onSessionFinished(s); });
     std::lock_guard<std::mutex> lock(mutex_);
-    if (running_.size() < max_concurrent_) {
+    if (running_.size() < max_concurrent_ && group <= max_concurrent_) {
         startLocked(session);
+    } else if (group > 0) {
+        // Dropping the session releases its seat in the group, so
+        // peers already running stop waiting on it.
+        throw std::invalid_argument(
+            "session '" + session->name() + "' runs in lockstep with " +
+            std::to_string(group) + " sessions and cannot be queued: " +
+            std::to_string(running_.size()) + " of max_concurrent " +
+            std::to_string(max_concurrent_) + " slots are taken");
     } else {
         session->markQueued();
         queued_.push_back(session);

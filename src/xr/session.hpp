@@ -72,6 +72,16 @@ struct SessionConfig : IntegratedConfig
         const Phonebook &, const SystemTuning &)>
         vio_factory;
 
+    /**
+     * Size of the lockstep group this session belongs to, itself
+     * included: the clients of one shared edge server, which advance
+     * in virtual time together (DESIGN.md §9b). Set by
+     * attachEdgeClient(); empty for a session that waits on no one.
+     * A member must never queue behind running sessions while its
+     * peers wait on it, so SessionManager::submit refuses it instead.
+     */
+    std::function<std::size_t()> lockstep_group;
+
     SessionConfig() = default;
     SessionConfig(const IntegratedConfig &base) : IntegratedConfig(base) {}
 
@@ -251,6 +261,9 @@ class SessionManager
      * Admit @p config as a new session: starts immediately when a
      * slot is free, queues FIFO otherwise. Returns the session handle
      * (wait()/result() on it as with a standalone Session).
+     * @throws std::invalid_argument for a lockstep-group member that
+     * cannot start at once — its group is larger than max_concurrent,
+     * or no slot is free — instead of queueing it.
      */
     std::shared_ptr<Session> submit(SessionConfig config);
 

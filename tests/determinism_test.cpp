@@ -6,7 +6,6 @@
  * contract of DESIGN.md §4c). A different seed must not.
  */
 
-#include "edge/fleet_sim.hpp"
 #include "edge/offload_vio.hpp"
 #include "metrics/telemetry.hpp"
 #include "runtime/parallel.hpp"
@@ -18,6 +17,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <tuple>
 
@@ -287,49 +287,6 @@ TEST(DeterminismTest, ConcurrentSessionsMatchSolo)
     EXPECT_NE(fleet11.pose, fleet12.pose);
 }
 
-TEST(DeterminismTest, EdgeFleetIsByteIdentical)
-{
-    // The edge determinism contract: a multi-client fleet run replays
-    // a byte-identical report CSV across kernel-pool widths 1 (twice),
-    // 2 and 4, and under a permuted client admission order — service
-    // order is keyed (arrival, client, seq) and every client's link
-    // stream is seeded linkSeed(seed, id), never by connection order.
-    auto runFleet = [](std::size_t width,
-                       std::vector<std::uint64_t> order) {
-        KernelPool::instance().setWidth(width);
-        EdgeFleetConfig cfg;
-        cfg.clients = 6;
-        cfg.seed = 11;
-        cfg.duration = 3 * kSecond;
-        cfg.admission_order = std::move(order);
-        return runEdgeFleet(cfg);
-    };
-
-    const EdgeFleetReport w1a = runFleet(1, {});
-    const EdgeFleetReport w1b = runFleet(1, {});
-    const EdgeFleetReport w2 = runFleet(2, {});
-    const EdgeFleetReport w4 = runFleet(4, {6, 3, 1, 5, 2, 4});
-    KernelPool::instance().setWidth(1);
-
-    const std::string csv = w1a.csv();
-    EXPECT_FALSE(csv.empty());
-    EXPECT_GT(w1a.served, 0u);
-    EXPECT_EQ(csv, w1b.csv());
-    EXPECT_EQ(csv, w2.csv());
-    EXPECT_EQ(csv, w4.csv()); // Permuted admission, wider pool.
-
-    // A different session seed must change the report: the seed
-    // really reaches every client's link stream.
-    const EdgeFleetReport other = [&] {
-        EdgeFleetConfig cfg;
-        cfg.clients = 6;
-        cfg.seed = 12;
-        cfg.duration = 3 * kSecond;
-        return runEdgeFleet(cfg);
-    }();
-    EXPECT_NE(csv, other.csv());
-}
-
 /** Every extra at full precision, one per line. */
 std::string
 extrasText(const IntegratedResult &r)
@@ -382,6 +339,69 @@ TEST(DeterminismTest, SeededOffloadIsByteIdentical)
     EXPECT_EQ(w1.lineage, w4.lineage);
     EXPECT_EQ(extras1, extras4);
     EXPECT_EQ(mtp1, mtp4);
+}
+
+TEST(DeterminismTest, EdgeFleetIsByteIdentical)
+{
+    // The edge determinism contract on real sessions: four seeded
+    // AR-demo sessions share one wifi6 edge server, each on its own
+    // thread. Lockstep keeps the server causally ordered, so every
+    // session's pose, lineage and extras are byte-identical at kernel
+    // widths 1 and 4, and when the fleet connects and is submitted in
+    // a permuted order. Every frame that reaches the server is served.
+    constexpr std::uint64_t kClients = 4;
+    using Fingerprint = std::tuple<RunFiles, std::string>;
+    auto runFleet = [](std::size_t width,
+                       const std::vector<std::uint64_t> &order) {
+        auto server = std::make_shared<EdgeServer>();
+        std::vector<SessionConfig> configs(kClients + 1);
+        for (std::uint64_t id : order) {
+            SessionConfig &cfg = configs[id];
+            cfg = SessionConfig(detConfig(static_cast<unsigned>(id), "",
+                                          width));
+            cfg.name = "edge" + std::to_string(id);
+            cfg.app = AppId::ArDemo;
+            cfg.duration = 2 * kSecond;
+            std::string error;
+            EXPECT_TRUE(attachEdgeClient(cfg, id, server, &error))
+                << error;
+        }
+        std::map<std::uint64_t, std::shared_ptr<Session>> sessions;
+        {
+            SessionManager manager(kClients);
+            for (std::uint64_t id : order)
+                sessions[id] = manager.submit(std::move(configs[id]));
+            manager.drain();
+        }
+        std::map<std::uint64_t, Fingerprint> out;
+        for (const auto &[id, session] : sessions) {
+            const IntegratedResult &r = session->result();
+            EXPECT_EQ(r.extra.at("edge_shed"), 0.0) << session->name();
+            EXPECT_EQ(r.extra.at("failover_poses"), 0.0)
+                << session->name();
+            EXPECT_GT(r.extra.at("edge_served"), 25.0) << session->name();
+            out[id] = {filesFor(r, session->name() + "_w" +
+                                       std::to_string(width)),
+                       extrasText(r)};
+        }
+        return out;
+    };
+
+    const auto w1 = runFleet(1, {1, 2, 3, 4});
+    const auto w4 = runFleet(4, {1, 2, 3, 4});
+    const auto permuted = runFleet(1, {3, 1, 4, 2});
+    KernelPool::instance().setWidth(1);
+    ASSERT_EQ(w1.size(), kClients);
+    for (std::uint64_t id = 1; id <= kClients; ++id) {
+        const auto &[files, extras] = w1.at(id);
+        for (const auto *other : {&w4.at(id), &permuted.at(id)}) {
+            EXPECT_EQ(files.pose, std::get<0>(*other).pose) << id;
+            EXPECT_EQ(files.lineage, std::get<0>(*other).lineage) << id;
+            EXPECT_EQ(extras, std::get<1>(*other)) << id;
+        }
+    }
+    // Different seeds really produced different sessions.
+    EXPECT_NE(std::get<0>(w1.at(1)).pose, std::get<0>(w1.at(2)).pose);
 }
 
 TEST(DeterminismTest, ConcurrentSessionStress)

@@ -256,8 +256,15 @@ TEST(IntegratedSystemTest, JetsonLpDegradesVisualPipelineButNotAudio)
     EXPECT_GT(r.achievedHz("audio_encoding"), 0.85 * 48.0);
     EXPECT_LT(r.achievedHz("application"), 0.6 * 120.0);
     EXPECT_LT(r.achievedHz("timewarp"), 0.6 * 120.0);
-    // MTP grows well past the desktop's ~3 ms (Table IV).
-    EXPECT_GT(r.mtp.latency_ms.mean(), 8.0);
+    // MTP grows well past the desktop's (Table IV: desktop 3.0-3.1
+    // ms, Jetson-LP 11.3-19.3 ms). Both runs scale the same host
+    // work, so their ratio does not move when a kernel gets faster.
+    IntegratedConfig desktop = cfg;
+    desktop.platform = PlatformId::Desktop;
+    // 22 runs (4-vCPU x86-64 VM, 12 of them four at a time) read
+    // 3.1-4.2x; 2.5x leaves a 20% margin below the lowest.
+    const double desktop_mtp = runIntegrated(desktop).mtp.latency_ms.mean();
+    EXPECT_GT(r.mtp.latency_ms.mean(), 2.5 * desktop_mtp);
     // Power is an order of magnitude below the desktop but still far
     // from the 1-2 W ideal.
     EXPECT_LT(r.power.total(), 20.0);
