@@ -9,9 +9,8 @@
  * outlier table. The bench then reports, per load mix, the tail
  * quantiles of each stage and the dominant-stage census of the
  * p99.9-outlier frames — the numbers that point at WHICH layer owns
- * the tail (the two scheduler fixes and the breaker backoff in this
- * tree were found exactly this way; BENCH_tail_prefix.json holds the
- * pre-fix numbers).
+ * the tail (the two scheduler fixes in this tree were found exactly
+ * this way; BENCH_tail_prefix.json holds the pre-fix numbers).
  *
  *   tail_bench [--frames=N] [--mix=fleet,chaos,edge] [--json PATH]
  *              [--attrib PATH] [--wall] [--seed=N] [--workers=N]
@@ -22,7 +21,8 @@
  *   chaos — 2 sessions under the canonical chaos fault plan
  *           (drop-retry pressure)
  *   edge  — 2 edge-offloaded sessions (own server each, wifi6) under
- *           a mid-run link brownout (transport + breaker pressure)
+ *           a mid-run link brownout (transport pressure; each lost
+ *           frame is answered by the local IMU integrator)
  *
  * Runs on the seeded SimScheduler (virtual clock, modeled cost) by
  * default, so every emitted number — including the attribution

@@ -61,15 +61,6 @@ privateConnection(const Phonebook &pb, std::uint64_t client)
     return std::make_shared<EdgeConnection>(std::move(server), client);
 }
 
-/** @p policy with its jitter stream keyed by (session seed, client). */
-CircuitBreakerPolicy
-clientBreaker(CircuitBreakerPolicy policy, unsigned seed,
-              std::uint64_t client)
-{
-    policy.jitter_seed = seed * 0x9e3779b97f4a7c15ULL + client;
-    return policy;
-}
-
 } // namespace
 
 OffloadedVioPlugin::OffloadedVioPlugin(
@@ -86,9 +77,7 @@ OffloadedVioPlugin::OffloadedVioPlugin(
           pb.lookup<Switchboard>()->writer<PoseEvent>(topics::kSlowPose)),
       // The dataset is built from the session seed.
       net_(config.link, NetworkModel::linkSeed(data_->dataset.config().seed,
-                                               config.client_id)),
-      breaker_(clientBreaker(config.breaker, data_->dataset.config().seed,
-                             config.client_id))
+                                               config.client_id))
 {
     MsckfParams params;
     params.imu_noise = data_->dataset.config().imu_noise;
@@ -147,7 +136,6 @@ OffloadedVioPlugin::collectCompletions(TimePoint now)
 
         if (c.verdict == EdgeVerdict::Shed) {
             ++shed_;
-            breaker_.recordFailure(now);
             publishLocalPose(frame.cam);
             continue;
         }
@@ -156,19 +144,11 @@ OffloadedVioPlugin::collectCompletions(TimePoint now)
         const std::optional<Duration> down = net_.transferDelay(256, false);
         if (!down) {
             ++framesLost_; // Response lost on the downlink.
-            breaker_.recordFailure(now);
             publishLocalPose(frame.cam);
             continue;
         }
 
-        // Judge staleness on the modeled release time, not on when
-        // this (camera-period-grained) poll happened to run.
         const TimePoint release = c.done + *down;
-        if (release > frame.deadline)
-            breaker_.recordFailure(now);
-        else
-            breaker_.recordSuccess(now);
-
         trajectory_.push_back(
             {frame.cam->time, frame.event->state.pose()});
         roundTrip_.add(toMilliseconds(release - frame.cam->time));
@@ -191,7 +171,6 @@ OffloadedVioPlugin::submit(
         net_.transferDelay(frame_bytes, true);
     if (!up) {
         ++framesLost_; // Frame lost on the uplink.
-        breaker_.recordFailure(now);
         publishLocalPose(cam);
         return;
     }
@@ -211,12 +190,10 @@ OffloadedVioPlugin::submit(
     if (!connection_->server().submit(req)) {
         // Rejected outright (queue full): no completion will come.
         ++rejected_;
-        breaker_.recordFailure(now);
         publishLocalPose(cam);
         return;
     }
-    inflight_.emplace(req.seq,
-                      InflightFrame{cam, std::move(out), req.deadline});
+    inflight_.emplace(req.seq, InflightFrame{cam, std::move(out)});
 }
 
 void
@@ -265,12 +242,6 @@ OffloadedVioPlugin::iterate(TimePoint now)
     }
 
     while (auto cam = cameraReader_.pop()) {
-        if (!breaker_.allow(now)) {
-            // Failed over: local integrator serves head tracking
-            // while the link is considered down.
-            publishLocalPose(cam);
-            continue;
-        }
         // The filter computation happens on the server: run it here
         // for the real result, but exclude its host cost from the
         // local platform; the server charges kEdgeVioServiceMs.
@@ -287,7 +258,6 @@ OffloadedVioPlugin::exportExtras(std::map<std::string, double> &extra) const
 {
     extra["pose_round_trip_ms"] = roundTrip_.mean();
     extra["frames_lost"] = static_cast<double>(framesLost_);
-    extra["circuit_opens"] = static_cast<double>(breaker_.opens());
     extra["failover_poses"] = static_cast<double>(failoverPoses_);
     extra["edge_served"] = static_cast<double>(served_);
     extra["edge_shed"] = static_cast<double>(shed_);

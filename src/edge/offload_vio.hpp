@@ -26,7 +26,6 @@
 #include "edge/edge_server.hpp"
 #include "edge/network.hpp"
 #include "foundation/stats.hpp"
-#include "resilience/circuit_breaker.hpp"
 #include "slam/imu_integrator.hpp"
 #include "slam/msckf.hpp"
 #include "xr/plugins.hpp"
@@ -52,31 +51,24 @@ struct OffloadConfig
     /** Bytes per camera frame after on-device compression. */
     double compression_ratio = 0.25;
 
-    /** Breaker guarding the remote path (see CircuitBreaker). Its
-     *  jitter_seed is replaced by one derived from (session seed,
-     *  client_id), so a fleet's breakers never re-probe in step. */
-    CircuitBreakerPolicy breaker;
-
     /** The edge server, shared by a client fleet (which then runs in
      *  lockstep). When null the plugin builds a private one, whose
      *  `edge.*` metrics land in the session's registry. */
     std::shared_ptr<EdgeServer> server;
     /** Stable client key on the edge server. */
     std::uint64_t client_id = 1;
-    /** Pose-deadline budget from frame capture. A pose that cannot
-     *  be released by then (shed, or delivered late) counts as a
-     *  breaker failure: stale poses are as bad as lost ones. */
+    /** Pose-deadline budget from frame capture: the server sheds a
+     *  request that cannot be served by then. */
     double deadline_slo_ms = 80.0;
 };
 
 /**
  * Drop-in replacement for VioPlugin that runs the filter "remotely".
  *
- * A CircuitBreaker guards the remote path: consecutive lost, shed,
- * rejected or over-deadline frames trip it Open and head tracking
- * fails over to a local RK4 IMU integrator (corrected by the last
- * accepted remote poses) until HalfOpen probes succeed and the link
- * closes again.
+ * Every camera frame is sent. A frame lost on the uplink or the
+ * downlink, shed or rejected is answered on the same tick by a local
+ * RK4 IMU integrator, re-based on every accepted remote pose; a
+ * served pose is published, on time or late.
  */
 class OffloadedVioPlugin : public Plugin
 {
@@ -114,7 +106,6 @@ class OffloadedVioPlugin : public Plugin
     {
         std::shared_ptr<const CameraFrameEvent> cam;
         std::shared_ptr<PoseEvent> event;
-        TimePoint deadline = 0;
     };
 
     void publishLocalPose(const std::shared_ptr<const CameraFrameEvent> &cam);
@@ -138,7 +129,6 @@ class OffloadedVioPlugin : public Plugin
     std::size_t framesLost_ = 0;
     bool initialized_ = false;
 
-    CircuitBreaker breaker_;
     ImuIntegrator fallback_; ///< Local failover integrator.
     std::size_t failoverPoses_ = 0;
     const FaultInjector *injector_ = nullptr;
@@ -152,8 +142,8 @@ class OffloadedVioPlugin : public Plugin
 
 /**
  * Install the offloaded VIO client on @p config: its head tracker
- * becomes a client stub configured by @p offload, with its link and
- * breaker jitter streams seeded from (config.seed, offload.client_id).
+ * becomes a client stub configured by @p offload, with its link
+ * stream seeded from (config.seed, offload.client_id).
  *
  * A shared offload.server is joined here, before any session starts,
  * so early sessions wait for late ones instead of running ahead. The

@@ -4,6 +4,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace illixr {
 
@@ -77,6 +79,19 @@ gemmNtRows(double *rdata, const double *adata, const double *odata,
     }
 }
 
+/**
+ * Shape check of the products and block copies, which would otherwise
+ * read or write out of bounds: unlike assert it holds in every build
+ * type, NDEBUG included.
+ */
+void
+requireShape(bool ok, const char *op)
+{
+    if (!ok)
+        throw std::invalid_argument(std::string("MatX::") + op +
+                                    ": shape mismatch");
+}
+
 } // namespace
 
 MatX::MatX(std::size_t rows, std::size_t cols)
@@ -139,7 +154,7 @@ MatX::operator-(const MatX &o) const
 MatX
 MatX::operator*(const MatX &o) const
 {
-    assert(cols_ == o.rows_);
+    requireShape(cols_ == o.rows_, "operator*");
     MatX r(rows_, o.cols_);
     // i-k-j loop order keeps the inner loop contiguous for row-major.
     gemmRows(r.data_.data(), data_.data(), o.data_.data(), rows_, cols_,
@@ -159,7 +174,7 @@ MatX::operator*(double s) const
 VecX
 MatX::operator*(const VecX &v) const
 {
-    assert(cols_ == v.size());
+    requireShape(cols_ == v.size(), "operator*");
     VecX r(rows_);
     for (std::size_t i = 0; i < rows_; ++i) {
         double acc = 0.0;
@@ -202,7 +217,7 @@ MatX::transpose() const
 MatX
 MatX::transposeTimes(const MatX &o) const
 {
-    assert(rows_ == o.rows_);
+    requireShape(rows_ == o.rows_, "transposeTimes");
     MatX r(cols_, o.cols_);
     for (std::size_t k = 0; k < rows_; ++k) {
         const double *arow = &data_[k * cols_];
@@ -220,7 +235,7 @@ MatX::transposeTimes(const MatX &o) const
 MatX
 MatX::timesTranspose(const MatX &o) const
 {
-    assert(cols_ == o.cols_);
+    requireShape(cols_ == o.cols_, "timesTranspose");
     MatX r(rows_, o.rows_);
     gemmNtRows(r.data_.data(), data_.data(), o.data_.data(), rows_, cols_,
                o.rows_);
@@ -231,7 +246,9 @@ MatX
 MatX::block(std::size_t r0, std::size_t c0, std::size_t nrows,
             std::size_t ncols) const
 {
-    assert(r0 + nrows <= rows_ && c0 + ncols <= cols_);
+    requireShape(nrows <= rows_ && r0 <= rows_ - nrows && ncols <= cols_ &&
+                     c0 <= cols_ - ncols,
+                 "block");
     MatX r(nrows, ncols);
     for (std::size_t i = 0; i < nrows; ++i)
         for (std::size_t j = 0; j < ncols; ++j)
@@ -242,7 +259,9 @@ MatX::block(std::size_t r0, std::size_t c0, std::size_t nrows,
 void
 MatX::setBlock(std::size_t r0, std::size_t c0, const MatX &b)
 {
-    assert(r0 + b.rows() <= rows_ && c0 + b.cols() <= cols_);
+    requireShape(b.rows() <= rows_ && r0 <= rows_ - b.rows() &&
+                     b.cols() <= cols_ && c0 <= cols_ - b.cols(),
+                 "setBlock");
     for (std::size_t i = 0; i < b.rows(); ++i)
         for (std::size_t j = 0; j < b.cols(); ++j)
             (*this)(r0 + i, c0 + j) = b(i, j);

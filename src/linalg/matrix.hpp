@@ -19,7 +19,12 @@ namespace illixr {
 
 class VecX;
 
-/** Dense row-major matrix of doubles. */
+/**
+ * Dense row-major matrix of doubles. The products (operator*,
+ * transposeTimes, timesTranspose) and block copies (block, setBlock)
+ * throw std::invalid_argument on a shape mismatch in every build
+ * type; the other shape checks are debug-only asserts.
+ */
 class MatX
 {
   public:

@@ -6,6 +6,8 @@
  * contract of DESIGN.md §4c). A different seed must not.
  */
 
+#include "failover_oracle.hpp"
+
 #include "edge/offload_vio.hpp"
 #include "metrics/telemetry.hpp"
 #include "runtime/parallel.hpp"
@@ -328,6 +330,7 @@ TEST(DeterminismTest, SeededOffloadIsByteIdentical)
         offload.link = NetworkLink::edgeEthernet();
         attachEdgeClient(cfg, offload);
         const IntegratedResult r = runSession(std::move(cfg));
+        expectFailoverAccounting(r, tag);
         return std::make_tuple(filesFor(r, tag), extrasText(r),
                                lineageMtpText(r));
     };
@@ -380,6 +383,7 @@ TEST(DeterminismTest, EdgeFleetIsByteIdentical)
             EXPECT_EQ(r.extra.at("failover_poses"), 0.0)
                 << session->name();
             EXPECT_GT(r.extra.at("edge_served"), 25.0) << session->name();
+            expectFailoverAccounting(r, session->name());
             out[id] = {filesFor(r, session->name() + "_w" +
                                        std::to_string(width)),
                        extrasText(r)};

@@ -8,6 +8,8 @@
  * jitter-free link, and the ways a fleet member can end early.
  */
 
+#include "failover_oracle.hpp"
+
 #include "edge/offload_vio.hpp"
 #include "trace/metrics_registry.hpp"
 
@@ -406,6 +408,7 @@ expectEveryFrameServed(const IntegratedResult &r, const std::string &who)
     EXPECT_EQ(extra(r, "edge_shed"), 0.0) << who;
     EXPECT_EQ(extra(r, "edge_rejected"), 0.0) << who;
     EXPECT_EQ(extra(r, "failover_poses"), 0.0) << who;
+    expectFailoverAccounting(r, who);
 }
 
 TEST(EdgeSessionTest, FleetOfSessionsSharesOneServer)
@@ -460,8 +463,6 @@ exactMember(std::uint64_t id, const std::shared_ptr<EdgeServer> &server,
     offload.server = server;
     offload.client_id = id;
     offload.deadline_slo_ms = slo_ms;
-    // Never trip: every frame must reach the server to be judged.
-    offload.breaker.failure_threshold = 1000000;
     std::string error;
     EXPECT_TRUE(attachEdgeClient(sc, offload, &error)) << error;
     return sc;
@@ -519,7 +520,7 @@ TEST(EdgeFleetTest, SloBetweenBurstPositionsShedsTheNextClient)
     const IntegratedResult &last = sessions.back()->result();
     EXPECT_EQ(extra(last, "edge_served"), 0.0);
     EXPECT_GT(extra(last, "edge_shed"), 25.0);
-    EXPECT_EQ(extra(last, "edge_shed"), extra(last, "failover_poses"));
+    expectFailoverAccounting(last, sessions.back()->name());
 }
 
 /** Delegates to an offloaded VIO, but throws from @p from on. */

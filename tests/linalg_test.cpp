@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace illixr {
 namespace {
@@ -88,6 +89,53 @@ TEST(MatXTest, BlockRoundTrip)
     a.setBlock(2, 1, b);
     const MatX back = a.block(2, 1, 2, 3);
     EXPECT_NEAR((back - b).maxAbs(), 0.0, 1e-15);
+}
+
+// Shape checks throw in every build type, NDEBUG (Release,
+// RelWithDebInfo) included, so a mismatch never computes silently.
+
+TEST(MatXTest, MatrixProductRejectsMismatchedShapes)
+{
+    const MatX a(2, 2);
+    EXPECT_THROW(a * MatX(3, 2), std::invalid_argument);
+    EXPECT_NO_THROW(a * MatX(2, 3));
+}
+
+TEST(MatXTest, VectorProductRejectsMismatchedLength)
+{
+    const MatX a(2, 2);
+    EXPECT_THROW(a * VecX(3), std::invalid_argument);
+    EXPECT_NO_THROW(a * VecX(2));
+}
+
+TEST(MatXTest, TransposeTimesRejectsMismatchedRows)
+{
+    const MatX a(2, 2);
+    EXPECT_THROW(a.transposeTimes(MatX(3, 2)), std::invalid_argument);
+    EXPECT_NO_THROW(a.transposeTimes(MatX(2, 3)));
+}
+
+TEST(MatXTest, TimesTransposeRejectsMismatchedCols)
+{
+    const MatX a(2, 2);
+    EXPECT_THROW(a.timesTranspose(MatX(2, 3)), std::invalid_argument);
+    EXPECT_NO_THROW(a.timesTranspose(MatX(3, 2)));
+}
+
+TEST(MatXTest, BlockRejectsOutOfRange)
+{
+    const MatX a(3, 3);
+    EXPECT_THROW(a.block(0, 2, 2, 2), std::invalid_argument);
+    EXPECT_THROW(a.block(2, 0, 2, 1), std::invalid_argument);
+    EXPECT_NO_THROW(a.block(1, 1, 2, 2));
+}
+
+TEST(MatXTest, SetBlockRejectsOutOfRange)
+{
+    MatX a(3, 3);
+    EXPECT_THROW(a.setBlock(0, 2, MatX(2, 2)), std::invalid_argument);
+    EXPECT_THROW(a.setBlock(2, 0, MatX(2, 1)), std::invalid_argument);
+    EXPECT_NO_THROW(a.setBlock(1, 1, MatX(2, 2)));
 }
 
 TEST(MatXTest, SymmetrizeMakesSymmetric)

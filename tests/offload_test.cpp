@@ -4,6 +4,8 @@
  * offloaded-VIO client's latency/exclusion and failover semantics.
  */
 
+#include "failover_oracle.hpp"
+
 #include "edge/network.hpp"
 #include "edge/offload_vio.hpp"
 #include "resilience/fault_plan.hpp"
@@ -14,13 +16,16 @@
 namespace illixr {
 namespace {
 
-/** @p config with its VIO served over @p offload's link. */
+/** @p config with its VIO served over @p offload's link; checks that
+ *  every frame that did not come back was answered locally. */
 IntegratedResult
 runOffloaded(const IntegratedConfig &config, const OffloadConfig &offload)
 {
     SessionConfig sc{config};
     attachEdgeClient(sc, offload);
-    return runSession(std::move(sc));
+    IntegratedResult result = runSession(std::move(sc));
+    expectFailoverAccounting(result);
+    return result;
 }
 
 TEST(NetworkLinkTest, PresetsOrderedByLatency)
@@ -209,36 +214,56 @@ TEST(OffloadIntegrationTest, OffloadRestoresVioRateOnJetsonLp)
 
 TEST(OffloadIntegrationTest, LossyLinkTripsBreakerAndLocalFailoverServes)
 {
-    // A link that loses everything: the breaker must trip quickly and
-    // the local IMU integrator must keep the pose stream alive for
-    // the whole run. (Fail-back after a *transient* brownout is
-    // covered by resilience_test's end-to-end chaos run.)
+    // A link that loses everything: every camera frame is still sent,
+    // lost, and answered by the local IMU integrator on the same
+    // tick, so head tracking covers the whole run with no served pose.
     IntegratedConfig cfg;
     cfg.duration = 2 * kSecond;
 
     OffloadConfig offload;
     offload.link = NetworkLink::edgeEthernet();
     offload.link.loss_rate = 1.0;
-    offload.breaker.failure_threshold = 2;
-    offload.breaker.open_hold = 200 * kMillisecond;
 
     const IntegratedResult result = runOffloaded(cfg, offload);
 
-    EXPECT_GE(result.extra.at("circuit_opens"), 1.0);
-    EXPECT_GT(result.extra.at("failover_poses"), 0.0);
-    EXPECT_GT(result.extra.at("frames_lost"), 0.0);
-    // Head tracking never went dark: poses cover the run.
+    EXPECT_EQ(result.extra.at("edge_served"), 0.0);
+    EXPECT_EQ(result.extra.at("edge_shed"), 0.0);
+    EXPECT_EQ(result.extra.at("edge_rejected"), 0.0);
+    // One local pose per camera frame, each for a lost frame.
+    EXPECT_EQ(static_cast<double>(result.vio_trajectory.size()),
+              result.extra.at("failover_poses"));
+    EXPECT_EQ(static_cast<double>(result.vio_trajectory.size()),
+              static_cast<double>(result.tasks.at("vio").invocations));
     ASSERT_FALSE(result.vio_trajectory.empty());
-    EXPECT_GT(result.vio_trajectory.size(), 10u);
     EXPECT_GT(result.vio_trajectory.back().time,
               cfg.duration - 500 * kMillisecond);
 }
 
+TEST(OffloadIntegrationTest, ThirtyPercentLossIsAnsweredFrameForFrame)
+{
+    // A lossy link that is not down: each lost frame gets exactly one
+    // local pose (runOffloaded's accounting oracle), and every other
+    // frame still reaches the server and is served.
+    IntegratedConfig cfg;
+    cfg.duration = 2 * kSecond;
+
+    OffloadConfig offload;
+    offload.link = NetworkLink::edgeEthernet();
+    offload.link.loss_rate = 0.3;
+
+    const IntegratedResult result = runOffloaded(cfg, offload);
+
+    EXPECT_GT(result.extra.at("frames_lost"), 0.0);
+    EXPECT_GT(result.extra.at("edge_served"), 0.0);
+    EXPECT_EQ(result.extra.at("edge_shed"), 0.0);
+    EXPECT_EQ(result.extra.at("edge_rejected"), 0.0);
+}
+
 TEST(OffloadIntegrationTest, CleanLinkNeverTripsTheBreaker)
 {
-    // The failover machinery must be invisible on a healthy wired
-    // link: no opens, no local poses, no losses — and the link
-    // metrics land in the per-session registry.
+    // Failover is invisible on a healthy wired link: no local poses,
+    // no losses, and the link metrics land in the per-session
+    // registry.
     IntegratedConfig cfg;
     cfg.duration = 2 * kSecond;
 
@@ -248,7 +273,6 @@ TEST(OffloadIntegrationTest, CleanLinkNeverTripsTheBreaker)
 
     const IntegratedResult result = runOffloaded(cfg, offload);
 
-    EXPECT_EQ(result.extra.at("circuit_opens"), 0.0);
     EXPECT_EQ(result.extra.at("failover_poses"), 0.0);
     EXPECT_EQ(result.extra.at("frames_lost"), 0.0);
     EXPECT_GT(result.extra.at("pose_round_trip_ms"), 0.0);
@@ -261,35 +285,31 @@ TEST(OffloadIntegrationTest, CleanLinkNeverTripsTheBreaker)
 
 TEST(OffloadIntegrationTest, BrownoutFailsOverThenFailsBack)
 {
-    // A mid-run total brownout (1.5s..2.5s of a 4s run): the breaker
-    // opens, the local integrator bridges the window, and after the
-    // window the remote path closes again — poses near the end of the
-    // run must once more come from the server (frames lost stop
-    // growing and the breaker is Closed at exit; remote poses resume).
+    // A mid-run total brownout (1.5 s..2.5 s of a 4 s run) on an
+    // otherwise lossless link: exactly the frames whose uplink or
+    // downlink falls inside the window are lost and answered locally,
+    // and every frame outside it is served.
     IntegratedConfig cfg;
     cfg.duration = 4 * kSecond;
     ASSERT_TRUE(parseFaultPlan("brownout=1500:1000:1.0:0", cfg.fault_plan));
 
     OffloadConfig offload;
-    offload.link = NetworkLink::edgeEthernet();
-    offload.breaker.failure_threshold = 2;
-    offload.breaker.open_hold = 200 * kMillisecond;
+    offload.link = NetworkLink::edgeEthernet(); // Lossless.
 
     const IntegratedResult result = runOffloaded(cfg, offload);
 
-    // Failed over during the window...
-    EXPECT_GE(result.extra.at("circuit_opens"), 1.0);
-    EXPECT_GT(result.extra.at("failover_poses"), 0.0);
-    EXPECT_GT(result.extra.at("frames_lost"), 0.0);
-    // ...and back: the last second of a 4s run is clean, so losses
-    // are bounded by the brownout window plus the half-open probes
-    // (15 Hz camera: the 1s window itself is ~15 frames).
-    EXPECT_LT(result.extra.at("frames_lost"), 25.0);
-    // Pose stream covered the whole run, including after fail-back.
+    const double lost = framesLostToBlackout(
+        1500 * kMillisecond, 1000 * kMillisecond, cfg.duration);
+    EXPECT_EQ(lost, 16.0);
+    EXPECT_EQ(result.extra.at("frames_lost"), lost);
+    EXPECT_EQ(result.extra.at("failover_poses"), lost);
+    // Each camera frame got a pose, except the last one, still in
+    // flight when the run ends; all but the lost ones were served.
+    EXPECT_EQ(static_cast<double>(result.vio_trajectory.size()),
+              static_cast<double>(result.tasks.at("vio").invocations) - 1);
     ASSERT_FALSE(result.vio_trajectory.empty());
     EXPECT_GT(result.vio_trajectory.back().time,
               cfg.duration - 500 * kMillisecond);
-    // Round trips were recorded both before and after the window.
     EXPECT_GT(result.extra.at("pose_round_trip_ms"), 0.0);
 }
 

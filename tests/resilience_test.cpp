@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the resilience subsystem: fault-plan parsing and the
- * deterministic fault draw, the circuit breaker, exception
- * containment at the executor invocation boundary, and the end-to-end
- * chaos acceptance runs (contained plugin crashes, and an offload
- * brownout, each with bounded pose error).
+ * deterministic fault draw, exception containment at the executor
+ * invocation boundary, and the end-to-end chaos acceptance runs
+ * (contained plugin crashes, and an offload brownout, each with
+ * bounded pose error).
  */
+
+#include "failover_oracle.hpp"
 
 #include "foundation/trajectory_error.hpp"
 #include "edge/offload_vio.hpp"
-#include "resilience/circuit_breaker.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/fault_plan.hpp"
 #include "runtime/pool_executor.hpp"
@@ -111,124 +112,6 @@ TEST(FaultDrawTest, PureStableAndUniform)
         sum += x;
     }
     EXPECT_NEAR(sum / 4000.0, 0.5, 0.03);
-}
-
-// ------------------------------------------------------ CircuitBreaker
-
-TEST(CircuitBreakerTest, TripsHoldsProbesAndCloses)
-{
-    CircuitBreakerPolicy policy;
-    policy.failure_threshold = 2;
-    policy.open_hold = 100 * kMillisecond;
-    policy.probe_successes = 2;
-    CircuitBreaker breaker(policy);
-
-    EXPECT_TRUE(breaker.allow(0));
-    breaker.recordFailure(0);
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-    breaker.recordFailure(0);
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-    EXPECT_EQ(breaker.opens(), 1u);
-
-    // Held open until the hold elapses.
-    EXPECT_FALSE(breaker.allow(50 * kMillisecond));
-    EXPECT_TRUE(breaker.allow(100 * kMillisecond));
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-
-    // Two probe successes close it.
-    breaker.recordSuccess(100 * kMillisecond);
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-    breaker.recordSuccess(110 * kMillisecond);
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-}
-
-TEST(CircuitBreakerTest, HalfOpenFailureReopens)
-{
-    CircuitBreakerPolicy policy;
-    policy.failure_threshold = 1;
-    policy.open_hold = 10 * kMillisecond;
-    CircuitBreaker breaker(policy);
-    breaker.recordFailure(0);
-    ASSERT_EQ(breaker.state(), CircuitBreaker::State::Open);
-    ASSERT_TRUE(breaker.allow(20 * kMillisecond));
-    breaker.recordFailure(20 * kMillisecond);
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-    EXPECT_EQ(breaker.opens(), 2u);
-    // And the hold restarts from the re-trip.
-    EXPECT_FALSE(breaker.allow(25 * kMillisecond));
-}
-
-TEST(CircuitBreakerTest, ConsecutiveReopensBackOffExponentially)
-{
-    CircuitBreakerPolicy policy;
-    policy.failure_threshold = 1;
-    policy.open_hold = 100 * kMillisecond;
-    policy.max_hold = 500 * kMillisecond;
-    policy.jitter = 0.0; // Exact doubling for this test.
-    CircuitBreaker breaker(policy);
-
-    TimePoint now = 0;
-    breaker.recordFailure(now);
-    EXPECT_EQ(breaker.currentHold(), 100 * kMillisecond);
-
-    // Each failed probe doubles the hold until the cap.
-    const Duration expected[] = {200 * kMillisecond, 400 * kMillisecond,
-                                 500 * kMillisecond,
-                                 500 * kMillisecond};
-    for (const Duration want : expected) {
-        now += breaker.currentHold();
-        ASSERT_TRUE(breaker.allow(now));
-        breaker.recordFailure(now); // Probe fails, re-open.
-        EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-        EXPECT_EQ(breaker.currentHold(), want);
-    }
-
-    // Recovery resets the streak: the next trip holds open_hold.
-    now += breaker.currentHold();
-    ASSERT_TRUE(breaker.allow(now));
-    breaker.recordSuccess(now);
-    breaker.recordSuccess(now);
-    ASSERT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-    breaker.recordFailure(now);
-    EXPECT_EQ(breaker.currentHold(), 100 * kMillisecond);
-}
-
-TEST(CircuitBreakerTest, ReopenJitterIsDeterministicAndBounded)
-{
-    CircuitBreakerPolicy policy;
-    policy.failure_threshold = 1;
-    policy.open_hold = 100 * kMillisecond;
-    policy.jitter = 0.1;
-    policy.jitter_seed = 42;
-
-    auto holds = [&policy] {
-        CircuitBreaker b(policy);
-        std::vector<Duration> out;
-        TimePoint now = 0;
-        b.recordFailure(now);
-        out.push_back(b.currentHold());
-        for (int k = 0; k < 3; ++k) {
-            now += b.currentHold();
-            b.allow(now);
-            b.recordFailure(now);
-            out.push_back(b.currentHold());
-        }
-        return out;
-    };
-    const auto a = holds();
-    EXPECT_EQ(a, holds()); // Same seed, same holds.
-    EXPECT_EQ(a[0], 100 * kMillisecond); // First open: no jitter.
-    for (std::size_t k = 1; k < a.size(); ++k) {
-        const auto base =
-            static_cast<double>(100 * kMillisecond) *
-            std::pow(2.0, static_cast<double>(k));
-        EXPECT_GE(static_cast<double>(a[k]), base);
-        EXPECT_LE(static_cast<double>(a[k]), base * 1.1 + 1.0);
-    }
-    // A different jitter stream gives different holds past the first.
-    policy.jitter_seed = 43;
-    const auto b = holds();
-    EXPECT_NE(a, b);
 }
 
 // ------------------------------------------------------- FaultInjector
@@ -453,26 +336,31 @@ TEST(IntegratedChaosTest, BrownoutTripsBreakerFailsOverAndRecovers)
 {
     IntegratedConfig cfg;
     cfg.duration = 4 * kSecond;
-    // Total blackout of the link from 1.0 s to 2.0 s.
+    // Total blackout of an otherwise lossless link from 1.0 s to 2.0 s.
     ASSERT_TRUE(parseFaultPlan("seed=3,brownout=1000:1000:1.0:100",
                                cfg.fault_plan));
 
     OffloadConfig offload;
-    offload.link = NetworkLink::edgeEthernet();
-    offload.breaker.failure_threshold = 2;
-    offload.breaker.open_hold = 200 * kMillisecond;
+    offload.link = NetworkLink::edgeEthernet(); // Lossless.
 
     SessionConfig sc{cfg};
     attachEdgeClient(sc, offload);
     const IntegratedResult result = runSession(std::move(sc));
 
-    // The breaker tripped during the brownout and local failover
-    // poses kept head tracking alive.
-    EXPECT_GE(result.extra.at("circuit_opens"), 1.0);
-    EXPECT_GT(result.extra.at("failover_poses"), 0.0);
+    // Exactly the frames whose uplink or downlink fell inside the
+    // blackout were lost, and local failover poses answered each one.
+    const double lost =
+        framesLostToBlackout(1 * kSecond, 1 * kSecond, cfg.duration);
+    EXPECT_EQ(lost, 16.0);
+    EXPECT_EQ(result.extra.at("frames_lost"), lost);
+    EXPECT_EQ(result.extra.at("edge_shed"), 0.0);
+    EXPECT_EQ(result.extra.at("edge_rejected"), 0.0);
+    expectFailoverAccounting(result);
 
-    // After the brownout the remote path recovered: the trajectory
-    // covers (nearly) the whole run, not just the pre-fault part.
+    // Every other frame was served: the trajectory has a pose for
+    // each camera frame but the last, still in flight at the end.
+    EXPECT_EQ(static_cast<double>(result.vio_trajectory.size()),
+              static_cast<double>(result.tasks.at("vio").invocations) - 1);
     ASSERT_FALSE(result.vio_trajectory.empty());
     EXPECT_GT(result.vio_trajectory.back().time, 3 * kSecond);
 
