@@ -40,7 +40,7 @@ main()
 
     const IntegratedResult local = runIntegrated(cfg);
     // Local "round trip": the VIO's own mean execution time.
-    const double local_rtt = local.tasks.at("vio").exec_ms.mean();
+    const double local_rtt = local.tasks.at("vio").execMs().mean();
     table.addRow({"local", TextTable::num(local.achievedHz("vio"), 1),
                   TextTable::num(100.0 * local.cpu_share.at("vio"), 1),
                   TextTable::num(local_rtt, 1),

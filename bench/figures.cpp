@@ -240,7 +240,7 @@ printFig4(const IntegratedResult &r)
     for (const auto &[name, stats] : r.tasks) {
         const std::string csv =
             "results/timeseries-platformer-desktop-" + name + ".csv";
-        requireWritten(writeSeriesCsv(stats.exec_ms, csv, "exec_ms"), csv);
+        requireWritten(writeSeriesCsv(stats.execMs(), csv, "exec_ms"), csv);
     }
     std::printf("[wrote results/timeseries-platformer-desktop-*.csv]\n");
 
@@ -250,7 +250,8 @@ printFig4(const IntegratedResult &r)
     auto series = [&r](const char *name, int width, std::size_t frames,
                        const char *format) {
         std::printf("%-*s:", width, name);
-        const auto &samples = r.tasks.at(name).exec_ms.samples();
+        const SampleSeries exec = r.tasks.at(name).execMs();
+        const auto &samples = exec.samples();
         for (std::size_t i = 0; i < std::min(frames, samples.size()); ++i)
             std::printf(format, samples[i]);
         std::printf("\n");
@@ -266,10 +267,11 @@ printFig4(const IntegratedResult &r)
     TextTable table;
     table.setHeader({"component", "mean(ms)", "std(ms)", "CV"});
     for (const auto &[name, stats] : r.tasks) {
-        if (stats.exec_ms.count() == 0)
+        const SampleSeries exec = stats.execMs();
+        if (exec.count() == 0)
             continue;
-        const double mean = stats.exec_ms.mean();
-        const double sd = stats.exec_ms.stddev();
+        const double mean = exec.mean();
+        const double sd = exec.stddev();
         table.addRow({name, TextTable::num(mean, 3),
                       TextTable::num(sd, 3),
                       TextTable::num(mean > 0 ? sd / mean : 0.0, 2)});

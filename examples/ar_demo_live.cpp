@@ -119,7 +119,7 @@ main(int argc, char **argv)
         const TaskStats &stats = exec.stats(name);
         std::printf("  %-16s %4zu (%.1f Hz), exec %.2f ms, %zu skips\n",
                     name.c_str(), stats.invocations,
-                    stats.achievedHz(2 * kSecond), stats.exec_ms.mean(),
+                    stats.achievedHz(2 * kSecond), stats.execMs().mean(),
                     stats.skips);
     }
     std::printf("\nSwitchboard topics:\n");

@@ -46,14 +46,14 @@ main(int argc, char **argv)
     table.setHeader({"component", "achieved Hz", "target Hz",
                      "exec ms (mean±std)", "skips"});
     for (const auto &[name, stats] : result.tasks) {
+        const SampleSeries exec = stats.execMs();
         table.addRow(
             {name, TextTable::num(result.achievedHz(name), 1),
              TextTable::num(result.target_hz.count(name)
                                 ? result.target_hz.at(name)
                                 : 0.0,
                             0),
-             TextTable::meanStd(stats.exec_ms.mean(),
-                                stats.exec_ms.stddev(), 2),
+             TextTable::meanStd(exec.mean(), exec.stddev(), 2),
              std::to_string(stats.skips)});
     }
     std::printf("%s\n", table.render().c_str());

@@ -140,7 +140,6 @@ OffloadedVioPlugin::collectCompletions(TimePoint now)
             continue;
         }
 
-        ++served_;
         const std::optional<Duration> down = net_.transferDelay(256, false);
         if (!down) {
             ++framesLost_; // Response lost on the downlink.
@@ -231,6 +230,7 @@ OffloadedVioPlugin::iterate(TimePoint now)
         fallback_.correct(pending_.front().event->state);
         slowPoseWriter_.put(std::move(pending_.front().event));
         pending_.pop_front();
+        ++served_; // Served = delivered: counted when published.
     }
 
     // Stream sensors to the "server" (the IMU messages are small and

@@ -2,7 +2,6 @@
 
 #include "foundation/simd.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -80,16 +79,15 @@ gemmNtRows(double *rdata, const double *adata, const double *odata,
 }
 
 /**
- * Shape check of the products and block copies, which would otherwise
- * read or write out of bounds: unlike assert it holds in every build
- * type, NDEBUG included.
+ * Shape check of every MatX/VecX operation that would otherwise read
+ * or write out of bounds: unlike assert it holds in every build type,
+ * NDEBUG included.
  */
 void
 requireShape(bool ok, const char *op)
 {
     if (!ok)
-        throw std::invalid_argument(std::string("MatX::") + op +
-                                    ": shape mismatch");
+        throw std::invalid_argument(std::string(op) + ": shape mismatch");
 }
 
 } // namespace
@@ -122,7 +120,7 @@ MatX::fromRows(std::initializer_list<std::initializer_list<double>> rows)
     MatX r(nr, nc);
     std::size_t i = 0;
     for (const auto &row : rows) {
-        assert(row.size() == nc);
+        requireShape(row.size() == nc, "MatX::fromRows");
         std::size_t j = 0;
         for (double v : row)
             r(i, j++) = v;
@@ -134,7 +132,7 @@ MatX::fromRows(std::initializer_list<std::initializer_list<double>> rows)
 MatX
 MatX::operator+(const MatX &o) const
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    requireShape(rows_ == o.rows_ && cols_ == o.cols_, "MatX::operator+");
     MatX r(rows_, cols_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         r.data_[i] = data_[i] + o.data_[i];
@@ -144,7 +142,7 @@ MatX::operator+(const MatX &o) const
 MatX
 MatX::operator-(const MatX &o) const
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    requireShape(rows_ == o.rows_ && cols_ == o.cols_, "MatX::operator-");
     MatX r(rows_, cols_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         r.data_[i] = data_[i] - o.data_[i];
@@ -154,7 +152,7 @@ MatX::operator-(const MatX &o) const
 MatX
 MatX::operator*(const MatX &o) const
 {
-    requireShape(cols_ == o.rows_, "operator*");
+    requireShape(cols_ == o.rows_, "MatX::operator*");
     MatX r(rows_, o.cols_);
     // i-k-j loop order keeps the inner loop contiguous for row-major.
     gemmRows(r.data_.data(), data_.data(), o.data_.data(), rows_, cols_,
@@ -174,7 +172,7 @@ MatX::operator*(double s) const
 VecX
 MatX::operator*(const VecX &v) const
 {
-    requireShape(cols_ == v.size(), "operator*");
+    requireShape(cols_ == v.size(), "MatX::operator*");
     VecX r(rows_);
     for (std::size_t i = 0; i < rows_; ++i) {
         double acc = 0.0;
@@ -189,7 +187,7 @@ MatX::operator*(const VecX &v) const
 MatX &
 MatX::operator+=(const MatX &o)
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    requireShape(rows_ == o.rows_ && cols_ == o.cols_, "MatX::operator+=");
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] += o.data_[i];
     return *this;
@@ -198,7 +196,7 @@ MatX::operator+=(const MatX &o)
 MatX &
 MatX::operator-=(const MatX &o)
 {
-    assert(rows_ == o.rows_ && cols_ == o.cols_);
+    requireShape(rows_ == o.rows_ && cols_ == o.cols_, "MatX::operator-=");
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] -= o.data_[i];
     return *this;
@@ -217,7 +215,7 @@ MatX::transpose() const
 MatX
 MatX::transposeTimes(const MatX &o) const
 {
-    requireShape(rows_ == o.rows_, "transposeTimes");
+    requireShape(rows_ == o.rows_, "MatX::transposeTimes");
     MatX r(cols_, o.cols_);
     for (std::size_t k = 0; k < rows_; ++k) {
         const double *arow = &data_[k * cols_];
@@ -235,7 +233,7 @@ MatX::transposeTimes(const MatX &o) const
 MatX
 MatX::timesTranspose(const MatX &o) const
 {
-    requireShape(cols_ == o.cols_, "timesTranspose");
+    requireShape(cols_ == o.cols_, "MatX::timesTranspose");
     MatX r(rows_, o.rows_);
     gemmNtRows(r.data_.data(), data_.data(), o.data_.data(), rows_, cols_,
                o.rows_);
@@ -248,7 +246,7 @@ MatX::block(std::size_t r0, std::size_t c0, std::size_t nrows,
 {
     requireShape(nrows <= rows_ && r0 <= rows_ - nrows && ncols <= cols_ &&
                      c0 <= cols_ - ncols,
-                 "block");
+                 "MatX::block");
     MatX r(nrows, ncols);
     for (std::size_t i = 0; i < nrows; ++i)
         for (std::size_t j = 0; j < ncols; ++j)
@@ -261,7 +259,7 @@ MatX::setBlock(std::size_t r0, std::size_t c0, const MatX &b)
 {
     requireShape(b.rows() <= rows_ && r0 <= rows_ - b.rows() &&
                      b.cols() <= cols_ && c0 <= cols_ - b.cols(),
-                 "setBlock");
+                 "MatX::setBlock");
     for (std::size_t i = 0; i < b.rows(); ++i)
         for (std::size_t j = 0; j < b.cols(); ++j)
             (*this)(r0 + i, c0 + j) = b(i, j);
@@ -288,7 +286,7 @@ MatX::maxAbs() const
 void
 MatX::symmetrize()
 {
-    assert(rows_ == cols_);
+    requireShape(rows_ == cols_, "MatX::symmetrize");
     for (std::size_t i = 0; i < rows_; ++i) {
         for (std::size_t j = i + 1; j < cols_; ++j) {
             const double avg = 0.5 * ((*this)(i, j) + (*this)(j, i));
@@ -309,7 +307,7 @@ MatX::resize(std::size_t rows, std::size_t cols)
 VecX
 VecX::operator+(const VecX &o) const
 {
-    assert(size() == o.size());
+    requireShape(size() == o.size(), "VecX::operator+");
     VecX r(size());
     for (std::size_t i = 0; i < size(); ++i)
         r[i] = data_[i] + o.data_[i];
@@ -319,7 +317,7 @@ VecX::operator+(const VecX &o) const
 VecX
 VecX::operator-(const VecX &o) const
 {
-    assert(size() == o.size());
+    requireShape(size() == o.size(), "VecX::operator-");
     VecX r(size());
     for (std::size_t i = 0; i < size(); ++i)
         r[i] = data_[i] - o.data_[i];
@@ -338,7 +336,7 @@ VecX::operator*(double s) const
 VecX &
 VecX::operator+=(const VecX &o)
 {
-    assert(size() == o.size());
+    requireShape(size() == o.size(), "VecX::operator+=");
     for (std::size_t i = 0; i < size(); ++i)
         data_[i] += o.data_[i];
     return *this;
@@ -347,7 +345,7 @@ VecX::operator+=(const VecX &o)
 VecX &
 VecX::operator-=(const VecX &o)
 {
-    assert(size() == o.size());
+    requireShape(size() == o.size(), "VecX::operator-=");
     for (std::size_t i = 0; i < size(); ++i)
         data_[i] -= o.data_[i];
     return *this;
@@ -356,7 +354,7 @@ VecX::operator-=(const VecX &o)
 double
 VecX::dot(const VecX &o) const
 {
-    assert(size() == o.size());
+    requireShape(size() == o.size(), "VecX::dot");
     double acc = 0.0;
     for (std::size_t i = 0; i < size(); ++i)
         acc += data_[i] * o.data_[i];
@@ -372,7 +370,7 @@ VecX::norm() const
 VecX
 VecX::segment(std::size_t start, std::size_t len) const
 {
-    assert(start + len <= size());
+    requireShape(len <= size() && start <= size() - len, "VecX::segment");
     VecX r(len);
     for (std::size_t i = 0; i < len; ++i)
         r[i] = data_[start + i];
@@ -382,7 +380,8 @@ VecX::segment(std::size_t start, std::size_t len) const
 void
 VecX::setSegment(std::size_t start, const VecX &v)
 {
-    assert(start + v.size() <= size());
+    requireShape(v.size() <= size() && start <= size() - v.size(),
+                 "VecX::setSegment");
     for (std::size_t i = 0; i < v.size(); ++i)
         data_[start + i] = v[i];
 }

@@ -20,10 +20,10 @@ namespace illixr {
 class VecX;
 
 /**
- * Dense row-major matrix of doubles. The products (operator*,
- * transposeTimes, timesTranspose) and block copies (block, setBlock)
- * throw std::invalid_argument on a shape mismatch in every build
- * type; the other shape checks are debug-only asserts.
+ * Dense row-major matrix of doubles. Every operation with a shape
+ * precondition (the sums, products, block copies, symmetrize and
+ * fromRows) throws std::invalid_argument on a mismatch in every build
+ * type; element access is unchecked.
  */
 class MatX
 {

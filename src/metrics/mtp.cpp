@@ -48,18 +48,30 @@ computeLineageMtp(const TraceSink &sink, Duration vsync,
             vsync > 0 ? ((completion + vsync - 1) / vsync) * vsync
                       : completion;
 
+        // One ancestor closure per frame; each stage's latest ancestor
+        // is its highest sequence (the first one met on a tie).
+        std::vector<const EventRecord *> latest(stage_topics.size(),
+                                                nullptr);
+        for (const EventRecord *anc : sink.ancestors(frame->id)) {
+            for (std::size_t s = 0; s < stage_topics.size(); ++s) {
+                if (anc->topic == stage_topics[s] &&
+                    (!latest[s] ||
+                     anc->id.sequence > latest[s]->id.sequence))
+                    latest[s] = anc;
+            }
+        }
+
         bool complete = true;
         const EventRecord *imu = nullptr;
-        for (const std::string &topic : stage_topics) {
-            const EventRecord *anc =
-                sink.latestAncestorOn(frame->id, topic);
+        for (std::size_t s = 0; s < stage_topics.size(); ++s) {
+            const EventRecord *anc = latest[s];
             if (!anc) {
                 complete = false;
                 continue;
             }
-            out.stage_to_photon_ms[topic].add(toMilliseconds(
+            out.stage_to_photon_ms[stage_topics[s]].add(toMilliseconds(
                 std::max<Duration>(0, display - anc->event_time)));
-            if (topic == "imu")
+            if (stage_topics[s] == "imu")
                 imu = anc;
         }
         if (complete)

@@ -17,6 +17,15 @@ TaskStats::achievedHz(Duration wall) const
     return static_cast<double>(invocations) / toSeconds(wall);
 }
 
+SampleSeries
+TaskStats::execMs() const
+{
+    SampleSeries out;
+    for (const InvocationRecord &rec : records)
+        out.add(toMilliseconds(rec.virtual_duration));
+    return out;
+}
+
 void
 ExecutorBase::registerSlot(TaskSlot &slot, Plugin *plugin, Duration period)
 {
@@ -24,13 +33,6 @@ ExecutorBase::registerSlot(TaskSlot &slot, Plugin *plugin, Duration period)
     slot.stats.name = plugin->name();
     slot.stats.unit = plugin->execUnit();
     slot.stats.period = period;
-    if (metrics_) {
-        const std::string prefix = "task." + slot.stats.name;
-        slot.metrics.invocations = &metrics_->counter(prefix + ".invocations");
-        slot.metrics.skips = &metrics_->counter(prefix + ".skips");
-        slot.metrics.exceptions = &metrics_->counter(prefix + ".exceptions");
-        slot.metrics.exec_ms = &metrics_->histogram(prefix + ".exec_ms");
-    }
     slots_.push_back(&slot);
 }
 
@@ -59,22 +61,12 @@ ExecutorBase::recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
                                const InvocationOutcome &out,
                                std::uint64_t span_id, std::uint32_t worker)
 {
-    const double exec_ms = toMilliseconds(rec.virtual_duration);
     TaskStats &stats = slot.stats;
     stats.records.push_back(rec);
     stats.records.back().exception = out.exception;
-    stats.exec_ms.add(exec_ms);
-    stats.busy += rec.virtual_duration;
     ++stats.invocations;
     if (out.exception)
         ++stats.exceptions;
-
-    if (slot.metrics.invocations)
-        slot.metrics.invocations->add();
-    if (out.exception && slot.metrics.exceptions)
-        slot.metrics.exceptions->add();
-    if (slot.metrics.exec_ms)
-        slot.metrics.exec_ms->observe(exec_ms);
 
     if (sink_) {
         Span span;
@@ -94,8 +86,6 @@ void
 ExecutorBase::recordOverrun(TaskSlot &slot, TimePoint t)
 {
     ++slot.stats.skips;
-    if (slot.metrics.skips)
-        slot.metrics.skips->add();
     if (sink_)
         sink_->recordSkip(slot.stats.name, t, SkipCause::Overrun);
 }
@@ -112,10 +102,9 @@ ExecutorBase::invokeGuarded(Plugin &plugin, std::uint64_t attempt,
     out.duration_scale = std::max(1.0, pre.duration_scale);
 
     // Route kernel.* metrics/spans launched by this invocation to THIS
-    // executor's sinks: with several sessions per process, the
-    // process-wide KernelPool cannot carry one global registry — the
-    // scope makes kernel accounting per-session (thread-local, so
-    // concurrent sessions never stomp each other's registries).
+    // executor's sinks: every session shares the one KernelPool, and
+    // the thread-local scope keeps kernel accounting per session (a
+    // launch outside any scope records nothing).
     KernelPool::MetricsScope kernel_scope(metrics_, sink_.get());
 
     TraceContext::beginInvocation(span_id, now);

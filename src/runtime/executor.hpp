@@ -12,11 +12,12 @@
  * after the last one, and every executor books each invocation and
  * overrun through the same helpers.
  *
- * Instrumentation: an attached TraceSink receives one Span per
- * invocation (task, exec unit, arrival/start/completion, skip
- * causes); the attached MetricsRegistry receives per-task interned
- * counters (`task.<name>.invocations`, `.skips`) and an exec-time
- * histogram (`task.<name>.exec_ms`).
+ * Instrumentation: TaskStats::records is the one per-invocation
+ * record; an attached TraceSink also receives one Span per invocation
+ * (task, exec unit, arrival/start/completion) and one SkipRecord per
+ * overrun. The attached MetricsRegistry is the scope for the kernel.*
+ * metrics of the plugins' kernel launches (and the PoolExecutor's
+ * pool.* metrics); it holds no per-task copy of the records.
  */
 
 #pragma once
@@ -59,12 +60,13 @@ struct TaskStats
     std::size_t invocations = 0;
     std::size_t skips = 0;       ///< Arrivals dropped due to overrun.
     std::size_t exceptions = 0;  ///< Invocations that threw.
-    Duration busy = 0;           ///< Total busy time.
-    SampleSeries exec_ms;        ///< Per-invocation ms.
-    std::vector<InvocationRecord> records;
+    std::vector<InvocationRecord> records; ///< One per invocation.
 
     /** Achieved rate over a run of @p wall duration. */
     double achievedHz(Duration wall) const;
+
+    /** Each record's virtual_duration in ms, in invocation order. */
+    SampleSeries execMs() const;
 };
 
 /**
@@ -180,7 +182,10 @@ class ExecutorBase : public Executor
         sink_ = std::move(sink);
     }
 
-    /** Registry receiving per-task metrics (nullptr disables). */
+    /**
+     * Registry receiving the kernel.* metrics of every invocation's
+     * kernel launches (nullptr: they are not recorded).
+     */
     void setMetrics(MetricsRegistry *metrics) { metrics_ = metrics; }
 
     /** Phonebook handed to Plugin::start() (optional). */
@@ -216,27 +221,17 @@ class ExecutorBase : public Executor
     }
 
   protected:
-    /** Interned per-task metric handles (resolved once, not per hit). */
-    struct TaskMetrics
-    {
-        Counter *invocations = nullptr;
-        Counter *skips = nullptr;
-        Counter *exceptions = nullptr;
-        Histogram *exec_ms = nullptr;
-    };
-
     /** What every executor keeps per registered plugin. */
     struct TaskSlot
     {
         Plugin *plugin = nullptr;
         TaskStats stats;
-        TaskMetrics metrics;
     };
 
     /**
-     * Fill @p slot for @p plugin (stats identity, interned metrics)
-     * and enrol it for stats() lookup and the start/stop lifecycle.
-     * The slot must stay at a stable address for the executor's life.
+     * Fill @p slot for @p plugin (stats identity) and enrol it for
+     * stats() lookup and the start/stop lifecycle. The slot must stay
+     * at a stable address for the executor's life.
      */
     void registerSlot(TaskSlot &slot, Plugin *plugin, Duration period);
 
@@ -254,11 +249,11 @@ class ExecutorBase : public Executor
                                     TimePoint now, std::uint64_t span_id);
 
     /**
-     * Book one invocation: TaskStats (record, exec time, busy,
-     * invocations, exceptions), the per-task metrics and a Span. The
-     * caller builds @p rec on its own timeline; @p worker is the
-     * 1-based pool worker (0 = none). Callers that run workers
-     * concurrently hold their scheduling lock.
+     * Book one invocation: TaskStats (record, invocations,
+     * exceptions) and a Span. The caller builds @p rec on its own
+     * timeline; @p worker is the 1-based pool worker (0 = none).
+     * Callers that run workers concurrently hold their scheduling
+     * lock.
      */
     void recordInvocation(TaskSlot &slot, const InvocationRecord &rec,
                           const InvocationOutcome &out,
@@ -281,7 +276,7 @@ class ExecutorBase : public Executor
     void interruptibleSleep(Duration duration);
 
     std::shared_ptr<TraceSink> sink_;
-    MetricsRegistry *metrics_ = &MetricsRegistry::global();
+    MetricsRegistry *metrics_ = nullptr;
     const Phonebook *phonebook_ = nullptr;
     InvocationInterceptor *interceptor_ = nullptr;
     std::atomic<bool> stop_requested_{false};

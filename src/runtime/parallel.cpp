@@ -89,8 +89,6 @@ struct KernelPool::Impl
     // --- configuration (config_mutex) ---
     mutable std::mutex config_mutex;
     std::size_t width = 1;
-    std::shared_ptr<TraceSink> sink;
-    MetricsRegistry *metrics = nullptr; // null -> global()
 
     // --- single-flight admission ---
     std::mutex launch_mutex;
@@ -280,30 +278,6 @@ KernelPool::width() const
     return impl_->width;
 }
 
-void
-KernelPool::setTraceSink(std::shared_ptr<TraceSink> sink)
-{
-    std::lock_guard<std::mutex> lk(impl_->config_mutex);
-    impl_->sink = std::move(sink);
-}
-
-void
-KernelPool::setMetrics(MetricsRegistry *metrics)
-{
-    std::lock_guard<std::mutex> lk(impl_->config_mutex);
-    MetricsRegistry *previous =
-        impl_->metrics ? impl_->metrics : &MetricsRegistry::global();
-    impl_->metrics = metrics;
-    // Retargeting usually means the previous per-run registry is about
-    // to die; evict its handles so a future registry reusing the same
-    // address can never hit a stale Counter*/Histogram*. The global
-    // registry is immortal — its handles stay cached.
-    if (previous != &MetricsRegistry::global()) {
-        std::lock_guard<std::mutex> ck(impl_->cache_mutex);
-        impl_->metric_cache.erase(previous);
-    }
-}
-
 KernelPool::MetricsScope::MetricsScope(MetricsRegistry *metrics,
                                        TraceSink *sink)
     : metrics_(metrics), sink_(sink), prev_(tl_metrics_scope)
@@ -319,10 +293,6 @@ KernelPool::MetricsScope::~MetricsScope()
 void
 KernelPool::forgetMetrics(const MetricsRegistry *metrics)
 {
-    // Same lock order as setMetrics (config before cache).
-    std::lock_guard<std::mutex> lk(impl_->config_mutex);
-    if (impl_->metrics == metrics)
-        impl_->metrics = nullptr;
     std::lock_guard<std::mutex> ck(impl_->cache_mutex);
     impl_->metric_cache.erase(metrics);
 }
@@ -363,29 +333,17 @@ KernelPool::run(const char *name, std::size_t begin, std::size_t end,
 
     const double t0 = hostTimeSeconds();
 
-    // Accounting targets: the launching thread's MetricsScope wins
-    // (per-session routing under concurrent sessions); otherwise the
-    // pool-wide defaults. The shared_ptr hold keeps a pool-wide sink
-    // alive across the launch; a scope sink is a raw pointer whose
-    // lifetime the scope's installer (the executor run) guarantees.
+    // Accounting targets: the launching thread's MetricsScope, whose
+    // installer (a session or an executor run) keeps both alive across
+    // the launch; no scope, no accounting.
+    MetricsRegistry *reg =
+        tl_metrics_scope ? tl_metrics_scope->metrics_ : nullptr;
+    TraceSink *sink = tl_metrics_scope ? tl_metrics_scope->sink_ : nullptr;
     std::size_t width;
-    MetricsRegistry *reg = nullptr;
-    TraceSink *sink = nullptr;
-    std::shared_ptr<TraceSink> sink_hold;
     {
         std::lock_guard<std::mutex> lk(impl_->config_mutex);
         width = impl_->width;
-        if (tl_metrics_scope) {
-            reg = tl_metrics_scope->metrics_;
-            sink = tl_metrics_scope->sink_;
-        } else {
-            reg = impl_->metrics;
-            sink_hold = impl_->sink;
-            sink = sink_hold.get();
-        }
     }
-    if (!reg)
-        reg = &MetricsRegistry::global();
 
     std::uint64_t steals = 0;
     // Serial path: width 1, a single tile, a nested launch, or a
@@ -467,11 +425,13 @@ KernelPool::run(const char *name, std::size_t begin, std::size_t end,
 
     const double t1 = hostTimeSeconds();
 
-    KernelMetrics km = impl_->metricsFor(name, reg);
-    km.tiles->add(tiles);
-    if (steals)
-        km.steals->add(steals);
-    km.ns->observe((t1 - t0) * 1e9);
+    if (reg) {
+        KernelMetrics km = impl_->metricsFor(name, reg);
+        km.tiles->add(tiles);
+        if (steals)
+            km.steals->add(steals);
+        km.ns->observe((t1 - t0) * 1e9);
+    }
 
     if (sink) {
         Span span;

@@ -100,30 +100,17 @@ class KernelPool
 
     std::size_t width() const;
 
-    /** Record `kernel.*` spans into @p sink (null to disable). */
-    void setTraceSink(std::shared_ptr<TraceSink> sink);
-
     /**
-     * Registry for the kernel.<name>.{tiles,steal,ns} family
-     * (defaults to MetricsRegistry::global()).
-     *
-     * Process-wide: with several sessions sharing the pool this is the
-     * wrong knob — use a MetricsScope on the launching thread instead,
-     * which takes precedence and needs no quiescence.
-     */
-    void setMetrics(MetricsRegistry *metrics);
-
-    /**
-     * Thread-local accounting override: while a scope is alive on the
+     * Thread-local accounting: while a scope is alive on the
      * launching thread, every kernel launched from that thread records
      * its kernel.<name>.{tiles,steal,ns} metrics into @p metrics and
-     * its spans into @p sink — not into the pool-wide defaults. This
-     * is how per-session kernel accounting works: each executor
-     * installs a scope around plugin invocations, so N concurrent
-     * sessions sharing the one process-wide pool never mix metrics.
-     * Scopes nest (the previous scope is restored on destruction);
-     * a null @p metrics falls back to MetricsRegistry::global(), a
-     * null @p sink disables span recording for the scope.
+     * its spans into @p sink. This is the only kernel accounting:
+     * each session and each executor installs a scope around plugin
+     * invocations, so N concurrent sessions sharing the one
+     * process-wide pool never mix metrics, and a launch outside any
+     * scope records nothing. Scopes nest (the previous scope is
+     * restored on destruction); a null @p metrics or @p sink disables
+     * that half of the recording for the scope.
      */
     class MetricsScope
     {

@@ -259,13 +259,6 @@ Histogram::reset()
 
 // ----------------------------------------------------------- MetricsRegistry
 
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry instance;
-    return instance;
-}
-
 Counter &
 MetricsRegistry::counter(const std::string &name)
 {

@@ -1,8 +1,10 @@
 /**
  * @file
- * MetricsRegistry: the unified named-metric store (counters, gauges,
- * histograms) that replaces ad-hoc SampleSeries plumbing between the
- * executors, the metrics layer, and the bench binaries.
+ * MetricsRegistry: the named-metric store (counters, gauges,
+ * histograms) for the counts that have no other record: kernel.*,
+ * sb.*, pool.*, edge.*, net.*, resilience.* and tail.*.
+ * Per-invocation timing lives in TaskStats::records and the trace,
+ * not here.
  *
  * Hot-path cost model: handles are resolved *once* by name (interned
  * pointer, like the switchboard's typed topic handles); after that a
@@ -182,9 +184,6 @@ struct MetricRow
 class MetricsRegistry
 {
   public:
-    /** Process-wide instance for ad-hoc instrumentation. */
-    static MetricsRegistry &global();
-
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);

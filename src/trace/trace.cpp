@@ -360,34 +360,6 @@ TraceSink::ancestors(const TraceId &id) const
     return out;
 }
 
-const EventRecord *
-TraceSink::earliestAncestorOn(const TraceId &id,
-                              const std::string &topic) const
-{
-    const EventRecord *best = nullptr;
-    for (const EventRecord *rec : ancestors(id)) {
-        if (rec->topic != topic)
-            continue;
-        if (!best || rec->id.sequence < best->id.sequence)
-            best = rec;
-    }
-    return best;
-}
-
-const EventRecord *
-TraceSink::latestAncestorOn(const TraceId &id,
-                            const std::string &topic) const
-{
-    const EventRecord *best = nullptr;
-    for (const EventRecord *rec : ancestors(id)) {
-        if (rec->topic != topic)
-            continue;
-        if (!best || rec->id.sequence > best->id.sequence)
-            best = rec;
-    }
-    return best;
-}
-
 std::vector<FrameLineageRow>
 TraceSink::frameLineage(const std::string &frame_topic,
                         const std::vector<std::string> &stage_topics) const

@@ -192,14 +192,6 @@ class TraceSink
      */
     std::vector<const EventRecord *> ancestors(const TraceId &id) const;
 
-    /** Earliest ancestor of @p id on @p topic (lowest sequence). */
-    const EventRecord *earliestAncestorOn(const TraceId &id,
-                                          const std::string &topic) const;
-
-    /** Latest ancestor of @p id on @p topic (highest sequence). */
-    const EventRecord *latestAncestorOn(const TraceId &id,
-                                        const std::string &topic) const;
-
     /**
      * Per-frame lineage of every event on @p frame_topic: for each,
      * the earliest/latest ancestor on each of @p stage_topics.

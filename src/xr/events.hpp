@@ -25,7 +25,6 @@ inline constexpr const char *kSubmittedFrame = "submitted_frame";
 inline constexpr const char *kDisplayFrame = "display_frame";
 inline constexpr const char *kSoundfield = "soundfield";
 inline constexpr const char *kStereoAudio = "stereo_audio";
-inline constexpr const char *kQoeFeedback = "qoe_feedback";
 } // namespace topics
 
 /** A camera frame on the "camera" topic. */
@@ -58,7 +57,6 @@ struct DisplayFrameEvent : Event
 {
     RgbImage left;
     RgbImage right;
-    double imu_age_ms = 0.0; ///< Age of the pose used to warp.
 };
 
 /** An encoded HOA block on the "soundfield" topic. */
@@ -74,16 +72,6 @@ struct StereoAudioEvent : Event
 {
     std::vector<double> left;
     std::vector<double> right;
-};
-
-/**
- * QoE feedback from the display side: how stale the application's
- * submitted frame was at reprojection time, in display intervals.
- * The input to QoE-driven resource adaptation (paper §V-D).
- */
-struct QoeFeedbackEvent : Event
-{
-    int stale_intervals = 0; ///< 0 = fresh frame this vsync.
 };
 
 } // namespace illixr

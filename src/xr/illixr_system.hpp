@@ -139,7 +139,8 @@ struct IntegratedResult
     /** Tail-latency monitor (null unless config.tail.enabled). */
     std::shared_ptr<TailMonitor> tail;
 
-    /** Per-run metric registry (task counters/histograms). */
+    /** Per-run metric registry: the kernel.*, sb.*, pool.*, edge.*,
+     *  net.*, resilience.* and tail.* counts (no per-task copies). */
     std::shared_ptr<MetricsRegistry> metrics;
 
     /** Stage topics used for the lineage queries, pipeline order. */

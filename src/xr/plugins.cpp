@@ -194,9 +194,7 @@ ApplicationPlugin::adaptResolution(TimePoint now)
     // The controller watches the application's *achieved* frame
     // interval: the runtime skips an arrival whenever the previous
     // render overruns, so intervals stretching past the display
-    // period are the ground-truth overload signal. (The display-side
-    // staleness feed on the qoe_feedback topic remains available for
-    // telemetry and richer policies.)
+    // period are the ground-truth overload signal.
     const Duration vsync_period = periodFromHz(tuning_.display_hz);
     if (lastFeedback_ >= 0) {
         const Duration interval = now - lastFeedback_;
@@ -262,8 +260,6 @@ TimewarpPlugin::TimewarpPlugin(const Phonebook &pb,
           topics::kSubmittedFrame)),
       fastPoseReader_(
           pb.lookup<Switchboard>()->asyncReader<PoseEvent>(topics::kFastPose)),
-      qoeWriter_(pb.lookup<Switchboard>()->writer<QoeFeedbackEvent>(
-          topics::kQoeFeedback)),
       displayWriter_(pb.lookup<Switchboard>()->writer<DisplayFrameEvent>(
           topics::kDisplayFrame)),
       warp_(params)
@@ -280,21 +276,6 @@ TimewarpPlugin::iterate(TimePoint now)
         return;
     }
 
-    // QoE feedback: age of the application's frame at warp time, in
-    // display intervals. Fresh pipelining gives ~1 interval; an
-    // application that cannot hold the display rate shows up as ages
-    // of 2+ intervals even when warp invocations are themselves
-    // being skipped in lockstep.
-    const Duration vsync_period = periodFromHz(tuning_.display_hz);
-    const auto age_intervals = static_cast<int>(
-        (now - submitted->time) / vsync_period);
-    lastSubmittedTime_ = submitted->time;
-    staleStreak_ = age_intervals;
-    auto feedback = makeEvent<QoeFeedbackEvent>();
-    feedback->time = now;
-    feedback->stale_intervals = std::max(0, age_intervals - 1);
-    qoeWriter_.put(std::move(feedback));
-
     Pose fresh = submitted->frame.render_pose;
     double imu_age_ms = 0.0;
     if (fast) {
@@ -305,7 +286,6 @@ TimewarpPlugin::iterate(TimePoint now)
 
     auto out = makeEvent<DisplayFrameEvent>();
     out->time = now;
-    out->imu_age_ms = imu_age_ms;
     out->left = warp_.reproject(submitted->frame.left,
                                 submitted->frame.render_pose, fresh);
     out->right = warp_.reproject(submitted->frame.right,

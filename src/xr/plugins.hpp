@@ -160,10 +160,10 @@ class IntegratorPlugin : public Plugin
  *
  * With @p adaptive_resolution enabled, the plugin closes a QoE
  * control loop (paper §V-D "QoE-driven resource management ...
- * approximation"): it reads the display side's staleness feedback and
- * trades per-eye resolution for frame rate — shrinking when the
- * reprojection keeps re-showing stale frames, growing back when the
- * display is consistently fresh.
+ * approximation"): it watches its own achieved frame interval and
+ * trades per-eye resolution for frame rate — shrinking when frames
+ * keep missing display slots, growing back when they are
+ * consistently on time.
  */
 class ApplicationPlugin : public Plugin
 {
@@ -219,12 +219,9 @@ class TimewarpPlugin : public Plugin
     SystemTuning tuning_;
     Switchboard::AsyncReader<StereoFrameEvent> submittedReader_;
     Switchboard::AsyncReader<PoseEvent> fastPoseReader_;
-    Switchboard::Writer<QoeFeedbackEvent> qoeWriter_;
     Switchboard::Writer<DisplayFrameEvent> displayWriter_;
     Timewarp warp_;
     std::vector<double> imuAges_;
-    TimePoint lastSubmittedTime_ = -1;
-    int staleStreak_ = 0;
 };
 
 /** Ambisonic encoding of the scene's sound sources. */

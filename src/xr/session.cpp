@@ -580,15 +580,10 @@ Session::runBody()
             result.tail = tail;
         }
         result.metrics = metrics;
-        const double cpu_util =
+        result.utilization.cpu =
             pool ? pool->cpuUtilization() : sim->cpuUtilization();
-        const double gpu_util =
+        result.utilization.gpu =
             pool ? pool->gpuUtilization() : sim->gpuUtilization();
-        metrics->gauge("run.cpu_utilization").set(cpu_util);
-        metrics->gauge("run.gpu_utilization").set(gpu_util);
-
-        result.utilization.cpu = cpu_util;
-        result.utilization.gpu = gpu_util;
         // Memory traffic proxy: display + camera traffic dominates;
         // a weighted blend of unit utilizations (see DESIGN.md).
         result.utilization.memory =

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace illixr {
@@ -136,6 +137,99 @@ TEST(MatXTest, SetBlockRejectsOutOfRange)
     EXPECT_THROW(a.setBlock(0, 2, MatX(2, 2)), std::invalid_argument);
     EXPECT_THROW(a.setBlock(2, 0, MatX(2, 1)), std::invalid_argument);
     EXPECT_NO_THROW(a.setBlock(1, 1, MatX(2, 2)));
+}
+
+TEST(MatXTest, SumRejectsMismatchedShapes)
+{
+    const MatX a(2, 3);
+    EXPECT_THROW(a + MatX(2, 2), std::invalid_argument);
+    EXPECT_THROW(a + MatX(3, 2), std::invalid_argument);
+    EXPECT_NO_THROW(a + MatX(2, 3));
+}
+
+TEST(MatXTest, DifferenceRejectsMismatchedShapes)
+{
+    const MatX a(2, 3);
+    EXPECT_THROW(a - MatX(2, 2), std::invalid_argument);
+    EXPECT_NO_THROW(a - MatX(2, 3));
+}
+
+TEST(MatXTest, AddAssignRejectsMismatchedShapes)
+{
+    MatX a(2, 3);
+    EXPECT_THROW(a += MatX(1, 3), std::invalid_argument);
+    EXPECT_NO_THROW(a += MatX(2, 3));
+}
+
+TEST(MatXTest, SubtractAssignRejectsMismatchedShapes)
+{
+    MatX a(2, 3);
+    EXPECT_THROW(a -= MatX(1, 3), std::invalid_argument);
+    EXPECT_NO_THROW(a -= MatX(2, 3));
+}
+
+TEST(MatXTest, SymmetrizeRejectsNonSquare)
+{
+    MatX a(3, 2);
+    EXPECT_THROW(a.symmetrize(), std::invalid_argument);
+    MatX b(2, 2);
+    EXPECT_NO_THROW(b.symmetrize());
+}
+
+TEST(MatXTest, FromRowsRejectsRaggedRows)
+{
+    EXPECT_THROW(MatX::fromRows({{1.0, 2.0}, {3.0}}), std::invalid_argument);
+    EXPECT_NO_THROW(MatX::fromRows({{1.0, 2.0}, {3.0, 4.0}}));
+}
+
+TEST(VecXTest, SumRejectsMismatchedLength)
+{
+    const VecX a(3);
+    EXPECT_THROW(a + VecX(2), std::invalid_argument);
+    EXPECT_NO_THROW(a + VecX(3));
+}
+
+TEST(VecXTest, DifferenceRejectsMismatchedLength)
+{
+    const VecX a(3);
+    EXPECT_THROW(a - VecX(2), std::invalid_argument);
+    EXPECT_NO_THROW(a - VecX(3));
+}
+
+TEST(VecXTest, AddAssignRejectsMismatchedLength)
+{
+    VecX a(3);
+    EXPECT_THROW(a += VecX(2), std::invalid_argument);
+    EXPECT_NO_THROW(a += VecX(3));
+}
+
+TEST(VecXTest, SubtractAssignRejectsMismatchedLength)
+{
+    VecX a(3);
+    EXPECT_THROW(a -= VecX(2), std::invalid_argument);
+    EXPECT_NO_THROW(a -= VecX(3));
+}
+
+TEST(VecXTest, DotRejectsMismatchedLength)
+{
+    const VecX a(3);
+    EXPECT_THROW(a.dot(VecX(2)), std::invalid_argument);
+    EXPECT_NO_THROW(a.dot(VecX(3)));
+}
+
+TEST(VecXTest, SegmentRejectsOutOfRange)
+{
+    const VecX a(2);
+    EXPECT_THROW(a.segment(1, 2), std::invalid_argument);
+    EXPECT_THROW(a.segment(SIZE_MAX, 2), std::invalid_argument);
+    EXPECT_NO_THROW(a.segment(0, 2));
+}
+
+TEST(VecXTest, SetSegmentRejectsOutOfRange)
+{
+    VecX a(2);
+    EXPECT_THROW(a.setSegment(1, VecX(2)), std::invalid_argument);
+    EXPECT_NO_THROW(a.setSegment(0, VecX(2)));
 }
 
 TEST(MatXTest, SymmetrizeMakesSymmetric)

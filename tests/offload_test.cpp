@@ -212,7 +212,7 @@ TEST(OffloadIntegrationTest, OffloadRestoresVioRateOnJetsonLp)
     EXPECT_GT(remote.achievedHz("audio_playback"), 0.85 * 48.0);
 }
 
-TEST(OffloadIntegrationTest, LossyLinkTripsBreakerAndLocalFailoverServes)
+TEST(OffloadIntegrationTest, DeadLinkIsAnsweredLocallyFrameForFrame)
 {
     // A link that loses everything: every camera frame is still sent,
     // lost, and answered by the local IMU integrator on the same
@@ -259,7 +259,35 @@ TEST(OffloadIntegrationTest, ThirtyPercentLossIsAnsweredFrameForFrame)
     EXPECT_EQ(result.extra.at("edge_rejected"), 0.0);
 }
 
-TEST(OffloadIntegrationTest, CleanLinkNeverTripsTheBreaker)
+TEST(OffloadIntegrationTest, EdgeServedCountsOnlyDeliveredPoses)
+{
+    // Seeded desktop Sponza, 5 s, 10% loss each way: the server serves
+    // 65 frames, 4 of its responses are lost on the downlink, and the
+    // client publishes the other 61. edge_served counts what reached
+    // the client; the server's edge.served counts what it served.
+    IntegratedConfig cfg;
+    cfg.app = AppId::Sponza;
+    cfg.duration = 5 * kSecond;
+    cfg.deterministic = true;
+    cfg.seed = 1;
+
+    OffloadConfig offload;
+    offload.link = NetworkLink::edgeEthernet();
+    offload.link.loss_rate = 0.1;
+
+    const IntegratedResult result = runOffloaded(cfg, offload);
+
+    ASSERT_NE(result.trace, nullptr);
+    const double slow_poses = static_cast<double>(
+        result.trace->eventsOnTopic(topics::kSlowPose).size());
+    const double remote = slow_poses - result.extra.at("failover_poses");
+    EXPECT_EQ(result.extra.at("edge_served"), remote);
+    EXPECT_EQ(result.extra.at("edge_served"), 61.0);
+    ASSERT_NE(result.metrics, nullptr);
+    EXPECT_EQ(result.metrics->counter("edge.served").value(), 65u);
+}
+
+TEST(OffloadIntegrationTest, CleanLinkNeedsNoFailover)
 {
     // Failover is invisible on a healthy wired link: no local poses,
     // no losses, and the link metrics land in the per-session

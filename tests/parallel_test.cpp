@@ -162,81 +162,63 @@ TEST(KernelPool, RecordsLaunchAndMetricStats)
 {
     KernelPool &pool = KernelPool::instance();
     MetricsRegistry metrics;
-    pool.setMetrics(&metrics);
     {
         WidthGuard width(2);
+        KernelPool::MetricsScope scope(&metrics, nullptr);
         const std::uint64_t launches_before = pool.parallelLaunches();
         parallelFor("test_stats", 0, 512, 4,
                     [&](std::size_t, std::size_t) {});
         EXPECT_GT(pool.parallelLaunches(), launches_before);
     }
-    pool.setMetrics(nullptr);
+    pool.forgetMetrics(&metrics);
     EXPECT_GE(metrics.counter("kernel.test_stats.tiles").value(), 128u);
-}
-
-TEST(KernelPool, RetargetingMetricsDropsStaleHandles)
-{
-    // Regression: the pool caches Counter*/Histogram* handles per
-    // kernel name. Retargeting the registry (one per integrated run,
-    // destroyed afterwards) must invalidate the cache, or the next
-    // run's kernels write through dangling pointers into the freed
-    // registry.
-    KernelPool &pool = KernelPool::instance();
-    auto first = std::make_unique<MetricsRegistry>();
-    pool.setMetrics(first.get());
-    parallelFor("test_retarget", 0, 64, 4,
-                [&](std::size_t, std::size_t) {});
-    EXPECT_GE(first->counter("kernel.test_retarget.tiles").value(), 16u);
-    first.reset(); // Destroy the run's registry, as runIntegrated does.
-
-    MetricsRegistry second;
-    pool.setMetrics(&second);
-    parallelFor("test_retarget", 0, 64, 4,
-                [&](std::size_t, std::size_t) {});
-    pool.setMetrics(nullptr);
-    // The second run's launch must have landed in the *second*
-    // registry (and not crashed writing into the freed first one).
-    EXPECT_GE(second.counter("kernel.test_retarget.tiles").value(), 16u);
 }
 
 TEST(KernelPool, MetricsScopeRoutesToTheScopedRegistry)
 {
     // Multi-tenant accounting: a thread holding a MetricsScope routes
-    // its kernel launches into the scoped registry, not the pool-wide
-    // default — this is how N concurrent sessions share one KernelPool
-    // without mixing their kernel.* metrics.
+    // its kernel launches into the scoped registry — this is how N
+    // concurrent sessions share one KernelPool without mixing their
+    // kernel.* metrics. The innermost scope wins, the outer one is
+    // restored when it ends, and outside every scope nothing is
+    // recorded anywhere.
     KernelPool &pool = KernelPool::instance();
-    MetricsRegistry pool_default;
-    pool.setMetrics(&pool_default);
-    MetricsRegistry session;
-    {
-        WidthGuard width(2);
-        KernelPool::MetricsScope scope(&session, nullptr);
+    MetricsRegistry outer;
+    MetricsRegistry inner;
+    auto launch = [] {
         parallelFor("test_scope", 0, 64, 4,
                     [&](std::size_t, std::size_t) {});
+    };
+    {
+        WidthGuard width(2);
+        KernelPool::MetricsScope outer_scope(&outer, nullptr);
+        {
+            KernelPool::MetricsScope inner_scope(&inner, nullptr);
+            launch();
+        }
+        EXPECT_EQ(inner.counter("kernel.test_scope.tiles").value(), 16u);
+        EXPECT_FALSE(outer.hasCounter("kernel.test_scope.tiles"));
+        launch();
     }
-    EXPECT_GE(session.counter("kernel.test_scope.tiles").value(), 16u);
-    EXPECT_FALSE(pool_default.hasCounter("kernel.test_scope.tiles"));
+    EXPECT_EQ(outer.counter("kernel.test_scope.tiles").value(), 16u);
 
-    // Outside the scope the pool-wide default applies again.
-    {
-        WidthGuard width(2);
-        parallelFor("test_scope", 0, 64, 4,
-                    [&](std::size_t, std::size_t) {});
-    }
-    EXPECT_GE(pool_default.counter("kernel.test_scope.tiles").value(),
-              16u);
-    pool.forgetMetrics(&session);
-    pool.setMetrics(nullptr);
+    // No scope: the launch runs and leaves every registry untouched.
+    std::atomic<int> tiles{0};
+    parallelFor("test_scope", 0, 64, 4,
+                [&](std::size_t, std::size_t) { tiles.fetch_add(1); });
+    EXPECT_EQ(tiles.load(), 16);
+    EXPECT_EQ(inner.counter("kernel.test_scope.tiles").value(), 16u);
+    EXPECT_EQ(outer.counter("kernel.test_scope.tiles").value(), 16u);
+    pool.forgetMetrics(&outer);
+    pool.forgetMetrics(&inner);
 }
 
 TEST(KernelPool, ForgetMetricsDropsASessionsCachedHandles)
 {
-    // The multi-tenant edition of the stale-handle hazard: a session's
-    // registry dies while the pool's default registry is untouched, so
-    // setMetrics() never runs and cannot evict the cache. Each session
-    // must call forgetMetrics() at teardown, or a new registry landing
-    // at the same address inherits dangling Counter/Histogram handles.
+    // The stale-handle hazard: the pool caches Counter/Histogram
+    // handles per registry. Each session must call forgetMetrics() at
+    // teardown, or a new registry landing at the same address inherits
+    // dangling handles into the freed one.
     KernelPool &pool = KernelPool::instance();
     auto first = std::make_unique<MetricsRegistry>();
     {
@@ -428,10 +410,9 @@ TEST(KernelPool, VioEyeTrackingAndAudioMakeNoKernelLaunches)
     encodeSource(mono, Vec3(1, 0, 0).normalized(), field);
     Binauralizer binaural(512);
 
-    MetricsRegistry metrics;
     TraceSink sink;
     {
-        KernelPool::MetricsScope scope(&metrics, &sink);
+        KernelPool::MetricsScope scope(nullptr, &sink);
         const std::size_t updates = vio.filter().updateCount();
         while (vio.filter().updateCount() == updates &&
                f < ds.cameraFrameCount())

@@ -271,8 +271,7 @@ TEST(PoolExecutorTest, ExportsWorkerAndLaneMetrics)
     worker_total += metrics.counter("pool.worker.2.invocations").value();
     EXPECT_EQ(worker_total,
               static_cast<std::uint64_t>(cam.count.load()));
-    EXPECT_EQ(metrics.counter("task.camera.invocations").value(),
-              worker_total);
+    EXPECT_EQ(pool.stats("camera").invocations, worker_total);
 }
 
 TEST(PoolExecutorStressTest, FourWorkersThreePipelines)

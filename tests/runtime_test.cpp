@@ -249,7 +249,7 @@ TEST(SimSchedulerTest, PeriodicTaskRunsAtTargetRate)
     const TaskStats &stats = sched.stats("fast");
     EXPECT_EQ(stats.invocations, static_cast<std::size_t>(fast.count));
     EXPECT_EQ(stats.skips, 0u);
-    EXPECT_GT(stats.exec_ms.mean(), 0.0);
+    EXPECT_GT(stats.execMs().mean(), 0.0);
 }
 
 TEST(SimSchedulerTest, SlowPlatformInflatesVirtualTime)
@@ -262,8 +262,8 @@ TEST(SimSchedulerTest, SlowPlatformInflatesVirtualTime)
     SimScheduler jetson(PlatformModel::get(PlatformId::JetsonLP));
     jetson.addPlugin(&b);
     jetson.run(kSecond);
-    const double d = desktop.stats("a").exec_ms.mean();
-    const double j = jetson.stats("b").exec_ms.mean();
+    const double d = desktop.stats("a").execMs().mean();
+    const double j = jetson.stats("b").execMs().mean();
     EXPECT_NEAR(j / d, 5.6, 1.5); // Jetson-LP cpu_scale.
 }
 
@@ -288,7 +288,7 @@ TEST(SimSchedulerTest, MeasuredCostIgnoresBlockedTime)
     sched.run(500 * kMillisecond);
     const TaskStats &stats = sched.stats("sleep");
     EXPECT_GE(stats.invocations, 5u);
-    EXPECT_LT(stats.exec_ms.max(), 2.0);
+    EXPECT_LT(stats.execMs().max(), 2.0);
     EXPECT_EQ(stats.skips, 0u);
 }
 

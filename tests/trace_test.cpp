@@ -229,17 +229,19 @@ TEST_F(LineageFixture, AncestryQueriesResolveTransitively)
     // Frame 2's ancestry: pose 2 + sensors 3,4 (stage 2 drained only
     // the two new sensor events).
     EXPECT_EQ(anc.size(), 3u);
-    const EventRecord *early = sink->earliestAncestorOn(f2, "sensor");
-    const EventRecord *late = sink->latestAncestorOn(f2, "sensor");
-    ASSERT_NE(early, nullptr);
-    ASSERT_NE(late, nullptr);
-    EXPECT_EQ(early->id.sequence, 3u);
-    EXPECT_EQ(late->id.sequence, 4u);
-    EXPECT_EQ(sink->latestAncestorOn(f2, "nope"), nullptr);
+    const auto rows = sink->frameLineage("frame", {"sensor", "nope"});
+    ASSERT_EQ(rows.size(), 2u);
+    const FrameLineageRow &row = rows[1];
+    EXPECT_EQ(row.frame, f2);
+    ASSERT_TRUE(row.stages[0].present);
+    EXPECT_EQ(row.stages[0].first.sequence, 3u);
+    EXPECT_EQ(row.stages[0].last.sequence, 4u);
+    EXPECT_FALSE(row.stages[1].present);
 
     const Span *producer = sink->producingSpan(f2);
     ASSERT_NE(producer, nullptr);
     EXPECT_EQ(producer->task, "frame_stage");
+    EXPECT_EQ(row.completion, producer->completion);
 }
 
 TEST_F(LineageFixture, FrameLineageRowsPerFrame)

@@ -341,5 +341,190 @@ TEST(AdaptiveResolutionTest, ImprovesDisplayRateWhenOverloaded)
               fixed.mtp.latency_ms.mean());
 }
 
+// ------------------------------------------------------ Reconciliation
+//
+// Every number a run prints has one record: TaskStats::records per
+// invocation, the trace's spans, skips and events. These tests check
+// each derived value against that record on seeded runs.
+
+/** A seeded, traced desktop Sponza session. */
+IntegratedResult
+seededSponza(const std::string &fault_spec)
+{
+    IntegratedConfig cfg;
+    cfg.platform = PlatformId::Desktop;
+    cfg.app = AppId::Sponza;
+    cfg.duration = 2 * kSecond;
+    cfg.deterministic = true;
+    cfg.seed = 1;
+    cfg.trace = true;
+    EXPECT_TRUE(parseFaultPlan(fault_spec, cfg.fault_plan));
+    return runIntegrated(cfg);
+}
+
+/** The counts, records and shares of every task against the trace. */
+void
+expectTasksReconcile(const IntegratedResult &r)
+{
+    ASSERT_TRUE(r.trace);
+    const TraceSink &sink = *r.trace;
+    std::size_t task_spans = 0;
+    for (const Span &span : sink.spans())
+        task_spans += span.task.rfind("kernel.", 0) == 0 ? 0 : 1;
+
+    std::size_t invocations = 0;
+    Duration total = 0;
+    for (const auto &[name, stats] : r.tasks) {
+        std::vector<const Span *> spans;
+        for (const Span &span : sink.spans()) {
+            if (span.task == name)
+                spans.push_back(&span);
+        }
+        EXPECT_EQ(stats.invocations, spans.size()) << name;
+        ASSERT_EQ(stats.records.size(), spans.size()) << name;
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            const InvocationRecord &rec = stats.records[i];
+            EXPECT_EQ(rec.arrival, spans[i]->arrival) << name << " #" << i;
+            EXPECT_EQ(rec.start, spans[i]->start) << name << " #" << i;
+            EXPECT_EQ(rec.completion, spans[i]->completion)
+                << name << " #" << i;
+        }
+        std::size_t overruns = 0;
+        for (const SkipRecord &skip : sink.skips()) {
+            if (skip.task == name && skip.cause == SkipCause::Overrun)
+                ++overruns;
+        }
+        EXPECT_EQ(stats.skips, overruns) << name;
+        invocations += stats.invocations;
+        for (const InvocationRecord &rec : stats.records)
+            total += rec.virtual_duration;
+    }
+    // No span belongs to a task the executor does not know.
+    EXPECT_EQ(task_spans, invocations);
+
+    // Seeded Fig 5 shares: each task's charged virtual time over all.
+    ASSERT_GT(total, 0);
+    double share_sum = 0.0;
+    for (const auto &[name, stats] : r.tasks) {
+        Duration work = 0;
+        for (const InvocationRecord &rec : stats.records)
+            work += rec.virtual_duration;
+        EXPECT_DOUBLE_EQ(r.cpu_share.at(name),
+                         static_cast<double>(work) /
+                             static_cast<double>(total))
+            << name;
+        share_sum += r.cpu_share.at(name);
+    }
+    EXPECT_NEAR(share_sum, 1.0, 1e-12);
+}
+
+/** Reference copy: the latest ancestor on @p topic, one walk per call. */
+const EventRecord *
+referenceLatestAncestor(const TraceSink &sink, const TraceId &id,
+                        const std::string &topic)
+{
+    const EventRecord *best = nullptr;
+    for (const EventRecord *rec : sink.ancestors(id)) {
+        if (rec->topic != topic)
+            continue;
+        if (!best || rec->id.sequence > best->id.sequence)
+            best = rec;
+    }
+    return best;
+}
+
+/** Reference copy of the lineage MTP with one ancestor walk per stage. */
+LineageMtp
+referenceLineageMtp(const TraceSink &sink, Duration vsync,
+                    const std::string &frame_topic,
+                    const std::vector<std::string> &stage_topics)
+{
+    LineageMtp out;
+    for (const EventRecord *frame : sink.eventsOnTopic(frame_topic)) {
+        ++out.frames;
+        const Span *span = sink.producingSpan(frame->id);
+        const TimePoint completion =
+            span ? span->completion : frame->publish_time;
+        const TimePoint display =
+            vsync > 0 ? ((completion + vsync - 1) / vsync) * vsync
+                      : completion;
+        bool complete = true;
+        const EventRecord *imu = nullptr;
+        for (const std::string &topic : stage_topics) {
+            const EventRecord *anc =
+                referenceLatestAncestor(sink, frame->id, topic);
+            if (!anc) {
+                complete = false;
+                continue;
+            }
+            out.stage_to_photon_ms[topic].add(toMilliseconds(
+                std::max<Duration>(0, display - anc->event_time)));
+            if (topic == "imu")
+                imu = anc;
+        }
+        if (complete)
+            ++out.resolved;
+        const double imu_age =
+            imu ? toMilliseconds(std::max<Duration>(
+                      0, frame->publish_time - imu->event_time))
+                : 0.0;
+        const double reproj =
+            span ? toMilliseconds(span->completion - span->start) : 0.0;
+        const double swap = toMilliseconds(display - completion);
+        out.mtp.imu_age_ms.add(imu_age);
+        out.mtp.reprojection_ms.add(reproj);
+        out.mtp.swap_ms.add(swap);
+        out.mtp.latency_ms.add(imu_age + reproj + swap);
+    }
+    return out;
+}
+
+void
+expectLineageMatchesReference(const IntegratedResult &r)
+{
+    ASSERT_TRUE(r.trace);
+    const LineageMtp ref =
+        referenceLineageMtp(*r.trace, r.vsync, topics::kDisplayFrame,
+                            r.lineage_stages);
+    const LineageMtp &got = r.lineage_mtp;
+    EXPECT_GT(got.frames, 100u);
+    EXPECT_EQ(got.frames, ref.frames);
+    EXPECT_EQ(got.resolved, ref.resolved);
+    EXPECT_EQ(got.mtp.latency_ms.samples(), ref.mtp.latency_ms.samples());
+    EXPECT_EQ(got.mtp.imu_age_ms.samples(), ref.mtp.imu_age_ms.samples());
+    EXPECT_EQ(got.mtp.reprojection_ms.samples(),
+              ref.mtp.reprojection_ms.samples());
+    EXPECT_EQ(got.mtp.swap_ms.samples(), ref.mtp.swap_ms.samples());
+    ASSERT_EQ(got.stage_to_photon_ms.size(), ref.stage_to_photon_ms.size());
+    for (const auto &[topic, series] : ref.stage_to_photon_ms)
+        EXPECT_EQ(got.stage_to_photon_ms.at(topic).samples(),
+                  series.samples())
+            << topic;
+}
+
+TEST(ReconciliationTest, SeededSponzaNumbersMatchTheirRecords)
+{
+    const IntegratedResult r = seededSponza("");
+    expectTasksReconcile(r);
+    expectLineageMatchesReference(r);
+}
+
+TEST(ReconciliationTest, FaultedSponzaNumbersMatchTheirRecords)
+{
+    // Crashes, stalls, drops and corruption: records with exceptions,
+    // overrun skips, and frames whose lineage misses a stage.
+    const IntegratedResult r = seededSponza(
+        "seed=7,crash=0.02,stall=0.05,drop=0.05,corrupt=0.02");
+    std::size_t exceptions = 0, skips = 0;
+    for (const auto &[name, stats] : r.tasks) {
+        exceptions += stats.exceptions;
+        skips += stats.skips;
+    }
+    EXPECT_GT(exceptions, 0u);
+    EXPECT_GT(skips, 0u);
+    expectTasksReconcile(r);
+    expectLineageMatchesReference(r);
+}
+
 } // namespace
 } // namespace illixr
